@@ -3,9 +3,8 @@
 Every benchmark writes the rows it reproduces (the paper's table/figure
 content) to ``.bench_run/results/<experiment>.txt`` at the repository root
 (git-ignored) and echoes them to stdout, in addition to the
-pytest-benchmark timing table.  The tracked snapshots under
-``benchmarks/results/`` are only ever updated by hand, so a test run never
-dirties the checkout.
+pytest-benchmark timing table.  No result table is tracked, so a test run
+never dirties the checkout.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ close *identical* windows.
 The speedup assertion is intentionally loose (bulk must not be slower
 than ~0.8x the per-tuple loop) because the win is modest for small
 batches and this guards the mechanism, not a marketing number; see
-``benchmarks/results/window_bulk_insert.txt`` for measured figures.
+``.bench_run/results/window_bulk_insert.txt`` (written by a run) for
+measured figures.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from typing import FrozenSet, Hashable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.distributions import Distribution, Gaussian, GaussianMixture
+from repro.streams.lineage import lineage_union
 from repro.streams.operators.base import OperatorError
 from repro.streams.tuples import StreamTuple
 
@@ -160,17 +161,6 @@ def merge_sum_distributions(
     )
 
 
-def _check_disjoint_lineage(partials: Sequence[WindowPartial]) -> None:
-    total = sum(len(p.lineage) for p in partials)
-    union = frozenset().union(*(p.lineage for p in partials))
-    if len(union) != total:
-        raise MergeError(
-            "shard partials share lineage: the shards are not independent, so "
-            "their partial aggregates cannot be merged (disable "
-            "check_independence to override)"
-        )
-
-
 def merge_window_partials(
     partials: Sequence[WindowPartial],
     function: str,
@@ -200,9 +190,13 @@ def merge_window_partials(
             raise MergeError(
                 f"cannot merge partials of different windows: {other.key} vs {first.key}"
             )
-    if check_independence and len(partials) > 1:
-        _check_disjoint_lineage(partials)
-    lineage = frozenset().union(*(p.lineage for p in partials))
+    lineage, disjoint = lineage_union(partials)
+    if check_independence and not disjoint:
+        raise MergeError(
+            "shard partials share lineage: the shards are not independent, so "
+            "their partial aggregates cannot be merged (disable "
+            "check_independence to override)"
+        )
     count = sum(p.count for p in partials)
 
     result: Union[Distribution, int]

@@ -22,14 +22,15 @@ from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequ
 import numpy as np
 
 from repro.distributions import Distribution, Gaussian
-from repro.streams.batch import TupleBatch
-from repro.streams.lineage import are_independent
+from repro.distributions.gaussian import gaussian_cdf
+from repro.streams.batch import TupleBatch, summand_moments
+from repro.streams.lineage import lineage_union
 from repro.streams.operators.base import Operator, OperatorError
 from repro.streams.tuples import StreamTuple
-from repro.streams.windows import WindowBuffer, WindowSpec
+from repro.streams.windows import WindowBuffer, WindowClose, WindowSpec
 
 from .order_statistics import max_distribution, min_distribution
-from .strategies import SumStrategy
+from .strategies import SumStrategy, _check_summands
 from .transforms import affine_distribution
 
 __all__ = ["HavingClause", "UncertainAggregate", "GroupByAggregate", "AGGREGATE_FUNCTIONS"]
@@ -80,84 +81,66 @@ def _extract_summand(item: StreamTuple, attribute: str) -> Distribution:
     raise OperatorError(f"tuple is missing aggregation attribute {attribute!r}")
 
 
-def _window_moments(items: Sequence[StreamTuple], attribute: str) -> Tuple[float, float]:
-    """Accumulate the total mean/variance of a window as numpy column sums.
-
-    Delegates the per-row moment extraction to
-    :meth:`TupleBatch.moments` (Gaussian parameters by attribute
-    access, generic ``mean()``/``variance()`` otherwise); rows missing
-    the uncertain attribute fall back to :func:`_extract_summand`,
-    which promotes deterministic numerics and raises the same errors
-    as the tuple path.
-    """
-    columns = TupleBatch(items).moments(attribute)
-    if columns is None:
-        summands = [_extract_summand(item, attribute) for item in items]
-        columns = (
-            np.asarray(
-                [float(np.asarray(d.mean()).ravel()[0]) for d in summands], dtype=np.float64
-            ),
-            np.asarray(
-                [float(np.asarray(d.variance()).ravel()[0]) for d in summands],
-                dtype=np.float64,
-            ),
-        )
-    means, variances = columns
-    return float(np.sum(means)), float(np.sum(variances))
-
-
-def _bulk_process_batch(operator, batch: TupleBatch) -> TupleBatch:
-    """Shared batch kernel for the windowed aggregates.
-
-    Bulk-adds the batch to the operator's window buffer and emits the
-    closed windows with the vectorised (moment-based) aggregation path.
-    """
-    closes = operator._buffer.add_many(batch)
-    return TupleBatch(operator._emit(closes, vectorized=True))
-
-
 def _aggregate_window(
-    items: Sequence[StreamTuple],
-    attribute: str,
-    function: str,
-    strategy: SumStrategy,
-    check_independence: bool,
-    vectorized: bool = False,
-) -> Tuple[Distribution | int, List[StreamTuple]]:
-    """Compute the aggregate distribution for one closed window.
-
-    With ``vectorized=True`` (batch execution path) and a strategy whose
-    result depends only on the first two moments (CF approximation with
-    one component, CLT), SUM/AVG windows are computed from numpy moment
-    sums instead of materialising per-tuple summand objects.
-    """
-    items = list(items)
-    if not items:
-        raise OperatorError("cannot aggregate an empty window")
-    if check_independence and function in ("sum", "avg") and not are_independent(items):
-        raise OperatorError(
-            "window contains tuples with overlapping lineage; use a lineage-aware "
-            "aggregation (see repro.core.lineage_ops) or disable check_independence"
-        )
+    items: Sequence[StreamTuple], attribute: str, function: str, strategy: SumStrategy
+) -> Distribution | int:
+    """Compute the aggregate distribution for one closed window (per-window loop)."""
     if function == "count":
-        return len(items), items
-    if vectorized and function in ("sum", "avg") and strategy.supports_moments:
-        mean, variance = _window_moments(items, attribute)
-        total = strategy.result_from_moments(mean, variance)
-        if function == "avg":
-            return affine_distribution(total, scale=1.0 / len(items)), items
-        return total, items
+        return len(items)
     summands = [_extract_summand(item, attribute) for item in items]
     if function == "sum":
-        return strategy.result_distribution(summands), items
+        return strategy.result_distribution(_check_summands(summands, attribute))
     if function == "avg":
-        total = strategy.result_distribution(summands)
-        return affine_distribution(total, scale=1.0 / len(summands)), items
+        total = strategy.result_distribution(_check_summands(summands, attribute))
+        return affine_distribution(total, scale=1.0 / len(summands))
     if function == "max":
-        return max_distribution(summands), items
+        return max_distribution(summands)
     if function == "min":
-        return min_distribution(summands), items
+        return min_distribution(summands)
     raise OperatorError(f"unsupported aggregate function {function!r}")
+
+
+def _moment_columns(rows: Sequence[StreamTuple], attribute: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row summand means and variances, in row order.
+
+    Rows missing the uncertain attribute are promoted (or refused) by
+    :func:`_extract_summand`, and non-scalar summands are refused by
+    ``_check_summands``, exactly as on the per-window loop.
+    """
+    columns = TupleBatch(rows).moments(attribute)
+    if columns is None:
+        summands = [_extract_summand(item, attribute) for item in rows]
+        columns = summand_moments(_check_summands(summands, attribute))
+    return columns
+
+
+def _window_tuple(
+    window_start: float,
+    window_end: float,
+    count: int,
+    lineage: frozenset,
+    output_attribute: str,
+    result: Distribution | int,
+    group_key: Optional[Hashable] = None,
+    having_probability: Optional[float] = None,
+) -> StreamTuple:
+    """The result tuple of one (window, group) that passed HAVING."""
+    values: Dict[str, Any] = {
+        "window_start": window_start,
+        "window_end": window_end,
+        "window_count": count,
+    }
+    uncertain: Dict[str, Distribution] = {}
+    if group_key is not None:
+        values["group"] = group_key
+    if isinstance(result, Distribution):
+        if having_probability is not None:
+            values["having_probability"] = having_probability
+        uncertain[output_attribute] = result
+        values[f"{output_attribute}_mean"] = float(np.asarray(result.mean()).ravel()[0])
+    else:
+        values[output_attribute] = result
+    return StreamTuple(timestamp=window_end, values=values, uncertain=uncertain, lineage=lineage)
 
 
 def _result_tuple_from_parts(
@@ -177,81 +160,29 @@ def _result_tuple_from_parts(
     (:mod:`repro.core.aggregation.merge`), so both produce structurally
     identical result tuples.
     """
-    values: Dict[str, Any] = {
-        "window_start": window_start,
-        "window_end": window_end,
-        "window_count": count,
-    }
-    uncertain: Dict[str, Distribution] = {}
-    if group_key is not None:
-        values["group"] = group_key
-    if isinstance(result, Distribution):
-        if having is not None:
-            if not having.accepts(result):
+    probability: Optional[float] = None
+    if having is not None:
+        if isinstance(result, Distribution):
+            probability = having.probability(result)
+            if not probability >= having.min_probability:
                 return None
-            values["having_probability"] = having.probability(result)
-        uncertain[output_attribute] = result
-        values[f"{output_attribute}_mean"] = float(np.asarray(result.mean()).ravel()[0])
-    else:
-        if having is not None and not result > having.threshold:
+        elif not result > having.threshold:
             return None
-        values[output_attribute] = result
-    return StreamTuple(
-        timestamp=window_end,
-        values=values,
-        uncertain=uncertain,
-        lineage=lineage,
+    return _window_tuple(
+        window_start, window_end, count, lineage, output_attribute, result, group_key, probability
     )
 
 
-def _result_tuple(
-    window_start: float,
-    window_end: float,
-    result: Distribution | int,
-    items: Sequence[StreamTuple],
-    output_attribute: str,
-    group_key: Optional[Hashable] = None,
-    having: Optional[HavingClause] = None,
-) -> Optional[StreamTuple]:
-    """Build the output tuple for a closed window (or None if filtered out)."""
-    lineage = frozenset().union(*(item.lineage for item in items))
-    return _result_tuple_from_parts(
-        window_start,
-        window_end,
-        result,
-        len(items),
-        lineage,
-        output_attribute,
-        group_key=group_key,
-        having=having,
-    )
+class _WindowAggregate(Operator):
+    """Buffering, emission and checkpoint state shared by the windowed aggregates.
 
-
-class UncertainAggregate(Operator):
-    """Windowed aggregation of one uncertain attribute.
-
-    Parameters
-    ----------
-    window:
-        Window specification (tumbling count/time, etc.).
-    attribute:
-        Name of the attribute to aggregate.  Uncertain attributes are
-        used as-is; deterministic numeric attributes are promoted to
-        near-degenerate Gaussians.
-    strategy:
-        The :class:`SumStrategy` used for SUM/AVG result distributions.
-    function:
-        One of ``sum``, ``avg``, ``count``, ``max``, ``min``.
-    output_attribute:
-        Name of the emitted result attribute; defaults to
-        ``f"{function}_{attribute}"``.
-    having:
-        Optional probabilistic HAVING clause.
-    check_independence:
-        If True (default), reject windows whose tuples share lineage,
-        since the independent-summand strategies would silently produce
-        a wrong variance for correlated inputs.
+    The tuple path (``process``/``flush``) emits closed windows with the
+    per-window loop; the batch path uses :meth:`_moment_kernel` whenever
+    a SUM/AVG strategy works from moments alone, and the loop otherwise.
     """
+
+    #: Group key of a row; ``None`` aggregates each window as one group.
+    key_function: Optional[Callable[[StreamTuple], Hashable]] = None
 
     def __init__(
         self,
@@ -278,41 +209,119 @@ class UncertainAggregate(Operator):
         self.check_independence = check_independence
         self._buffer: WindowBuffer = window.new_buffer()
 
-    def _emit(self, closes, vectorized: bool = False) -> Iterable[StreamTuple]:
+    def _groups(self, items) -> List[Tuple[Optional[Hashable], List[StreamTuple]]]:
+        """One window's ``(key, members)`` groups, keys sorted by ``repr``."""
+        if self.key_function is None:
+            return [(None, list(items))]
+        groups: Dict[Hashable, List[StreamTuple]] = {}
+        for item in items:
+            groups.setdefault(self.key_function(item), []).append(item)
+        return [(key, groups[key]) for key in sorted(groups, key=repr)]
+
+    def _lineage(self, members: Sequence[StreamTuple]) -> frozenset:
+        """The group's lineage; SUM/AVG refuse members that share a base tuple."""
+        union, disjoint = lineage_union(members)
+        if not disjoint and self.check_independence and self.function in ("sum", "avg"):
+            raise OperatorError(
+                "window contains tuples with overlapping lineage; use a lineage-aware "
+                "aggregation (see repro.core.lineage_ops) or disable check_independence"
+            )
+        return union
+
+    def _emit(self, closes: Iterable[WindowClose]) -> Iterable[StreamTuple]:
+        """The per-window loop: one aggregate per (window, group)."""
         for close in closes:
             if not close.items:
                 continue
-            result, items = _aggregate_window(
-                close.items,
-                self.attribute,
-                self.function,
-                self.strategy,
-                self.check_independence,
-                vectorized=vectorized,
+            for key, members in self._groups(close.items):
+                lineage = self._lineage(members)
+                out = _result_tuple_from_parts(
+                    close.start,
+                    close.end,
+                    _aggregate_window(members, self.attribute, self.function, self.strategy),
+                    len(members),
+                    lineage,
+                    self.output_attribute,
+                    group_key=key,
+                    having=self.having,
+                )
+                if out is not None:
+                    yield out
+
+    def _emit_batch(self, closes: Sequence[WindowClose]) -> List[StreamTuple]:
+        """Emit a batch's closes: the moment kernel where it applies, else the loop."""
+        if self.function in ("sum", "avg") and self.strategy.supports_moments:
+            return self._moment_kernel(closes)
+        return list(self._emit(closes))
+
+    def _moment_kernel(self, closes: Sequence[WindowClose]) -> List[StreamTuple]:
+        """Reduce every SUM/AVG (window, group) that a batch closed in one array pass.
+
+        The closes' rows are laid out group after group in emission order
+        -- windows in close order, then keys sorted by ``repr`` -- so one
+        ``np.add.reduceat`` per moment sums every group at once and one
+        ``gaussian_cdf`` call evaluates every HAVING tail.  Only the groups
+        that pass get a ``Gaussian`` and a result tuple.
+        """
+        groups = [
+            (close, key, members)
+            for close in closes
+            if close.items
+            for key, members in self._groups(close.items)
+        ]
+        if not groups:
+            return []
+        unions = [self._lineage(members) for _, _, members in groups]
+        counts = np.fromiter((len(members) for _, _, members in groups), np.intp, len(groups))
+        starts = np.zeros(len(groups), dtype=np.intp)
+        np.cumsum(counts[:-1], out=starts[1:])
+        rows = [item for _, _, members in groups for item in members]
+        means, variances = _moment_columns(rows, self.attribute)
+        mean = np.add.reduceat(means, starts)
+        variance = np.add.reduceat(variances, starts)
+        invalid = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(variance) & (variance > 0)))
+        if invalid.size:
+            # The strategy raises its own error for the first bad group.
+            first = invalid[0]
+            self.strategy.result_from_moments(float(mean[first]), float(variance[first]))
+        mu, sigma = mean, np.sqrt(variance)
+        if self.function == "avg":
+            scale = 1.0 / counts
+            mu, sigma = mu * scale, sigma * scale
+        probabilities = None
+        passing = range(len(groups))
+        if self.having is not None:
+            probabilities = 1.0 - gaussian_cdf(self.having.threshold, mu, sigma)
+            passing = np.flatnonzero(probabilities >= self.having.min_probability).tolist()
+        out = []
+        for g in passing:
+            close, key, members = groups[g]
+            out.append(
+                _window_tuple(
+                    close.start,
+                    close.end,
+                    len(members),
+                    unions[g],
+                    self.output_attribute,
+                    Gaussian(float(mu[g]), float(sigma[g])),
+                    key,
+                    None if probabilities is None else float(probabilities[g]),
+                )
             )
-            out = _result_tuple(
-                close.start,
-                close.end,
-                result,
-                items,
-                self.output_attribute,
-                having=self.having,
-            )
-            if out is not None:
-                yield out
+        return out
 
     def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
         yield from self._emit(self._buffer.add(item))
 
     @property
     def supports_batch(self) -> bool:  # type: ignore[override]
-        return self._keeps_process_of(UncertainAggregate)
+        return self._keeps_process_of(_WindowAggregate)
 
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Bulk-add a batch to the window buffer, vectorising closed windows."""
+        """Bulk-add a batch to the window buffer and emit its closes in one pass."""
         if not self.supports_batch:
             return super().process_batch(batch)
-        return _bulk_process_batch(self, batch)
+        return TupleBatch(self._emit_batch(self._buffer.add_many(batch)))
 
     def flush(self) -> Iterable[StreamTuple]:
         yield from self._emit(self._buffer.flush())
@@ -328,7 +337,34 @@ class UncertainAggregate(Operator):
         self._buffer.state_restore(state["buffer"])
 
 
-class GroupByAggregate(Operator):
+class UncertainAggregate(_WindowAggregate):
+    """Windowed aggregation of one uncertain attribute.
+
+    Parameters
+    ----------
+    window:
+        Window specification (tumbling count/time, etc.).
+    attribute:
+        Name of the attribute to aggregate.  Uncertain attributes are
+        used as-is; deterministic numeric attributes are promoted to
+        near-degenerate Gaussians.
+    strategy:
+        The :class:`SumStrategy` used for SUM/AVG result distributions.
+    function:
+        One of ``sum``, ``avg``, ``count``, ``max``, ``min``.
+    output_attribute:
+        Name of the emitted result attribute; defaults to
+        ``f"{function}_{attribute}"``.
+    having:
+        Optional probabilistic HAVING clause.
+    check_independence:
+        If True (default), reject windows whose tuples share lineage,
+        since the independent-summand strategies would silently produce
+        a wrong variance for correlated inputs.
+    """
+
+
+class GroupByAggregate(_WindowAggregate):
     """Windowed GROUP BY + aggregate + HAVING over uncertain tuples.
 
     Mirrors the outer block of query Q1: tuples in each window are
@@ -358,70 +394,8 @@ class GroupByAggregate(Operator):
         check_independence: bool = True,
         name: Optional[str] = None,
     ):
-        super().__init__(name=name)
-        if function not in AGGREGATE_FUNCTIONS:
-            raise OperatorError(
-                f"unsupported aggregate function {function!r}; choose from {AGGREGATE_FUNCTIONS}"
-            )
-        self.window = window
+        super().__init__(
+            window, attribute, strategy, function, output_attribute, having,
+            check_independence, name,
+        )
         self.key_function = key_function
-        self.attribute = attribute
-        self.strategy = strategy
-        self.function = function
-        self.output_attribute = output_attribute or f"{function}_{attribute}"
-        self.having = having
-        self.check_independence = check_independence
-        self._buffer: WindowBuffer = window.new_buffer()
-
-    def _emit(self, closes, vectorized: bool = False) -> Iterable[StreamTuple]:
-        for close in closes:
-            if not close.items:
-                continue
-            groups: Dict[Hashable, List[StreamTuple]] = {}
-            for item in close.items:
-                groups.setdefault(self.key_function(item), []).append(item)
-            for key in sorted(groups, key=repr):
-                members = groups[key]
-                result, items = _aggregate_window(
-                    members,
-                    self.attribute,
-                    self.function,
-                    self.strategy,
-                    self.check_independence,
-                    vectorized=vectorized,
-                )
-                out = _result_tuple(
-                    close.start,
-                    close.end,
-                    result,
-                    items,
-                    self.output_attribute,
-                    group_key=key,
-                    having=self.having,
-                )
-                if out is not None:
-                    yield out
-
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        yield from self._emit(self._buffer.add(item))
-
-    @property
-    def supports_batch(self) -> bool:  # type: ignore[override]
-        return self._keeps_process_of(GroupByAggregate)
-
-    def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Bulk-add a batch to the window buffer, vectorising closed windows."""
-        if not self.supports_batch:
-            return super().process_batch(batch)
-        return _bulk_process_batch(self, batch)
-
-    def flush(self) -> Iterable[StreamTuple]:
-        yield from self._emit(self._buffer.flush())
-
-    def state_snapshot(self) -> dict:
-        return {"buffer": self._buffer.state_snapshot()}
-
-    def state_restore(self, state: Optional[dict]) -> None:
-        if state is None:
-            raise OperatorError(f"{self.name!r} expected a buffered-window state")
-        self._buffer.state_restore(state["buffer"])

@@ -43,6 +43,7 @@ from repro.distributions import (
     fit_mixture_to_cf,
     invert_cf_to_histogram,
 )
+from repro.streams.operators.base import OperatorError
 
 __all__ = [
     "SumStrategy",
@@ -72,9 +73,10 @@ class SumStrategy(abc.ABC):
         """True when the result depends only on the summand means/variances.
 
         Strategies with this property expose
-        :meth:`result_from_moments`, which lets batch-mode aggregation
-        accumulate window moments as numpy column sums instead of
-        walking the summand objects per tuple.
+        :meth:`result_from_moments`, which returns
+        ``Gaussian(mean, sqrt(variance))``; this lets batch-mode
+        aggregation reduce every window's moments as numpy column sums
+        instead of walking the summand objects per tuple.
         """
         return False
 
@@ -86,10 +88,19 @@ class SumStrategy(abc.ABC):
         return f"{type(self).__name__}()"
 
 
-def _check_summands(summands: Sequence[Distribution]) -> Sequence[Distribution]:
+def _check_summands(
+    summands: Sequence[Distribution], attribute: str = "summand"
+) -> Sequence[Distribution]:
+    """Refuse an empty window and any summand that is not one-dimensional."""
     summands = list(summands)
     if not summands:
         raise DistributionError("cannot aggregate an empty window")
+    for dist in summands:
+        if dist.ndim != 1:
+            raise OperatorError(
+                f"cannot sum attribute {attribute!r}: {type(dist).__name__} is "
+                f"{dist.ndim}-dimensional, and SUM/AVG take scalar summands"
+            )
     return summands
 
 

@@ -120,9 +120,10 @@ class GaussianMixture(ScalarDistribution):
         return float(np.dot(self.weights, self.means))
 
     def variance(self) -> float:
-        mu = self.mean()
-        second_moment = np.dot(self.weights, self.sigmas ** 2 + self.means ** 2)
-        return float(second_moment - mu ** 2)
+        # Taken about the mean, not as E[X^2] - mean^2, which cancels
+        # when the components sit far from zero relative to their spread.
+        deviations = self.means - self.mean()
+        return float(np.dot(self.weights, self.sigmas ** 2 + deviations ** 2))
 
     def sample(self, size: int = 1, rng=None) -> np.ndarray:
         rng = as_rng(rng)

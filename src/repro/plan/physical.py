@@ -64,8 +64,7 @@ class FusedSelectAggregate(Operator):
         probs = self.predicate.probabilities(batch)
         survivors = batch.select(probs >= self.min_probability)
         agg = self.aggregate
-        closes = agg._buffer.add_many(survivors)
-        return TupleBatch(agg._emit(closes, vectorized=True))
+        return TupleBatch(agg._emit_batch(agg._buffer.add_many(survivors)))
 
     def flush(self) -> Iterable[StreamTuple]:
         yield from self.aggregate.flush()

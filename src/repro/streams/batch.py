@@ -22,11 +22,11 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.distributions import Distribution, Gaussian
+from repro.distributions import Distribution, Gaussian, GaussianMixture
 
 from .tuples import StreamTuple
 
-__all__ = ["TupleBatch"]
+__all__ = ["TupleBatch", "summand_moments"]
 
 #: Sentinel distinguishing "not cached yet" from a cached ``None``.
 _UNSET = object()
@@ -188,45 +188,69 @@ class TupleBatch:
     def moments(self, name: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Return ``(means, variances)`` columns for uncertain attribute ``name``.
 
-        Gaussians contribute their parameters directly; other
-        distributions fall back to their ``mean()`` / ``variance()``
-        methods.  Returns ``None`` when any row lacks the attribute
-        entirely (the caller decides how to promote or fail).
+        Returns ``None`` when any row lacks the attribute entirely or
+        carries a non-scalar distribution (the caller decides how to
+        promote or fail).  See :func:`summand_moments` for the gather.
         """
         cached = self._moment_cols.get(name, _UNSET)
         if cached is not _UNSET:
             return cached
-        result: Optional[Tuple[np.ndarray, np.ndarray]] = None
         try:
-            dists = [item.uncertain[name] for item in self._tuples]
+            result = summand_moments([item.uncertain[name] for item in self._tuples])
         except KeyError:
-            dists = None
-        if dists is not None:
-            try:
-                # All-Gaussian fast path: parameters by attribute access.
-                columns = (
-                    [dist.mu for dist in dists],
-                    [dist.sigma * dist.sigma for dist in dists],
-                )
-            except AttributeError:
-                columns = None
-            if columns is None:
-                means: List[float] = []
-                variances: List[float] = []
-                for dist in dists:
-                    if isinstance(dist, Gaussian):
-                        means.append(dist.mu)
-                        variances.append(dist.sigma * dist.sigma)
-                    else:
-                        means.append(float(np.asarray(dist.mean()).ravel()[0]))
-                        variances.append(float(np.asarray(dist.variance()).ravel()[0]))
-                columns = (means, variances)
-            result = (
-                np.asarray(columns[0], dtype=np.float64),
-                np.asarray(columns[1], dtype=np.float64),
-            )
+            result = None
         self._moment_cols[name] = result
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"TupleBatch(n={len(self._tuples)})"
+
+
+def summand_moments(dists: Sequence[Distribution]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Return the ``(means, variances)`` columns of scalar distributions.
+
+    Gaussians contribute their parameters by attribute access.  Mixture
+    rows are reduced together: their weights, means and sigmas are
+    gathered with one ``np.concatenate`` each and every row's moments
+    come from two ``np.add.reduceat`` calls, with the variance taken
+    about the row mean as :meth:`GaussianMixture.variance` does.  Other
+    families fall back to their ``mean()``/``variance()`` methods.
+    Returns ``None`` when any distribution is not one-dimensional.
+    """
+    try:
+        # All-Gaussian fast path: parameters by attribute access.
+        return (
+            np.asarray([dist.mu for dist in dists], dtype=np.float64),
+            np.asarray([dist.sigma * dist.sigma for dist in dists], dtype=np.float64),
+        )
+    except AttributeError:
+        pass
+    means = np.empty(len(dists))
+    variances = np.empty(len(dists))
+    mixture_rows: List[int] = []
+    for i, dist in enumerate(dists):
+        if isinstance(dist, GaussianMixture):
+            mixture_rows.append(i)
+        elif isinstance(dist, Gaussian):
+            means[i] = dist.mu
+            variances[i] = dist.sigma * dist.sigma
+        elif dist.ndim != 1:
+            return None
+        else:
+            means[i] = float(np.asarray(dist.mean()).ravel()[0])
+            variances[i] = float(np.asarray(dist.variance()).ravel()[0])
+    if mixture_rows:
+        mixtures = [dists[i] for i in mixture_rows]
+        sizes = np.fromiter((m.weights.size for m in mixtures), np.intp, len(mixtures))
+        starts = np.zeros(len(mixtures), dtype=np.intp)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        weights = np.concatenate([m.weights for m in mixtures])
+        centres = np.concatenate([m.means for m in mixtures])
+        sigmas = np.concatenate([m.sigmas for m in mixtures])
+        row_means = np.add.reduceat(weights * centres, starts)
+        deviations = centres - np.repeat(row_means, sizes)
+        means[mixture_rows] = row_means
+        variances[mixture_rows] = np.add.reduceat(
+            weights * (sigmas * sigmas + deviations * deviations), starts
+        )
+    return means, variances

@@ -14,11 +14,11 @@ This module provides the archive and the correlation analysis helpers.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .tuples import StreamTuple, TupleId
 
-__all__ = ["TupleArchive", "correlation_groups", "are_independent"]
+__all__ = ["TupleArchive", "correlation_groups", "are_independent", "lineage_union"]
 
 
 class TupleArchive:
@@ -80,12 +80,19 @@ def are_independent(items: Sequence[StreamTuple]) -> bool:
     operators use this check to decide between the fast independent
     path and the lineage-aware path.
     """
-    seen: Set[TupleId] = set()
-    for item in items:
-        if item.lineage & seen:
-            return False
-        seen |= item.lineage
-    return True
+    return lineage_union(items)[1]
+
+
+def lineage_union(items: Iterable) -> Tuple[FrozenSet[TupleId], bool]:
+    """Return the union of the items' ``lineage`` sets and whether they are disjoint.
+
+    The sets are disjoint -- no two items share a base tuple -- exactly
+    when ``|union| == sum of |lineage|``.  ``items`` are tuples or
+    anything else carrying a ``lineage`` set (e.g. shard partials).
+    """
+    lineages = [item.lineage for item in items]
+    union = frozenset().union(*lineages)
+    return union, len(union) == sum(map(len, lineages))
 
 
 def correlation_groups(items: Sequence[StreamTuple]) -> List[List[StreamTuple]]:

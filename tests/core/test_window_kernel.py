@@ -1,0 +1,355 @@
+"""Property tests: the window x group moment kernel against the per-window loop.
+
+On the batch path a moment-closed SUM/AVG (CLT, single-component CF
+approximation) reduces every (window, group) a batch closes in one
+array pass.  The reference below is the loop that pass replaced: per
+closed window, a dict grouping sorted by ``repr``, an independence
+check, the summand moments from each row's scalar ``mean()`` /
+``variance()``, two ``np.sum`` calls, ``result_from_moments`` and the
+HAVING clause.
+
+The two must emit the same groups in the same order with the same
+counts, lineage and HAVING decisions, and a HAVING probability that is
+the scalar tail of the emitted distribution.  Means and variances agree to
+1e-12, relative to the size of the summed terms: the kernel adds a
+group's rows in row order, ``np.sum`` pairwise, so a threshold within a
+few ulps of a group's mean could be decided either way.  The thresholds
+near a group's mean below sit at least 1e-5 of its sigma plus 1e-12 of
+its summed magnitudes away: a tail within about 4e-6 of 1/2, yet far
+outside that rounding.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import (
+    CFApproximationSum,
+    CLTSum,
+    Comparison,
+    GroupByAggregate,
+    HavingClause,
+    UncertainAggregate,
+    UncertainPredicate,
+)
+from repro.core.aggregation.transforms import affine_distribution
+from repro.distributions import Gaussian, GaussianMixture, MultivariateGaussian
+from repro.plan.physical import FusedSelectAggregate
+from repro.streams import StreamTuple, TumblingCountWindow, TumblingTimeWindow, TupleBatch
+from repro.streams.operators.base import OperatorError
+
+#: Keys of mixed types; 1, 1.0 and True are equal, so they share a group.
+KEYS = (0, 1, 1.0, True, "a", "b", ("t", 1), None, -3, 2.5)
+ROW_KINDS = ("gaussian", "mixture", "numeric")
+SCORE_THRESHOLD = 0.0
+TOLERANCE = 1e-12
+
+
+def make_stream(seed, n_rows, kinds, gaps):
+    """``n_rows`` tuples: a ``value`` of the given kinds, a Gaussian ``score``, a key."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    t = 0.0
+    for _ in range(n_rows):
+        t += float(rng.choice(gaps))
+        kind = kinds[int(rng.integers(len(kinds)))]
+        values = {"key": KEYS[int(rng.integers(len(KEYS)))]}
+        uncertain = {"score": Gaussian(rng.uniform(-3, 3), rng.uniform(0.5, 2))}
+        if kind == "gaussian":
+            uncertain["value"] = Gaussian(rng.uniform(-100, 100), rng.uniform(0.1, 20))
+        elif kind == "mixture":
+            k = int(rng.integers(1, 5))
+            uncertain["value"] = GaussianMixture(
+                rng.dirichlet(np.ones(k)), rng.uniform(-100, 100, k), rng.uniform(0.1, 20, k)
+            )
+        else:
+            values["value"] = float(rng.uniform(-100, 100))
+        rows.append(StreamTuple(timestamp=t, values=values, uncertain=uncertain))
+    return rows
+
+
+def reference_moments(item):
+    """(mean, variance, |mean|-scale) of one summand, from its scalar methods."""
+    if item.has_uncertain("value"):
+        dist = item.distribution("value")
+    else:
+        dist = Gaussian(float(item.value("value")), 1e-9)
+    scale = (
+        float(np.dot(dist.weights, np.abs(dist.means)))
+        if isinstance(dist, GaussianMixture)
+        else abs(dist.mean())
+    )
+    return dist.mean(), dist.variance(), scale
+
+
+def reference_emit(closes, grouped, function, strategy, having):
+    """The per-window loop: one record per emitted (window, group)."""
+    out = []
+    for close in closes:
+        if not close.items:
+            continue
+        groups = {}
+        for item in close.items:
+            groups.setdefault(item.value("key") if grouped else None, []).append(item)
+        for key in sorted(groups, key=repr):
+            items = groups[key]
+            lineage = frozenset().union(*(item.lineage for item in items))
+            if len(lineage) != sum(len(item.lineage) for item in items):
+                raise OperatorError("overlap")
+            moments = np.asarray([reference_moments(item) for item in items])
+            total = strategy.result_from_moments(
+                float(np.sum(moments[:, 0])), float(np.sum(moments[:, 1]))
+            )
+            scale = float(np.sum(moments[:, 2]))
+            if function == "avg":
+                total = affine_distribution(total, scale=1.0 / len(items))
+                scale /= len(items)
+            probability = None
+            if having is not None:
+                probability = total.prob_greater_than(having.threshold)
+                if not probability >= having.min_probability:
+                    continue
+            out.append(
+                dict(
+                    start=close.start,
+                    end=close.end,
+                    group=key,
+                    count=len(items),
+                    mean=total.mu,
+                    variance=total.sigma**2,
+                    scale=scale,
+                    probability=probability,
+                    lineage=lineage,
+                )
+            )
+    return out
+
+
+def build_operator(grouped, fused, window_spec, function, strategy, having):
+    agg = (
+        GroupByAggregate(
+            window_spec,
+            lambda item: item.value("key"),
+            "value",
+            strategy,
+            function=function,
+            having=having,
+        )
+        if grouped
+        else UncertainAggregate(window_spec, "value", strategy, function=function, having=having)
+    )
+    if not fused:
+        return agg
+    predicate = UncertainPredicate("score", Comparison.GREATER, SCORE_THRESHOLD)
+    return FusedSelectAggregate(predicate, 0.5, agg)
+
+
+def run_both(rows, batch_size, window_spec, grouped, fused, function, strategy, having):
+    """Drive the operator's batch path and the reference over the same closes."""
+    op = build_operator(grouped, fused, window_spec, function, strategy, having)
+    buffer = window_spec.new_buffer()
+    predicate = UncertainPredicate("score", Comparison.GREATER, SCORE_THRESHOLD)
+    kernel, reference = [], []
+    for start in range(0, len(rows), batch_size):
+        batch = TupleBatch(rows[start : start + batch_size])
+        kernel_error = reference_error = None
+        try:
+            kernel.extend(op.process_batch(batch))
+        except OperatorError as exc:
+            kernel_error = exc
+        if fused:
+            batch = batch.select(predicate.probabilities(batch) >= 0.5)
+        try:
+            reference.extend(
+                reference_emit(buffer.add_many(batch), grouped, function, strategy, having)
+            )
+        except OperatorError as exc:
+            reference_error = exc
+        assert (kernel_error is None) == (reference_error is None)
+        if kernel_error is not None:
+            return kernel, reference, kernel_error
+    return kernel, reference, None
+
+
+def assert_same(kernel, reference, having):
+    assert len(kernel) == len(reference)
+    for got, want in zip(kernel, reference):
+        values = got.values
+        assert values["window_start"] == want["start"]
+        assert values["window_end"] == want["end"]
+        assert values["window_count"] == want["count"]
+        group = values.get("group")
+        assert type(group) is type(want["group"]) and group == want["group"]
+        assert got.lineage == want["lineage"]
+        dist = got.distribution("sum_value" if "sum_value" in got.uncertain else "avg_value")
+        assert abs(dist.mean() - want["mean"]) <= TOLERANCE * max(want["scale"], 1e-300)
+        assert abs(dist.variance() - want["variance"]) <= TOLERANCE * want["variance"]
+        if having is None:
+            assert "having_probability" not in values
+        else:
+            # The vectorised tail equals the scalar one on the emitted
+            # distribution; against the reference it is only as close as
+            # the tail's conditioning allows (a degenerate sum's sigma is
+            # ~1e-9), so the decision above is what must match.
+            assert values["having_probability"] == dist.prob_greater_than(having.threshold)
+
+
+windows = st.one_of(
+    st.builds(TumblingCountWindow, st.integers(1, 40)),
+    st.builds(TumblingTimeWindow, st.sampled_from([0.5, 1.0, 2.5, 10.0])),
+)
+batch_sizes = st.one_of(st.integers(1, 16), st.sampled_from([64, 257, 1024, 4096]))
+kinds = st.sampled_from(
+    [("gaussian",), ("mixture",), ("numeric",), ("gaussian", "numeric"), ROW_KINDS]
+)
+gaps = st.sampled_from([(0.0, 0.1), (0.1, 0.5, 1.0), (0.0, 3.0, 12.0)])
+strategies = st.sampled_from([CLTSum(), CFApproximationSum()])
+functions = st.sampled_from(["sum", "avg"])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(0, 400),
+    kinds=kinds,
+    gaps=gaps,
+    window_spec=windows,
+    batch_size=batch_sizes,
+    grouped=st.booleans(),
+    fused=st.booleans(),
+    function=functions,
+    strategy=strategies,
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_kernel_matches_per_window_loop(
+    seed, n_rows, kinds, gaps, window_spec, batch_size, grouped, fused, function, strategy
+):
+    rows = make_stream(seed, n_rows, kinds, gaps)
+    kernel, reference, error = run_both(
+        rows, batch_size, window_spec, grouped, fused, function, strategy, None
+    )
+    assert error is None
+    assert_same(kernel, reference, None)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 300),
+    kinds=kinds,
+    window_spec=windows,
+    batch_size=batch_sizes,
+    grouped=st.booleans(),
+    fused=st.booleans(),
+    function=functions,
+    strategy=strategies,
+    pick=st.integers(0, 10**6),
+    offset=st.sampled_from([-0.5, -1e-3, -1e-5, 1e-5, 1e-3, 0.5]),
+    min_probability=st.sampled_from([0.3, 0.5, 0.7]),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_having_near_threshold_decides_like_the_loop(
+    seed,
+    n_rows,
+    kinds,
+    window_spec,
+    batch_size,
+    grouped,
+    fused,
+    function,
+    strategy,
+    pick,
+    offset,
+    min_probability,
+):
+    rows = make_stream(seed, n_rows, kinds, (0.0, 0.1, 1.0))
+    _, plain, _ = run_both(rows, 4096, window_spec, grouped, fused, function, strategy, None)
+    if not plain:
+        return
+    # A threshold just above or below one group's mean: the tail
+    # probability there is close to 1/2 for that group.
+    target = plain[pick % len(plain)]
+    sigma = float(np.sqrt(target["variance"]))
+    threshold = target["mean"] + offset * (sigma + 1e-7 * (1.0 + target["scale"]))
+    having = HavingClause(threshold=threshold, min_probability=min_probability)
+    kernel, reference, error = run_both(
+        rows, batch_size, window_spec, grouped, fused, function, strategy, having
+    )
+    assert error is None
+    assert_same(kernel, reference, having)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(2, 200),
+    window_spec=windows,
+    batch_size=batch_sizes,
+    grouped=st.booleans(),
+    function=functions,
+    copy_at=st.integers(0, 10**6),
+    same_key=st.booleans(),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_overlapping_lineage_raises_like_the_loop(
+    seed, n_rows, window_spec, batch_size, grouped, function, copy_at, same_key
+):
+    rows = make_stream(seed, n_rows, ROW_KINDS, (0.0, 0.1))
+    # A derived copy shares its source's lineage.  Next to its source it
+    # lands in the same window unless a boundary falls between them; with
+    # another key it lands in another group, which is independent.
+    i = copy_at % n_rows
+    source = rows[i]
+    key = source.value("key") if same_key else ("other", i)
+    rows.insert(i + 1, source.derive(values={"key": key}))
+    kernel, reference, error = run_both(
+        rows, batch_size, window_spec, grouped, False, function, CLTSum(), None
+    )
+    if error is not None:
+        assert "overlapping lineage" in str(error)
+    else:
+        assert_same(kernel, reference, None)
+
+
+def test_batch_closing_no_window_emits_nothing():
+    op = UncertainAggregate(TumblingCountWindow(10), "value", CLTSum())
+    rows = make_stream(1, 9, ("gaussian",), (0.1,))
+    assert len(op.process_batch(TupleBatch(rows))) == 0
+
+
+def test_equal_keys_share_the_first_seen_group():
+    # 1, 1.0 and True hash and compare equal: one group per window, keyed
+    # by the first of them seen in that window.
+    rows = [
+        StreamTuple(timestamp=float(t), values={"key": k}, uncertain={"value": Gaussian(1.0, 1.0)})
+        for t, k in enumerate([True, 1, 1.0, "a", 1.0, 1, True, "a"])
+    ]
+    op = GroupByAggregate(TumblingCountWindow(4), lambda r: r.value("key"), "value", CLTSum())
+    out = op.process_batch(TupleBatch(rows))
+    groups = [(item.values["group"], item.values["window_count"]) for item in out]
+    assert [type(g) for g, _ in groups] == [str, bool, str, float]
+    assert [n for _, n in groups] == [1, 3, 1, 3]
+
+
+PLANAR = MultivariateGaussian([1.0, 2.0], np.eye(2))
+
+
+def planar_rows(n):
+    return [
+        StreamTuple(timestamp=float(i), uncertain={"loc": PLANAR, "score": Gaussian(5.0, 1.0)})
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("path", ["tuple", "batch", "fused"])
+def test_multivariate_summands_are_refused(path):
+    agg = UncertainAggregate(TumblingCountWindow(4), "loc", CFApproximationSum())
+    with pytest.raises(OperatorError, match="'loc'.*MultivariateGaussian"):
+        if path == "tuple":
+            for item in planar_rows(4):
+                list(agg.process(item))
+        elif path == "batch":
+            agg.process_batch(TupleBatch(planar_rows(4)))
+        else:
+            predicate = UncertainPredicate("score", Comparison.GREATER, 0.0)
+            FusedSelectAggregate(predicate, 0.5, agg).process_batch(TupleBatch(planar_rows(4)))

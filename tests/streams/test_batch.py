@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.distributions import Gaussian, Uniform
+from repro.distributions import Gaussian, GaussianMixture, MultivariateGaussian, Uniform
 from repro.streams import (
     CollectSink,
     Filter,
@@ -108,6 +108,49 @@ class TestColumnarViews:
 
     def test_moments_none_when_attribute_missing(self):
         rows = make_gaussian_tuples(1) + [StreamTuple(timestamp=1.0, values={"i": 1})]
+        assert TupleBatch(rows).moments("value") is None
+
+    def test_segmented_mixture_moments_match_scalar_methods(self):
+        # Ragged mixtures (1-6 components) interleaved with Gaussians and
+        # a Uniform: every row's moments must match its own scalar
+        # mean()/variance() to 1e-12, the mean relative to the size of
+        # the summed terms (it can cancel), the variance relative to itself.
+        rng = np.random.default_rng(7)
+        dists = []
+        for i in range(400):
+            if i % 7 == 3:
+                dists.append(Gaussian(rng.uniform(-100, 100), rng.uniform(0.1, 10)))
+            elif i % 11 == 5:
+                dists.append(Uniform(-rng.uniform(0, 5), rng.uniform(0, 5)))
+            else:
+                k = int(rng.integers(1, 7))
+                dists.append(
+                    GaussianMixture(
+                        rng.dirichlet(np.ones(k)),
+                        rng.uniform(-1000, 1000, k) * rng.choice([1e-3, 1.0, 1e3]),
+                        rng.uniform(0.01, 20, k),
+                    )
+                )
+        rows = [
+            StreamTuple(timestamp=float(i), uncertain={"value": d}) for i, d in enumerate(dists)
+        ]
+        means, variances = TupleBatch(rows).moments("value")
+        for dist, mean, variance in zip(dists, means, variances):
+            scale = (
+                float(np.dot(dist.weights, np.abs(dist.means)))
+                if isinstance(dist, GaussianMixture)
+                else abs(dist.mean())
+            )
+            assert abs(mean - dist.mean()) <= 1e-12 * max(scale, 1e-300)
+            assert abs(variance - dist.variance()) <= 1e-12 * dist.variance()
+
+    def test_moments_none_for_non_scalar_rows(self):
+        rows = make_gaussian_tuples(1) + [
+            StreamTuple(
+                timestamp=1.0,
+                uncertain={"value": MultivariateGaussian([1.0, 2.0], np.eye(2))},
+            )
+        ]
         assert TupleBatch(rows).moments("value") is None
 
     def test_uncertain_column_exposes_distributions(self):
