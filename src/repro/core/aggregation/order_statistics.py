@@ -1,13 +1,16 @@
 """Order statistics for MAX / MIN aggregation over independent variables.
 
 For independent continuous random variables the distribution of the
-maximum has a closed form:
+maximum has a closed form, ``F_max(x) = prod_i F_i(x)``, and
+symmetrically ``F_min(x) = 1 - prod_i (1 - F_i(x))`` for the minimum.
+This is one of the "order statistics" techniques Section 5.1 lists for
+computing result distributions directly, without integration over the
+joint.
 
-``F_max(x) = prod_i F_i(x)`` and ``f_max(x) = sum_i f_i(x) * prod_{j != i} F_j(x)``
-
-and symmetrically for the minimum.  This is one of the "order
-statistics" techniques Section 5.1 lists for computing result
-distributions directly, without integration over the joint.
+The result is a histogram whose bin masses are differences of that CDF
+at the bin edges, so every bin holds exactly the probability it covers.
+(Sampling the density ``sum_i f_i prod_{j != i} F_j`` at the bins' left
+edges instead aliases any input narrower than a bin.)
 """
 
 from __future__ import annotations
@@ -21,59 +24,37 @@ from repro.distributions import Distribution, DistributionError, HistogramDistri
 __all__ = ["max_distribution", "min_distribution"]
 
 
-def _shared_grid(dists: Sequence[Distribution], n_points: int) -> np.ndarray:
+def _histogram(dists, n_points: int, name: str, cdf_of) -> HistogramDistribution:
+    """The histogram whose bin masses are the increments of ``cdf_of`` over the bin edges.
+
+    ``cdf_of(cdfs)`` maps the inputs' CDFs at the edges (one row per
+    input) to the result's CDF at the edges, up to an additive constant.
+    """
+    dists = list(dists)
+    if not dists:
+        raise DistributionError(f"cannot take the {name} of an empty window")
     lows, highs = zip(*(d.support() for d in dists))
     lo, hi = min(lows), max(highs)
     if not np.isfinite(lo) or not np.isfinite(hi) or hi <= lo:
         raise DistributionError("summand supports must be finite, non-degenerate intervals")
-    return np.linspace(lo, hi, n_points)
+    grid = np.linspace(lo, hi, n_points)
+    edges = np.concatenate([grid, [grid[-1] + (grid[1] - grid[0])]])
+    cdfs = np.vstack([np.clip(np.asarray(d.cdf(edges), dtype=float), 0.0, 1.0) for d in dists])
+    masses = np.maximum(np.diff(cdf_of(cdfs)), 0.0)
+    if not np.any(masses > 0):
+        raise DistributionError(f"{name} distribution is numerically zero on the evaluation grid")
+    return HistogramDistribution(edges, masses / np.diff(edges))
 
 
 def max_distribution(
     dists: Sequence[Distribution], n_points: int = 1024
 ) -> HistogramDistribution:
     """Return the distribution of ``max(X_1, ..., X_N)`` for independent inputs."""
-    dists = list(dists)
-    if not dists:
-        raise DistributionError("cannot take the max of an empty window")
-    grid = _shared_grid(dists, n_points)
-    cdfs = np.vstack([np.clip(np.asarray(d.cdf(grid), dtype=float), 0.0, 1.0) for d in dists])
-    pdfs = np.vstack([np.maximum(np.asarray(d.pdf(grid), dtype=float), 0.0) for d in dists])
-    # f_max = sum_i f_i * prod_{j != i} F_j, computed stably in log space
-    # is overkill here; a direct product with a small floor suffices.
-    total = np.zeros_like(grid)
-    for i in range(len(dists)):
-        others = np.prod(np.delete(cdfs, i, axis=0), axis=0) if len(dists) > 1 else np.ones_like(grid)
-        total += pdfs[i] * others
-    edges = np.concatenate([grid, [grid[-1] + (grid[1] - grid[0])]])
-    densities = np.maximum(total, 0.0)
-    if not np.any(densities > 0):
-        raise DistributionError("max distribution is numerically zero on the evaluation grid")
-    return HistogramDistribution(edges, densities)
+    return _histogram(dists, n_points, "max", lambda cdfs: np.prod(cdfs, axis=0))
 
 
 def min_distribution(
     dists: Sequence[Distribution], n_points: int = 1024
 ) -> HistogramDistribution:
     """Return the distribution of ``min(X_1, ..., X_N)`` for independent inputs."""
-    dists = list(dists)
-    if not dists:
-        raise DistributionError("cannot take the min of an empty window")
-    grid = _shared_grid(dists, n_points)
-    survivals = np.vstack(
-        [np.clip(1.0 - np.asarray(d.cdf(grid), dtype=float), 0.0, 1.0) for d in dists]
-    )
-    pdfs = np.vstack([np.maximum(np.asarray(d.pdf(grid), dtype=float), 0.0) for d in dists])
-    total = np.zeros_like(grid)
-    for i in range(len(dists)):
-        others = (
-            np.prod(np.delete(survivals, i, axis=0), axis=0)
-            if len(dists) > 1
-            else np.ones_like(grid)
-        )
-        total += pdfs[i] * others
-    edges = np.concatenate([grid, [grid[-1] + (grid[1] - grid[0])]])
-    densities = np.maximum(total, 0.0)
-    if not np.any(densities > 0):
-        raise DistributionError("min distribution is numerically zero on the evaluation grid")
-    return HistogramDistribution(edges, densities)
+    return _histogram(dists, n_points, "min", lambda cdfs: -np.prod(1.0 - cdfs, axis=0))

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.distributions import (
     Distribution,
-    DistributionError,
     Gaussian,
     ParticleDistribution,
     compress_particles,
@@ -37,7 +36,7 @@ from repro.distributions import (
 from repro.streams.operators.base import Operator
 from repro.streams.tuples import StreamTuple
 
-__all__ = ["CompressionPolicy", "TransformOperator"]
+__all__ = ["CompressionPolicy", "TransformOperator", "marginal_gaussians"]
 
 
 @dataclass(frozen=True)
@@ -82,64 +81,15 @@ class CompressionPolicy:
             rng=rng,
         )
 
-    def compress_clouds(
-        self, points: np.ndarray, weights: np.ndarray, sizes: Sequence[int], rng=None
-    ) -> List[Tuple[Distribution, ...]]:
-        """Apply the policy to the per-dimension marginals of many clouds.
 
-        The clouds are laid back to back: ``points`` is an ``(N, d)``
-        pool, ``weights`` its ``N`` weights and ``sizes`` the length of
-        each cloud's segment.  Returns one tuple of ``d`` marginal
-        distributions per cloud.  ``"gaussian"`` mode fits every marginal
-        in one segmented pass (equal to :func:`fit_gaussian` up to
-        summation order); the other modes compress one marginal at a time
-        in cloud-then-dimension order, so ``rng`` is drawn from exactly as
-        by successive :meth:`compress` calls.
-        """
-        points = np.asarray(points, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        sizes = np.asarray(sizes, dtype=np.intp)
-        if self.mode == "gaussian":
-            return _fit_marginal_gaussians(points, weights, sizes)
-        clouds = []
-        first = 0
-        for last in np.cumsum(sizes).tolist():
-            rows = slice(first, last)
-            clouds.append(
-                tuple(
-                    self.compress(ParticleDistribution(column, weights[rows]), rng=rng)
-                    for column in points[rows].T
-                )
-            )
-            first = last
-        return clouds
-
-
-def _fit_marginal_gaussians(
-    points: np.ndarray, weights: np.ndarray, sizes: np.ndarray, min_sigma: float = 1e-9
+def marginal_gaussians(
+    means: np.ndarray, variances: np.ndarray, min_sigma: float = 1e-9
 ) -> List[Tuple[Gaussian, ...]]:
-    """KL-optimal Gaussians for every marginal of every segment, in one pass.
+    """One tuple of marginal Gaussians per row of ``(n, d)`` weighted moments.
 
-    Segmented normalisation, then the weighted mean and the biased
-    weighted variance, then the ``min_sigma`` floor: :func:`fit_gaussian`
-    applied segment by segment, with the checks of ``normalize_weights``.
+    These are a cloud's KL-optimal fits (:func:`fit_gaussian`), sigma
+    floored at ``min_sigma`` so that a collapsed cloud stays valid.
     """
-    if not sizes.size:
-        return []
-    if np.any(sizes <= 0):
-        raise DistributionError("cannot fit a Gaussian to an empty sample")
-    if points.ndim != 2 or weights.shape != points.shape[:1] or points.shape[0] != sizes.sum():
-        raise DistributionError("points, weights and segment sizes do not match")
-    if np.any(weights < 0):
-        raise DistributionError("weights must be non-negative")
-    starts = np.cumsum(sizes) - sizes
-    totals = np.add.reduceat(weights, starts)
-    if np.any(totals <= 0):
-        raise DistributionError("weights must not all be zero")
-    normalised = (weights / np.repeat(totals, sizes))[:, None]
-    means = np.add.reduceat(normalised * points, starts)
-    deviation = points - np.repeat(means, sizes, axis=0)
-    variances = np.add.reduceat(normalised * deviation * deviation, starts)
     sigmas = np.maximum(np.sqrt(variances), min_sigma)
     return [
         tuple(map(Gaussian, mean_row, sigma_row))

@@ -29,7 +29,7 @@ from .resampling import (
     stratified_resample,
     systematic_resample,
 )
-from .spatial_index import GridIndex
+from .spatial_index import cells_in_range, grid_cells
 
 __all__ = [
     "TransitionModel",
@@ -41,7 +41,8 @@ __all__ = [
     "FactorizedParticleFilter",
     "JointParticleFilter",
     "CompressionConfig",
-    "GridIndex",
+    "grid_cells",
+    "cells_in_range",
     "effective_sample_size",
     "systematic_resample",
     "segmented_systematic_resample",

@@ -10,7 +10,8 @@ objects to over 1000 readings/second for 20 000 objects:
   reader trajectory).  :class:`FactorizedParticleFilter`.
 * **Spatial indexing** -- only the objects near the reader can produce
   (or suppress) a reading, so only their filters need to be touched for
-  each event.  Backed by :class:`repro.inference.spatial_index.GridIndex`.
+  each event.  A grid-cell array (:mod:`repro.inference.spatial_index`)
+  in the factorised filter's arena.
 * **Compression** -- once an object's particle cloud has stabilised in
   a small region, fewer particles suffice; the filter shrinks the cloud.
 
@@ -20,9 +21,8 @@ baseline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.distributions import (
 
 from .graphical_model import StateSpaceModel
 from .resampling import effective_sample_size, segmented_systematic_resample, systematic_resample
-from .spatial_index import GridIndex
+from .spatial_index import cells_in_range, grid_cells
 
 __all__ = [
     "CompressionConfig",
@@ -94,7 +94,6 @@ class ParticleFilter:
         self._rng = as_rng(rng)
         self.particles = model.sample_prior(n_particles, self._rng)
         self.weights = np.full(n_particles, 1.0 / n_particles)
-        self.full_particle_count = n_particles
 
     # ------------------------------------------------------------------
     # Filtering cycle
@@ -173,8 +172,40 @@ class ParticleFilter:
         self.resample(size=n)
 
 
+def _segment_moments(
+    particles: np.ndarray, weights: np.ndarray, sizes: np.ndarray, starts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Weighted mean and biased weighted variance of each cloud of a back-to-back pool."""
+    # Same-shape products: several times faster than broadcasting (n, 1)
+    # weights against (n, d) points, with the same values.
+    weights = np.repeat(weights, particles.shape[1]).reshape(particles.shape)
+    estimates = np.add.reduceat(weights * particles, starts)
+    deviation = particles - np.repeat(estimates, sizes, axis=0)
+    spread = weights * deviation
+    spread *= deviation
+    return estimates, np.add.reduceat(spread, starts)
+
+
+def _as_items(points: np.ndarray) -> np.ndarray:
+    """View ``(..., d)`` float points as a flat array of ``d``-float items (a view if contiguous).
+
+    Fancy indexing on it is several times faster than on ``(n, d)`` rows.
+    """
+    points = np.ascontiguousarray(points, dtype=float)
+    dim = points.shape[-1]
+    return points.reshape(-1, dim).view(np.dtype((np.void, points.itemsize * dim))).reshape(-1)
+
+
+def _arena_view(name: str, doc: str) -> property:
+    return property(lambda self: getattr(self, name)[: len(self._ids)], doc=doc)
+
+
 class FactorizedParticleFilter:
-    """Per-variable particle filters with spatial indexing and compression.
+    """Per-variable particle clouds in one arena, with spatial indexing and compression.
+
+    Each tracked variable owns one row of the arena arrays below, in
+    registration order; its cloud is the first ``sizes[i]`` entries of
+    the row.  :class:`ParticleFilter` is the per-object reference.
 
     Parameters
     ----------
@@ -191,6 +222,13 @@ class FactorizedParticleFilter:
         Shared random generator or seed.
     """
 
+    particles = _arena_view("_particles", "``(n_vars, W, d)`` particle clouds.")
+    weights = _arena_view("_weights", "``(n_vars, W)`` normalised weights.")
+    sizes = _arena_view("_sizes", "``(n_vars,)`` cloud sizes: the used prefix of each row.")
+    estimates = _arena_view("_estimates", "``(n_vars, d)`` weighted mean of each cloud.")
+    variances = _arena_view("_variances", "``(n_vars, d)`` biased weighted variances.")
+    cells = _arena_view("_cells", "``(n_vars, 2)`` spatial index: each estimate's cell.")
+
     def __init__(
         self,
         n_particles: int = 100,
@@ -202,61 +240,139 @@ class FactorizedParticleFilter:
     ):
         if n_particles < 2:
             raise ValueError("n_particles must be at least 2")
+        if not 0.0 < resample_fraction <= 1.0:
+            raise ValueError("resample_fraction must lie in (0, 1]")
+        if use_spatial_index and index_cell_size <= 0:
+            raise ValueError("cell_size must be positive")
         self.n_particles = n_particles
         self.resample_fraction = resample_fraction
         self.compression = compression
+        #: Grid cell side of the spatial index (None: index disabled).
+        self.cell_size = float(index_cell_size) if use_spatial_index else None
         self._rng = as_rng(rng)
-        self._filters: Dict[object, ParticleFilter] = {}
-        self._rank: Dict[object, int] = {}
-        self._index: Optional[GridIndex] = GridIndex(index_cell_size) if use_spatial_index else None
+        self._ids: List[object] = []
+        self._row: Dict[object, int] = {}
+        #: The state-space model every variable shares (set by the first one).
+        self.model: Optional[StateSpaceModel] = None
+        self._resize(0, n_particles, 0)
         #: Number of per-variable filter updates performed (diagnostic for
         #: measuring how much work the spatial index saves).
         self.updates_performed = 0
+
+    def _resize(self, capacity: int, width: int, dim: int) -> None:
+        """Reallocate the arena to ``capacity`` rows of ``width`` particles, keeping its rows."""
+        n = len(self._ids)
+        for name, shape, dtype in (
+            ("_particles", (capacity, width, dim), float),
+            ("_weights", (capacity, width), float),
+            ("_sizes", (capacity,), np.intp),
+            ("_estimates", (capacity, dim), float),
+            ("_variances", (capacity, dim), float),
+            ("_cells", (capacity, 2), np.int64),
+        ):
+            array = np.zeros(shape, dtype)
+            if n:
+                old = getattr(self, name)[:n]
+                array[tuple(slice(0, s) for s in old.shape)] = old
+            setattr(self, name, array)
 
     # ------------------------------------------------------------------
     # Variable management
     # ------------------------------------------------------------------
     def add_variable(self, var_id, model: StateSpaceModel) -> None:
-        """Register a hidden variable (e.g. one tagged object)."""
-        if var_id in self._filters:
+        """Register a hidden variable (e.g. one tagged object), drawing its prior cloud."""
+        if var_id in self._row:
             raise ValueError(f"variable {var_id!r} already tracked")
-        pf = ParticleFilter(
-            model,
-            n_particles=self.n_particles,
-            resample_fraction=self.resample_fraction,
-            rng=self._rng,
-        )
-        self._filters[var_id] = pf
-        self._rank[var_id] = len(self._rank)
-        if self._index is not None:
-            est = pf.estimate()
-            self._index.update(var_id, float(est[0]), float(est[1]))
+        if self.model is not None and model is not self.model:
+            raise ValueError("every variable must share the filter's state-space model")
+        self.model = model
+        n = self.n_particles
+        particles = model.sample_prior(n, self._rng)
+        row, dim = len(self._ids), particles.shape[1]
+        capacity, width = self._weights.shape
+        if row == capacity or n > width:
+            self._resize(max(2 * capacity, 16) if row == capacity else capacity, max(width, n), dim)
+        weights = np.full(n, 1.0 / n)
+        estimate = weights @ particles  # as ParticleFilter.estimate()
+        self._particles[row, :n] = particles
+        self._weights[row, :n] = weights
+        self._sizes[row] = n
+        self._estimates[row] = estimate
+        self._variances[row] = weights @ (particles - estimate) ** 2
+        if self.cell_size is not None:
+            self._cells[row] = grid_cells(estimate[None], self.cell_size)[0]
+        self._row[var_id] = row
+        self._ids.append(var_id)
 
     def variables(self) -> List[object]:
-        return list(self._filters.keys())
-
-    def filter_for(self, var_id) -> ParticleFilter:
-        return self._filters[var_id]
+        return list(self._ids)
 
     def __len__(self) -> int:
-        return len(self._filters)
+        return len(self._ids)
+
+    def __contains__(self, var_id) -> bool:
+        return var_id in self._row
+
+    def rows(self, var_ids: Iterable[object]) -> np.ndarray:
+        """Return the arena rows of ``var_ids``."""
+        return np.array([self._row[var_id] for var_id in var_ids], dtype=np.intp)
+
+    def cloud(self, var_id) -> Tuple[np.ndarray, np.ndarray]:
+        """Return copies of one variable's particles and weights."""
+        row = self._row[var_id]
+        size = self._sizes[row]
+        return self._particles[row, :size].copy(), self._weights[row, :size].copy()
+
+    def _gather(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return copies of the clouds of ``rows`` back to back: ``(particles, weights, sizes)``."""
+        sizes = self._sizes[rows]
+        slots = self._slots(rows, sizes)
+        dim = self._particles.shape[2]
+        if slots is None:
+            return self._particles[rows].reshape(-1, dim), self._weights[rows].reshape(-1), sizes
+        particles = _as_items(self._particles)[slots].view(float).reshape(-1, dim)
+        return particles, self._weights.reshape(-1)[slots], sizes
+
+    def _slots(self, rows: np.ndarray, sizes: np.ndarray) -> Optional[np.ndarray]:
+        """Flat arena positions of the clouds of ``rows`` back to back (None: all full width)."""
+        width = self._weights.shape[1]
+        if not sizes.size or sizes.min() == width:
+            return None
+        ends = np.cumsum(sizes)
+        return np.repeat(rows * width - (ends - sizes), sizes) + np.arange(ends[-1])
+
+    def _scatter(
+        self, rows: np.ndarray, sizes: np.ndarray, particles: np.ndarray, weights: np.ndarray
+    ) -> None:
+        """Write back-to-back clouds of ``sizes`` particles into ``rows``: undoes :meth:`_gather`."""
+        slots = self._slots(rows, sizes)
+        _, width, dim = self._particles.shape
+        if slots is None:
+            self._particles[rows] = particles.reshape(rows.size, width, dim)
+            self._weights[rows] = weights.reshape(rows.size, width)
+        else:
+            _as_items(self._particles)[slots] = _as_items(particles)
+            self._weights.reshape(-1)[slots] = weights
 
     # ------------------------------------------------------------------
     # Event processing
     # ------------------------------------------------------------------
-    def candidates(self, region: Optional[Tuple[float, float, float]]) -> List[object]:
-        """Return the variables that must be processed for an event.
+    def _candidate_mask(self, region: Optional[Tuple[float, float, float]]) -> np.ndarray:
+        """Mask the variables an event around ``region = (x, y, radius)`` must process.
 
-        ``region`` is ``(x, y, radius)`` around the sensing device; when
-        the spatial index is disabled (or no region is given) every
-        variable is a candidate, which is exactly the work the index
-        optimisation avoids.
+        A variable qualifies when its cell overlaps the bounding square of
+        the disc (:func:`cells_in_range`).  Without the spatial index (or
+        a region) every variable does, which is the work the index saves.
         """
-        if region is None or self._index is None:
-            return self.variables()
+        n = len(self._ids)
+        if region is None or self.cell_size is None:
+            return np.ones(n, dtype=bool)
         x, y, radius = region
-        in_range = self._index.query_radius(x, y, radius)
-        return [var_id for var_id in in_range if var_id in self._filters]
+        return cells_in_range(self._cells[:n], x, y, radius, self.cell_size)
+
+    def candidates(self, region: Optional[Tuple[float, float, float]]) -> List[object]:
+        """Return the variables :meth:`_candidate_mask` selects, in registration order."""
+        return [self._ids[row] for row in np.flatnonzero(self._candidate_mask(region)).tolist()]
 
     def step(
         self,
@@ -268,72 +384,80 @@ class FactorizedParticleFilter:
         """Advance every filter affected by one sensing event in one batched pass.
 
         The candidates are the variables :meth:`candidates` returns for
-        ``region`` plus every tracked variable in ``include`` (e.g. objects
-        a reader detected although the index still places them far away).
-        Each candidate is propagated by ``dt`` and, when ``observation_for``
-        returns a non-None observation for it (a detection or an
-        informative non-detection), reweighted with that observation.
-        Candidates sharing a state-space model (all of them, in the RFID
-        operator) go through :meth:`_step_sets` together.  Returns the
-        candidates in registration order.
+        ``region`` plus every tracked variable in ``include``; each gets
+        the observation ``observation_for`` returns for it (None: no
+        observation).  Returns the candidates in registration order.
+        """
+        chosen = self._candidate_mask(region)
+        chosen[[self._row[var_id] for var_id in include if var_id in self._row]] = True
+        processed = [self._ids[row] for row in np.flatnonzero(chosen).tolist()]
+        self.step_observed(dt, {v: observation_for(v) for v in processed}, None, region)
+        return processed
+
+    def step_observed(
+        self,
+        dt: float,
+        observations: Mapping[object, object],
+        default: Optional[object] = None,
+        region: Optional[Tuple[float, float, float]] = None,
+    ) -> np.ndarray:
+        """:meth:`step` with Python work only per entry of ``observations``.
+
+        Every tracked key of ``observations`` is a candidate, even when the
+        index files it far from ``region`` (e.g. a detected object that
+        just moved), and is reweighted with its value; the other
+        candidates get ``default``.  Returns the candidates' rows in
+        registration order.
+
+        The clouds are gathered into one pool with one contiguous block per
+        observation, blocks in order of their first candidate, so that one
+        ``propagate`` call and one ``likelihood`` call per block do the
+        maths.  Collapsed sets are redrawn in place; compression resamples
+        only the rows it changes.
         """
         if dt < 0:
             raise ValueError("dt must be non-negative")
-        chosen = set(self.candidates(region))
-        chosen.update(var_id for var_id in include if var_id in self._filters)
-        processed = sorted(chosen, key=self._rank.__getitem__)
-        by_model: Dict[int, List[object]] = {}
-        for var_id in processed:
-            by_model.setdefault(id(self._filters[var_id].model), []).append(var_id)
-        for var_ids in by_model.values():
-            self._step_sets(dt, var_ids, observation_for)
-        return processed
+        chosen = self._candidate_mask(region)
+        codes = np.zeros(chosen.size, dtype=np.intp)
+        # Observations numbered by identity (default first); the dict holds
+        # each one, so no other object can take over its id meanwhile.
+        distinct: Dict[int, Tuple[int, object]] = {id(default): (0, default)}
+        for var_id, observation in observations.items():
+            row = self._row.get(var_id)
+            if row is not None:
+                chosen[row] = True
+                codes[row] = distinct.setdefault(id(observation), (len(distinct), observation))[0]
+        all_rows = np.flatnonzero(chosen)
+        if not all_rows.size:
+            return all_rows
+        observations = [observation for _, observation in distinct.values()]
+        codes = codes[all_rows]
+        # Key each candidate by its observation's first candidate: a stable
+        # sort on that key lays the blocks out in order of first appearance.
+        first = np.full(len(observations), all_rows.size)
+        np.minimum.at(first, codes, np.arange(all_rows.size))
+        key = first[codes]
+        order = np.argsort(key, kind="stable")
+        rows, key = all_rows[order], key[order]
+        heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        block_ends = [*heads[1:].tolist(), rows.size]
+        block_observations = [observations[code] for code in codes[key[heads]].tolist()]
 
-    def _step_sets(
-        self,
-        dt: float,
-        var_ids: List[object],
-        observation_for: Callable[[object], Optional[object]],
-    ) -> None:
-        """The batched kernel over candidates that share one state-space model.
-
-        Their clouds (ragged: compression changes their sizes) are laid
-        back to back in one particle pool, ordered so that the candidates
-        given the same observation object form one contiguous block.  One
-        ``propagate`` call moves the whole pool and one ``likelihood`` call
-        per distinct observation object weights its block (the RFID
-        operator passes one shared object per outcome, so it makes two).
-        Normalisation, ESS, resampling, estimates and compression
-        decisions then run per set as segmented reductions.  Each filter
-        finally gets views of its set.
-        """
-        # Blocks are keyed by observation identity: each block holds its
-        # observation, so no other object can take over that id meanwhile.
-        blocks: Dict[int, Tuple[object, List[object]]] = {}
-        for var_id in var_ids:
-            observation = observation_for(var_id)
-            blocks.setdefault(id(observation), (observation, []))[1].append(var_id)
-        order = [var_id for _, members in blocks.values() for var_id in members]
-        filters = [self._filters[var_id] for var_id in order]
-        model = filters[0].model
-        sizes = np.array([pf.particles.shape[0] for pf in filters])
-        starts = np.cumsum(sizes) - sizes
-        particles = np.concatenate([pf.particles for pf in filters])
-        weights = np.concatenate([pf.weights for pf in filters])
+        particles, weights, sizes = self._gather(rows)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
         if dt > 0:
-            moved = model.transition.propagate(particles, dt, self._rng)
-            particles = np.asarray(moved, dtype=float)
-
-        observed = np.zeros(sizes.size, dtype=bool)
-        first = 0
-        for observation, members in blocks.values():
-            last = first + len(members)
+            moved = self.model.transition.propagate(particles, dt, self._rng)
+            particles = np.ascontiguousarray(moved, dtype=float)
+        observed = np.zeros(rows.size, dtype=bool)
+        begin = 0
+        for observation, end in zip(block_observations, block_ends):
             if observation is not None:
-                rows = slice(starts[first], starts[last - 1] + sizes[last - 1])
-                likelihood = model.observation.likelihood(particles[rows], observation)
-                weights[rows] *= np.maximum(np.asarray(likelihood, dtype=float), 0.0)
-                observed[first:last] = True
-            first = last
+                pool = slice(starts[begin], ends[end - 1])
+                likelihood = self.model.observation.likelihood(particles[pool], observation)
+                weights[pool] *= np.maximum(np.asarray(likelihood, dtype=float), 0.0)
+                observed[begin:end] = True
+            begin = end
         if observed.any():
             totals = np.add.reduceat(weights, starts)
             # Zero or non-finite evidence resets a set to uniform weights,
@@ -346,75 +470,79 @@ class FactorizedParticleFilter:
             ess = 1.0 / np.add.reduceat(weights * weights, starts)
             collapsed = observed & (ess < self.resample_fraction * sizes)
             if collapsed.any():
-                particles, weights, sizes = self._resample_sets(
-                    particles, weights, sizes, collapsed, sizes
-                )
+                # A collapsed set is redrawn to its own size, so in its own slots.
+                pool = np.flatnonzero(np.repeat(collapsed, sizes))
+                counts = sizes[collapsed]
+                items = _as_items(particles)  # a view: the pool is contiguous
+                items[pool] = items[pool[self._draw(weights[pool], counts, counts)]]
+                weights[pool] = np.repeat(1.0 / counts, counts)
             self.updates_performed += int(np.count_nonzero(observed))
 
-        estimates = np.add.reduceat(weights[:, None] * particles, starts)
-        if self._index is not None:
-            for var_id, (x, y) in zip(order, estimates[:, :2].tolist()):
-                self._index.update(var_id, x, y)
+        estimates, variances = _segment_moments(particles, weights, sizes, starts)
+        self._scatter(rows, sizes, particles, weights)
+        self._estimates[rows] = estimates
+        self._variances[rows] = variances
+        if self.cell_size is not None:
+            self._cells[rows] = grid_cells(estimates, self.cell_size)
         if self.compression is not None:
-            deviation = particles - np.repeat(estimates, sizes, axis=0)
-            variance = np.add.reduceat(weights[:, None] * deviation * deviation, starts)
-            spread = np.sqrt(np.maximum(variance, 0.0)).max(axis=1)
             config = self.compression
+            spread = np.sqrt(np.maximum(variances, 0.0)).max(axis=1)
             shrink = (spread < config.stability_threshold) & (sizes > config.compressed_count)
-            expand = (spread > config.expansion_threshold) & (sizes < self.full_particle_count)
+            expand = (spread > config.expansion_threshold) & (sizes < self.n_particles)
             if shrink.any() or expand.any():
-                targets = np.where(shrink, config.compressed_count, self.full_particle_count)
-                particles, weights, sizes = self._resample_sets(
-                    particles, weights, sizes, shrink | expand, targets
-                )
+                targets = np.where(shrink, config.compressed_count, self.n_particles)
+                self._resample_rows(rows[shrink | expand], targets[shrink | expand])
+        return all_rows
 
-        first = 0
-        for pf, last in zip(filters, np.cumsum(sizes).tolist()):
-            pf.particles = particles[first:last]
-            pf.weights = weights[first:last]
-            first = last
+    def _draw(self, weights: np.ndarray, sizes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Systematic resampling of back-to-back sets, one offset each off the shared generator."""
+        return segmented_systematic_resample(weights, sizes, targets, self._rng.random(sizes.size))
 
-    def _resample_sets(
-        self,
-        particles: np.ndarray,
-        weights: np.ndarray,
-        sizes: np.ndarray,
-        chosen: np.ndarray,
-        targets: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Systematically resample the ``chosen`` sets to ``targets`` draws; keep the rest."""
-        rows = np.flatnonzero(np.repeat(chosen, sizes))
-        draws = targets[chosen]
-        offsets = self._rng.random(draws.size)
-        picks = rows[segmented_systematic_resample(weights[rows], sizes[chosen], draws, offsets)]
-        new_sizes = np.where(chosen, targets, sizes)
-        drawn = np.repeat(chosen, new_sizes)
-        index = np.empty(drawn.size, dtype=np.intp)
-        index[drawn] = picks
-        index[~drawn] = np.flatnonzero(np.repeat(~chosen, sizes))
-        weights = weights[index]
-        weights[drawn] = np.repeat(1.0 / draws, draws)
-        return particles[index], weights, new_sizes
+    def _resample_rows(self, rows: np.ndarray, targets: np.ndarray) -> None:
+        """Resample the clouds of ``rows`` to ``targets`` particles, writing only those rows."""
+        if targets.max() > self._weights.shape[1]:
+            self._resize(self._weights.shape[0], int(targets.max()), self._particles.shape[2])
+        particles, weights, sizes = self._gather(rows)
+        particles = particles[self._draw(weights, sizes, targets)]
+        weights = np.repeat(1.0 / targets, targets)
+        self._sizes[rows] = targets
+        self._scatter(rows, targets, particles, weights)
+        self._estimates[rows], self._variances[rows] = _segment_moments(
+            particles, weights, targets, np.cumsum(targets) - targets
+        )
 
-    @property
-    def full_particle_count(self) -> int:
-        return self.n_particles
+    def set_particle_count(self, n: int) -> None:
+        """Make ``n`` the particle budget (and compression's expansion size); resample to it.
+
+        Clouds of another size are redrawn in registration order, one offset
+        each, as per-variable :meth:`ParticleFilter.set_particle_count` calls
+        would; the arena widens when ``n`` exceeds ``W``.
+        """
+        if n < 2:
+            raise ValueError("particle count must be at least 2")
+        self.n_particles = n
+        rows = np.flatnonzero(self.sizes != n)
+        if rows.size:
+            self._resample_rows(rows, np.full(rows.size, n))
 
     # ------------------------------------------------------------------
     # Posterior access
     # ------------------------------------------------------------------
     def estimate(self, var_id) -> np.ndarray:
-        return self._filters[var_id].estimate()
+        return self._estimates[self._row[var_id]].copy()
 
     def posterior_gaussian(self, var_id) -> MultivariateGaussian:
-        return self._filters[var_id].posterior_gaussian()
+        return fit_multivariate_gaussian(*self.cloud(var_id))
 
     def marginal(self, var_id, dimension: int) -> ParticleDistribution:
-        return self._filters[var_id].marginal(dimension)
+        particles, weights = self.cloud(var_id)
+        if not 0 <= dimension < particles.shape[1]:
+            raise IndexError(f"dimension {dimension} out of range")
+        return ParticleDistribution(particles[:, dimension], weights)
 
     def total_particles(self) -> int:
         """Return the total number of particles across all variables."""
-        return sum(pf.n_particles for pf in self._filters.values())
+        return int(self.sizes.sum())
 
 
 class JointParticleFilter:

@@ -1,106 +1,39 @@
-"""Grid-based spatial index over tracked objects.
+"""Grid-cell spatial index over tracked objects, as arrays.
 
 The paper's second particle-filter optimisation: "spatial indexing can
 further limit the set of variables that must be processed at each time
 step, since a reader can only observe a small set of objects at a
-time."  The index maps each tracked object's current location estimate
-to a grid cell and answers range queries around the reader position, so
-the filter only updates objects that could plausibly have generated (or
-failed to generate) a reading.
+time."  Each object is filed under the grid cell of its location
+estimate (one row of an ``(n, 2)`` integer array), and a range query
+around the reader is one vectorised mask over those cells.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-__all__ = ["GridIndex"]
+import numpy as np
 
-Cell = Tuple[int, int]
+__all__ = ["grid_cells", "cells_in_range"]
 
 
-class GridIndex:
-    """A uniform 2-D grid index of object identifiers.
+def grid_cells(points: np.ndarray, cell_size: float) -> np.ndarray:
+    """Return the ``(n, 2)`` int64 grid cells ``floor(xy / cell_size)`` of ``(n, >=2)`` points."""
+    return np.floor(np.asarray(points, dtype=float)[:, :2] / cell_size).astype(np.int64)
 
-    Parameters
-    ----------
-    cell_size:
-        Side length of a grid cell, in the same units as coordinates
-        (feet in the RFID application).  Choosing it close to the reader
-        range keeps range queries to a handful of cells.
+
+def cells_in_range(
+    cells: np.ndarray, x: float, y: float, radius: float, cell_size: float
+) -> np.ndarray:
+    """Mask the cells overlapping the bounding square of the disc around ``(x, y)``.
+
+    The answer is a superset of the objects truly within ``radius``: a
+    cell qualifies when it lies in ``[floor((x - r) / c), floor((x + r) / c)]``
+    on both axes, the corners offset before dividing.
     """
-
-    def __init__(self, cell_size: float):
-        if cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        self.cell_size = float(cell_size)
-        self._cell_of: Dict[object, Cell] = {}
-        self._members: Dict[Cell, Set[object]] = {}
-
-    def _cell(self, x: float, y: float) -> Cell:
-        return (int(math.floor(x / self.cell_size)), int(math.floor(y / self.cell_size)))
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def update(self, object_id, x: float, y: float) -> None:
-        """Insert or move an object to the cell containing ``(x, y)``."""
-        new_cell = self._cell(x, y)
-        old_cell = self._cell_of.get(object_id)
-        if old_cell == new_cell:
-            return
-        if old_cell is not None:
-            members = self._members.get(old_cell)
-            if members is not None:
-                members.discard(object_id)
-                if not members:
-                    del self._members[old_cell]
-        self._cell_of[object_id] = new_cell
-        self._members.setdefault(new_cell, set()).add(object_id)
-
-    def remove(self, object_id) -> None:
-        """Remove an object from the index (no-op if absent)."""
-        cell = self._cell_of.pop(object_id, None)
-        if cell is None:
-            return
-        members = self._members.get(cell)
-        if members is not None:
-            members.discard(object_id)
-            if not members:
-                del self._members[cell]
-
-    def __len__(self) -> int:
-        return len(self._cell_of)
-
-    def __contains__(self, object_id) -> bool:
-        return object_id in self._cell_of
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def query_radius(self, x: float, y: float, radius: float) -> List[object]:
-        """Return objects whose indexed cell intersects the query disc.
-
-        The answer is conservative (a superset of the objects truly
-        within ``radius``): candidates are every object registered in a
-        cell overlapping the bounding square of the disc.
-        """
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        min_cx, min_cy = self._cell(x - radius, y - radius)
-        max_cx, max_cy = self._cell(x + radius, y + radius)
-        found: List[object] = []
-        for cx in range(min_cx, max_cx + 1):
-            for cy in range(min_cy, max_cy + 1):
-                members = self._members.get((cx, cy))
-                if members:
-                    found.extend(members)
-        return found
-
-    def all_objects(self) -> List[object]:
-        """Return every indexed object id."""
-        return list(self._cell_of.keys())
-
-    def cell_count(self) -> int:
-        """Return the number of non-empty cells (diagnostic)."""
-        return len(self._members)
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    low_x, low_y = math.floor((x - radius) / cell_size), math.floor((y - radius) / cell_size)
+    high_x, high_y = math.floor((x + radius) / cell_size), math.floor((y + radius) / cell_size)
+    cx, cy = cells[:, 0], cells[:, 1]
+    return (cx >= low_x) & (cx <= high_x) & (cy >= low_y) & (cy <= high_y)

@@ -19,7 +19,8 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.transform import CompressionPolicy, TransformOperator
+from repro.core.transform import CompressionPolicy, TransformOperator, marginal_gaussians
+from repro.distributions import ParticleDistribution
 from repro.inference import (
     CompressionConfig,
     FactorizedParticleFilter,
@@ -124,69 +125,69 @@ class RFIDTransformOperator(TransformOperator):
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def _process_reading(self, reading: RFIDReading) -> List[str]:
+    def _process_reading(self, reading: RFIDReading) -> np.ndarray:
         dt = 0.0
         if self._last_timestamp is not None:
             dt = max(reading.timestamp - self._last_timestamp, 0.0)
         self._last_timestamp = reading.timestamp
 
-        detected = set(reading.detected_object_ids)
+        detected = reading.detected_object_ids
         if self.track_reference_tags:
-            detected |= set(reading.detected_shelf_ids)
+            detected = (*detected, *reading.detected_shelf_ids)
         seen = DetectionObservation(reading.reader_x, reading.reader_y, detected=True)
         missed = DetectionObservation(reading.reader_x, reading.reader_y, detected=False)
         region = (reading.reader_x, reading.reader_y, self._sensing_range)
         # Detected objects must be processed even if the index had them
         # registered far away (e.g. they just moved).
-        processed = self.filter.step(
-            dt, lambda tag_id: seen if tag_id in detected else missed, region, include=detected
-        )
+        rows = self.filter.step_observed(dt, dict.fromkeys(detected, seen), missed, region)
         self.readings_processed += 1
         self._update_reference_accuracy(reading)
-        return processed
+        return rows
 
     def _update_reference_accuracy(self, reading: RFIDReading) -> None:
         if self.accuracy_monitor is None:
             return
-        tracked = set(self.filter.variables())
         for shelf_id in reading.detected_shelf_ids:
-            if shelf_id in tracked:
-                estimate = self.filter.estimate(shelf_id)
-                self.accuracy_monitor.record_estimate(shelf_id, estimate)
+            if shelf_id in self.filter:
+                self.accuracy_monitor.record_estimate(shelf_id, self.filter.estimate(shelf_id))
         if self.adaptive_controller is not None:
-            new_count = self.adaptive_controller.observe(self.accuracy_monitor.current_error())
-            for tag_id in self.filter.variables():
-                pf = self.filter.filter_for(tag_id)
-                if pf.n_particles != new_count:
-                    pf.set_particle_count(new_count)
+            error = self.accuracy_monitor.current_error()
+            self.filter.set_particle_count(self.adaptive_controller.observe(error))
 
     # ------------------------------------------------------------------
     # Transformation
     # ------------------------------------------------------------------
     def transform(self, observation: RFIDReading, timestamp: float) -> Iterable[StreamTuple]:
-        processed = self._process_reading(observation)
+        rows = self._process_reading(observation)
         if self.emit_mode == "none":
             return
         if self.emit_mode == "detected":
-            touched = set(processed)
             # A reader may report a tag more than once per scan; emit it once.
             detected = dict.fromkeys(observation.detected_object_ids)
-            to_emit = [tag for tag in detected if tag in touched]
+            to_emit = [tag for tag in detected if tag in self.filter]
         else:
-            to_emit = [tag for tag in processed if tag in self.world.objects]
+            ids = self.filter.variables()
+            to_emit = [ids[row] for row in rows.tolist() if ids[row] in self.world.objects]
         yield from self._make_tuples(to_emit, observation.timestamp)
 
     def _make_tuples(self, tag_ids: Sequence[str], timestamp: float) -> List[StreamTuple]:
-        """Compress the emitted objects' clouds, gathered into one pool, into tuples."""
-        if not tag_ids:
-            return []
-        filters = [self.filter.filter_for(tag_id) for tag_id in tag_ids]
-        locations = self.compression.compress_clouds(
-            np.concatenate([pf.particles[:, :2] for pf in filters]),
-            np.concatenate([pf.weights for pf in filters]),
-            [pf.n_particles for pf in filters],
-            rng=self._rng,
-        )
+        """Turn the emitted objects' clouds into tuples.
+
+        ``"gaussian"`` mode reads each x/y marginal from the step's moments;
+        the other modes compress each cloud's marginals, x before y.
+        """
+        if self.compression.mode == "gaussian":
+            rows = self.filter.rows(tag_ids)
+            estimates, variances = self.filter.estimates[rows, :2], self.filter.variances[rows, :2]
+            locations = marginal_gaussians(estimates, variances)
+        else:
+            locations = [
+                tuple(
+                    self.compression.compress(ParticleDistribution(column, weights), rng=self._rng)
+                    for column in particles[:, :2].T
+                )
+                for particles, weights in map(self.filter.cloud, tag_ids)
+            ]
         return [
             StreamTuple(timestamp=timestamp, values={"tag_id": tag_id}, uncertain={"x": x, "y": y})
             for tag_id, (x, y) in zip(tag_ids, locations)

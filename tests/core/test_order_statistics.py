@@ -53,3 +53,26 @@ class TestMinDistribution:
     def test_empty_rejected(self):
         with pytest.raises(DistributionError):
             min_distribution([])
+
+
+# Inputs narrower than a bin next to wide ones: sampling the density at
+# the bins' left edges aliased the narrow inputs (the first case's MAX
+# mean came out 2.1 below the truth at 512 points).
+NARROW_AND_WIDE = [
+    [(-149.0, 24.0), (-195.0, 0.125), (-358.0, 6.625)],
+    [(0.0, 50.0), (10.0, 0.1)],
+    [(5.0, 0.2), (5.3, 0.05), (-100.0, 30.0)],
+    [(-3.0, 0.01), (40.0, 12.0), (-60.0, 0.3), (7.0, 2.0)],
+]
+
+
+@pytest.mark.parametrize("params", NARROW_AND_WIDE)
+@pytest.mark.parametrize("order", ["max", "min"])
+def test_order_statistic_mean_matches_monte_carlo_within_half_a_bin(params, order):
+    function, reduce = {"max": (max_distribution, np.max), "min": (min_distribution, np.min)}[order]
+    result = function([Gaussian(mu, sigma) for mu, sigma in params], n_points=512)
+    rng = np.random.default_rng(17)
+    samples = reduce([rng.normal(mu, sigma, 400_000) for mu, sigma in params], axis=0)
+    standard_error = samples.std() / np.sqrt(samples.size)
+    half_bin = (result.edges[1] - result.edges[0]) / 2
+    assert abs(result.mean() - samples.mean()) <= half_bin + 4 * standard_error

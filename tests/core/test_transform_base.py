@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import CompressionPolicy, TransformOperator
-from repro.distributions import DistributionError, Gaussian, GaussianMixture, ParticleDistribution
+from repro.core.transform import marginal_gaussians
+from repro.distributions import Gaussian, GaussianMixture, ParticleDistribution, fit_gaussian
 from repro.streams import StreamTuple
 
 
@@ -56,75 +57,31 @@ def ragged_pool(rng, sizes=(25, 60, 25, 25, 60, 60, 25)):
     return points, weights, list(sizes)
 
 
-def one_at_a_time(policy, points, weights, sizes, rng=None):
-    """The per-cloud, per-dimension ``compress`` calls ``compress_clouds`` batches."""
-    out, first = [], 0
-    for size in sizes:
-        rows = slice(first, first + size)
-        out.append(
-            tuple(
-                policy.compress(ParticleDistribution(points[rows, d], weights[rows]), rng=rng)
-                for d in range(points.shape[1])
-            )
-        )
-        first += size
-    return out
-
-
-class TestCompressClouds:
-    def test_gaussian_mode_matches_per_cloud_fit(self, rng):
+class TestMarginalGaussians:
+    def test_moments_give_the_per_cloud_fit(self, rng):
         points, weights, sizes = ragged_pool(rng)
-        policy = CompressionPolicy(mode="gaussian")
-        batched = policy.compress_clouds(points, weights, sizes)
-        expected = one_at_a_time(policy, points, weights, sizes)
-        assert len(batched) == len(sizes)
-        for got, want in zip(batched, expected):
-            for g, w in zip(got, want):
-                assert isinstance(g, Gaussian)
-                assert g.mu == pytest.approx(w.mu, rel=1e-12, abs=1e-12)
-                assert g.sigma == pytest.approx(w.sigma, rel=1e-12)
+        clouds = np.split(np.arange(points.shape[0]), np.cumsum(sizes)[:-1])
+        means, variances = [], []
+        for rows in clouds:
+            w = weights[rows] / weights[rows].sum()
+            means.append(w @ points[rows])
+            variances.append(w @ (points[rows] - means[-1]) ** 2)
+        got = marginal_gaussians(np.array(means), np.array(variances))
+        assert len(got) == len(sizes)
+        for fits, rows in zip(got, clouds):
+            for axis, g in enumerate(fits):
+                want = fit_gaussian(points[rows, axis], weights[rows])
+                assert g.mu == pytest.approx(want.mu, rel=1e-12, abs=1e-12)
+                assert g.sigma == pytest.approx(want.sigma, rel=1e-12)
 
-    def test_gaussian_mode_floors_sigma_of_a_collapsed_cloud(self):
-        points = np.concatenate([np.full((25, 2), 3.0), np.arange(120.0).reshape(60, 2)])
-        clouds = CompressionPolicy().compress_clouds(points, np.ones(85), [25, 60])
-        assert [g.sigma for g in clouds[0]] == [1e-9, 1e-9]
-        assert clouds[1][0].sigma > 1.0
-
-    @pytest.mark.parametrize("mode", ["particles", "mixture"])
-    def test_other_modes_equal_successive_compress_calls(self, mode):
-        points, weights, sizes = ragged_pool(np.random.default_rng(3))
-        policy = CompressionPolicy(mode=mode)
-        batched = policy.compress_clouds(points, weights, sizes, rng=np.random.default_rng(9))
-        expected = one_at_a_time(policy, points, weights, sizes, rng=np.random.default_rng(9))
-        for got, want in zip(batched, expected):
-            for g, w in zip(got, want):
-                assert type(g) is type(w)
-                if isinstance(g, ParticleDistribution):
-                    assert np.array_equal(g.values, w.values)
-                    assert np.array_equal(g.weights, w.weights)
-                elif isinstance(g, GaussianMixture):
-                    assert np.array_equal(g.weights, w.weights)
-                    assert np.array_equal(g.means, w.means)
-                    assert np.array_equal(g.sigmas, w.sigmas)
-                else:
-                    assert (g.mu, g.sigma) == (w.mu, w.sigma)
+    def test_floors_sigma_of_a_collapsed_cloud(self):
+        means = np.array([[3.0, 3.0], [1.0, 2.0]])
+        fits = marginal_gaussians(means, np.array([[0.0, 0.0], [4.0, 9.0]]))
+        assert [g.sigma for g in fits[0]] == [1e-9, 1e-9]
+        assert [g.sigma for g in fits[1]] == [2.0, 3.0]
 
     def test_no_clouds(self):
-        assert CompressionPolicy().compress_clouds(np.empty((0, 2)), np.empty(0), []) == []
-
-    def test_weight_checks_are_per_segment(self, rng):
-        points, weights, sizes = ragged_pool(rng, sizes=(25, 60))
-        policy = CompressionPolicy()
-        negative = weights.copy()
-        negative[30] = -0.1
-        with pytest.raises(DistributionError, match="non-negative"):
-            policy.compress_clouds(points, negative, sizes)
-        silent = weights.copy()
-        silent[25:] = 0.0
-        with pytest.raises(DistributionError, match="all be zero"):
-            policy.compress_clouds(points, silent, sizes)
-        with pytest.raises(DistributionError, match="empty"):
-            policy.compress_clouds(points, weights, [85, 0])
+        assert marginal_gaussians(np.empty((0, 2)), np.empty((0, 2))) == []
 
 
 class TestTransformOperator:

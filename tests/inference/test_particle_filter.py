@@ -110,6 +110,8 @@ class TestFactorizedParticleFilter:
         fpf = self.make_filter(rng)
         with pytest.raises(ValueError):
             fpf.add_variable("O0", make_model())
+        with pytest.raises(ValueError, match="share"):
+            fpf.add_variable("O9", make_model())  # another model
 
     def test_spatial_index_limits_candidates(self, rng):
         fpf = FactorizedParticleFilter(
@@ -148,10 +150,10 @@ class TestFactorizedParticleFilter:
                 observation_for=lambda _vid: observe_from(reader[0], reader[1], truth, detection, rng),
                 region=None,
             )
-        assert fpf.filter_for("O0").n_particles <= 120
+        assert fpf.sizes[0] <= 120
         # If the cloud stabilised it must have been compressed to 10.
-        if float(np.max(fpf.filter_for("O0").spread())) < 3.0:
-            assert fpf.filter_for("O0").n_particles == 10
+        if float(np.sqrt(fpf.variances[0]).max()) < 3.0:
+            assert fpf.sizes[0] == 10
 
     def test_compression_config_validation(self):
         with pytest.raises(ValueError):
@@ -184,11 +186,34 @@ def reference_step(filters, observation_for, compression=None, full_count=60):
     return updates
 
 
-class TestBatchedStep:
-    """The scan-at-a-time kernel against per-object :class:`ParticleFilter` calls."""
+def reference_filters(fpf, generator):
+    """Per-object :class:`ParticleFilter` copies of the arena's clouds.
 
-    def make_filter(self, seed, n_objects=8, **kwargs):
-        fpf = FactorizedParticleFilter(n_particles=60, index_cell_size=5.0, rng=seed, **kwargs)
+    They share one copy of ``generator`` (the arena's), in its current state.
+    """
+    shared = copy.deepcopy(generator)
+    filters = {}
+    for var_id in fpf.variables():
+        pf = ParticleFilter(
+            make_model(), n_particles=2, resample_fraction=fpf.resample_fraction, rng=0
+        )
+        pf.particles, pf.weights = fpf.cloud(var_id)
+        pf._rng = shared
+        filters[var_id] = pf
+    return filters
+
+
+def shrink(fpf, rows, size=25):
+    """Make each cloud of ``rows`` the first ``size`` particles of its row, uniformly weighted."""
+    fpf.sizes[rows] = size
+    fpf.weights[rows, :size] = 1.0 / size
+
+
+class TestBatchedStep:
+    """The scan-at-a-time arena kernel against per-object :class:`ParticleFilter` calls."""
+
+    def make_filter(self, generator, n_objects=8, **kwargs):
+        fpf = FactorizedParticleFilter(n_particles=60, index_cell_size=5.0, rng=generator, **kwargs)
         model = make_model()
         for i in range(n_objects):
             fpf.add_variable(f"O{i}", model)
@@ -197,15 +222,14 @@ class TestBatchedStep:
     def test_ragged_step_matches_per_object_update(self):
         # No resampling (tiny ESS fraction), so weights and estimates are
         # deterministic functions of the observations.
-        fpf = self.make_filter(seed=3, resample_fraction=1e-9)
+        generator = np.random.default_rng(3)
+        fpf = self.make_filter(generator, resample_fraction=1e-9)
+        shrink(fpf, slice(0, None, 3))  # compressed clouds
         weights_rng = np.random.default_rng(4)
-        for i, var_id in enumerate(fpf.variables()):
-            pf = fpf.filter_for(var_id)
-            if i % 3 == 0:
-                pf.set_particle_count(25)  # a compressed cloud
-            pf.weights = weights_rng.dirichlet(np.ones(pf.n_particles))
-        assert {fpf.filter_for(v).n_particles for v in fpf.variables()} == {25, 60}
-        reference = copy.deepcopy({v: fpf.filter_for(v) for v in fpf.variables()})
+        for row, size in enumerate(fpf.sizes.tolist()):
+            fpf.weights[row, :size] = weights_rng.dirichlet(np.ones(size))
+        assert set(fpf.sizes.tolist()) == {25, 60}
+        reference = reference_filters(fpf, generator)
 
         near_hit = DetectionObservation(20.0, 15.0, detected=True)
         near_miss = DetectionObservation(20.0, 15.0, detected=False)
@@ -223,35 +247,38 @@ class TestBatchedStep:
         assert processed == list(plan)
         assert fpf.updates_performed == updates == 7
         for var_id, ref in reference.items():
-            pf = fpf.filter_for(var_id)
-            np.testing.assert_array_equal(pf.particles, ref.particles)
-            np.testing.assert_allclose(pf.weights, ref.weights, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(pf.estimate(), ref.estimate(), rtol=0, atol=1e-12)
+            particles, weights = fpf.cloud(var_id)
+            np.testing.assert_array_equal(particles, ref.particles)
+            np.testing.assert_allclose(weights, ref.weights, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fpf.estimate(var_id), ref.estimate(), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                np.sqrt(fpf.variances[fpf.rows([var_id])[0]]), ref.spread(), rtol=0, atol=1e-12
+            )
             # The spatial index files each object under its estimate's cell.
             x, y = ref.estimate()
             assert var_id in fpf.candidates((x, y, 0.0))
-        assert fpf.filter_for("O3").n_particles == 25
-        np.testing.assert_array_equal(fpf.filter_for("O3").weights, np.full(25, 1.0 / 25))
-        np.testing.assert_array_equal(fpf.filter_for("O5").weights, reference["O5"].weights)
+        assert fpf.cloud("O3")[0].shape == (25, 2)
+        np.testing.assert_array_equal(fpf.cloud("O3")[1], np.full(25, 1.0 / 25))
+        np.testing.assert_array_equal(fpf.cloud("O5")[1], reference["O5"].weights)
 
     def test_ess_resampling_matches_the_reference(self):
         # One shared observation keeps the kernel's sets in registration
         # order, so its uniform offsets come off the generator in the same
         # order as the per-object loop's and the clouds agree exactly.
-        fpf = self.make_filter(seed=7, resample_fraction=1.0, use_spatial_index=False)
-        for var_id in fpf.variables()[::2]:
-            fpf.filter_for(var_id).set_particle_count(25)
-        reference = copy.deepcopy({v: fpf.filter_for(v) for v in fpf.variables()})
+        generator = np.random.default_rng(7)
+        fpf = self.make_filter(generator, resample_fraction=1.0, use_spatial_index=False)
+        shrink(fpf, slice(0, None, 2))
+        reference = reference_filters(fpf, generator)
         hit = DetectionObservation(20.0, 15.0, detected=True)
 
         fpf.step(0.0, lambda _var_id: hit)
         reference_step(reference, lambda _var_id: hit)
 
         for var_id, ref in reference.items():
-            pf = fpf.filter_for(var_id)
-            np.testing.assert_array_equal(pf.particles, ref.particles)
-            np.testing.assert_array_equal(pf.weights, ref.weights)
-            assert np.all(pf.weights == 1.0 / pf.n_particles)
+            particles, weights = fpf.cloud(var_id)
+            np.testing.assert_array_equal(particles, ref.particles)
+            np.testing.assert_array_equal(weights, ref.weights)
+            assert np.all(weights == 1.0 / weights.size)
 
     def test_compression_matches_the_reference(self):
         # As above, with ESS resampling off so that the only draws are the
@@ -260,29 +287,63 @@ class TestBatchedStep:
         config = CompressionConfig(
             stability_threshold=4.0, compressed_count=25, expansion_threshold=9.0
         )
+        generator = np.random.default_rng(5)
         fpf = self.make_filter(
-            seed=5, compression=config, use_spatial_index=False, resample_fraction=1e-9
+            generator, compression=config, use_spatial_index=False, resample_fraction=1e-9
         )
-        for i, var_id in enumerate(fpf.variables()):
-            pf = fpf.filter_for(var_id)
-            if i % 2:
-                pf.particles = np.random.default_rng(i).normal([20.0, 15.0], 0.5, size=(60, 2))
-            else:
-                pf.set_particle_count(25)  # diffuse but compressed: must expand
-        reference = copy.deepcopy({v: fpf.filter_for(v) for v in fpf.variables()})
+        shrink(fpf, slice(0, None, 2))  # diffuse but compressed: must expand
+        for row in range(1, len(fpf), 2):
+            fpf.particles[row] = np.random.default_rng(row).normal([20.0, 15.0], 0.5, size=(60, 2))
+        reference = reference_filters(fpf, generator)
         # A miss from a reader far outside the area barely moves any weight.
         far_miss = DetectionObservation(200.0, 200.0, detected=False)
 
         fpf.step(0.0, lambda _var_id: far_miss)
         reference_step(reference, lambda _var_id: far_miss, compression=config)
 
-        sizes = set()
         for var_id, ref in reference.items():
-            pf = fpf.filter_for(var_id)
-            sizes.add(pf.n_particles)
-            np.testing.assert_array_equal(pf.particles, ref.particles)
-            np.testing.assert_allclose(pf.weights, ref.weights, rtol=0, atol=1e-12)
-        assert sizes == {25, 60}
+            particles, weights = fpf.cloud(var_id)
+            np.testing.assert_array_equal(particles, ref.particles)
+            np.testing.assert_allclose(weights, ref.weights, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fpf.estimate(var_id), ref.estimate(), rtol=0, atol=1e-12)
+        assert fpf.sizes.tolist() == [60, 25] * 4
+
+    def test_set_particle_count_widens_the_arena_like_per_object_calls(self):
+        generator = np.random.default_rng(9)
+        fpf = self.make_filter(generator)
+        shrink(fpf, slice(1, None, 3))
+        reference = reference_filters(fpf, generator)
+
+        fpf.set_particle_count(90)
+        for ref in reference.values():
+            ref.set_particle_count(90)
+
+        assert fpf.particles.shape[1] == 90 and fpf.n_particles == 90
+        assert fpf.total_particles() == 90 * len(fpf)
+        for var_id, ref in reference.items():
+            particles, weights = fpf.cloud(var_id)
+            np.testing.assert_array_equal(particles, ref.particles)
+            np.testing.assert_array_equal(weights, ref.weights)
+            np.testing.assert_allclose(fpf.estimate(var_id), ref.estimate(), rtol=0, atol=1e-12)
+        fpf.set_particle_count(30)
+        assert fpf.particles.shape[1] == 90 and set(fpf.sizes.tolist()) == {30}
+
+    def test_step_observed_equals_step_with_the_same_observations(self):
+        hit = DetectionObservation(20.0, 15.0, detected=True)
+        miss = DetectionObservation(20.0, 15.0, detected=False)
+        detected = {"O6": hit, "O2": hit, "unknown": hit}
+        region = (20.0, 15.0, 6.0)
+        by_callable = self.make_filter(np.random.default_rng(2), compression=CompressionConfig())
+        by_mapping = self.make_filter(np.random.default_rng(2), compression=CompressionConfig())
+        for _ in range(3):
+            processed = by_callable.step(
+                0.5, lambda v: detected.get(v, miss), region=region, include=detected
+            )
+            rows = by_mapping.step_observed(0.5, detected, miss, region=region)
+            assert processed == [by_mapping.variables()[row] for row in rows]
+            assert {"O2", "O6"} <= set(processed)
+        for name in ("particles", "weights", "sizes", "estimates", "variances", "cells"):
+            np.testing.assert_array_equal(getattr(by_mapping, name), getattr(by_callable, name))
 
     def test_segmented_resample_equals_systematic_row_by_row(self):
         rng = np.random.default_rng(8)
@@ -311,7 +372,7 @@ class TestBatchedStep:
             segmented_systematic_resample(np.full(4, 0.5), [2, 2], [2, 0], [0.1, 0.2])
 
     def test_include_adds_far_variables_and_negative_dt_rejected(self):
-        fpf = self.make_filter(seed=6)
+        fpf = self.make_filter(np.random.default_rng(6))
         far = [v for v in fpf.variables() if v not in fpf.candidates((0.0, 0.0, 1.0))]
         processed = fpf.step(
             0.5, lambda _v: None, region=(0.0, 0.0, 1.0), include=far[:1] + ["unknown"]

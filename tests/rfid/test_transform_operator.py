@@ -7,9 +7,10 @@ from repro.core import CompressionPolicy
 from repro.distributions import Gaussian, GaussianMixture, ParticleDistribution
 from repro.inference import (
     CompressionConfig,
-    GridIndex,
     ParticleCountController,
     ParticleFilter,
+    cells_in_range,
+    grid_cells,
 )
 from repro.rfid import (
     DetectionModel,
@@ -112,18 +113,21 @@ class TestRFIDTransformOperator:
         assert operator.accuracy_monitor is not None
         assert operator.accuracy_monitor.current_error() is not None
 
-    def test_adaptive_controller_changes_particle_counts(self):
+    def test_adaptive_controller_sets_every_cloud_to_its_count(self):
         controller = ParticleCountController(target_error=1.0, initial_count=20, max_count=160)
         _, simulator, operator = make_setup(
             track_reference_tags=True,
             adaptive_controller=controller,
             n_particles=20,
         )
+        counts = []
         for reading in simulator.readings(60):
             list(operator.ingest(reading, reading.timestamp))
-        counts = {operator.filter.filter_for(v).n_particles for v in operator.filter.variables()}
-        # The controller must have moved the count off its initial value at least once.
-        assert controller.count != 20 or controller.phase != "doubling" or counts != {20}
+            assert set(operator.filter.sizes.tolist()) == {controller.count}
+            counts.append(controller.count)
+        # The count grew past the initial budget, so the arena had to widen.
+        assert max(counts) > 20
+        assert operator.filter.particles.shape[1] >= max(counts)
 
 
 def reference_location_error(world, readings, detection, n_particles, seed):
@@ -139,20 +143,22 @@ def reference_location_error(world, readings, detection, n_particles, seed):
     filters = {
         tag: ParticleFilter(model, n_particles=n_particles, rng=rng) for tag in world.object_ids()
     }
-    index = GridIndex(max(sensing_range, 1.0))
-    for tag, pf in filters.items():
-        index.update(tag, *pf.estimate())
+    tags = list(filters)
+    row_of = {tag: row for row, tag in enumerate(tags)}
+    cell_size = max(sensing_range, 1.0)
+    cells = grid_cells(np.array([pf.estimate() for pf in filters.values()]), cell_size)
     last = None
     for reading in readings:
         dt = 0.0 if last is None else max(reading.timestamp - last, 0.0)
         last = reading.timestamp
         detected = set(reading.detected_object_ids)
-        near = set(index.query_radius(reading.reader_x, reading.reader_y, sensing_range))
+        mask = cells_in_range(cells, reading.reader_x, reading.reader_y, sensing_range, cell_size)
+        near = {tags[i] for i in np.flatnonzero(mask)}
         for tag in sorted(near | (detected & filters.keys())):
             pf = filters[tag]
             pf.predict(dt)
             pf.update(DetectionObservation(reading.reader_x, reading.reader_y, tag in detected))
-            index.update(tag, *pf.estimate())
+            cells[row_of[tag]] = grid_cells(pf.estimate()[None], cell_size)[0]
             spread = float(np.max(pf.spread()))
             if spread < config.stability_threshold and pf.n_particles > config.compressed_count:
                 pf.resample(size=config.compressed_count)
@@ -182,14 +188,14 @@ def test_batched_filter_accuracy_matches_per_object_reference():
 
 
 class PerObjectEmission(RFIDTransformOperator):
-    """The emission loop before scan batching: one ``compress`` call per object and axis."""
+    """Per-object emission: one ``compress`` call per object and axis on its own cloud."""
 
     def _make_tuples(self, tag_ids, timestamp):
         out = []
         for tag_id in tag_ids:
-            pf = self.filter.filter_for(tag_id)
-            x = self.compression.compress(ParticleDistribution(pf.particles[:, 0], pf.weights), rng=self._rng)
-            y = self.compression.compress(ParticleDistribution(pf.particles[:, 1], pf.weights), rng=self._rng)
+            particles, weights = self.filter.cloud(tag_id)
+            x = self.compression.compress(ParticleDistribution(particles[:, 0], weights), rng=self._rng)
+            y = self.compression.compress(ParticleDistribution(particles[:, 1], weights), rng=self._rng)
             out.append(StreamTuple(timestamp=timestamp, values={"tag_id": tag_id}, uncertain={"x": x, "y": y}))
         return out
 

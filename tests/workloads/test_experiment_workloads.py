@@ -16,7 +16,7 @@ class TestRFIDWorkload:
         assert workload.n_objects == 30
         assert workload.world.n_objects == 30
         assert len(workload.operator.filter) == 30
-        assert workload.operator.filter.filter_for(workload.world.object_ids()[0]).n_particles == 20
+        assert workload.operator.filter.sizes.tolist() == [20] * 30
 
     def test_running_reduces_error(self):
         workload = build_rfid_workload(n_objects=25, n_particles=40)
