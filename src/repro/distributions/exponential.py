@@ -25,7 +25,7 @@ class Exponential(ScalarDistribution):
     __slots__ = ("lam",)
 
     def __init__(self, lam: float):
-        if not np.isfinite(lam) or lam <= 0.0:
+        if not math.isfinite(lam) or lam <= 0.0:
             raise DistributionError(f"exponential rate must be positive and finite, got {lam}")
         self.lam = float(lam)
 

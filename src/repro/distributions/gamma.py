@@ -13,7 +13,7 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .base import DistributionError, ScalarDistribution, as_rng
 
@@ -26,27 +26,26 @@ class GammaDistribution(ScalarDistribution):
     __slots__ = ("shape", "scale_param")
 
     def __init__(self, shape: float, scale: float):
-        if not np.isfinite(shape) or shape <= 0.0:
+        if not math.isfinite(shape) or shape <= 0.0:
             raise DistributionError(f"gamma shape must be positive and finite, got {shape}")
-        if not np.isfinite(scale) or scale <= 0.0:
+        if not math.isfinite(scale) or scale <= 0.0:
             raise DistributionError(f"gamma scale must be positive and finite, got {scale}")
         self.shape = float(shape)
         self.scale_param = float(scale)
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = stats.gamma.pdf(x, a=self.shape, scale=self.scale_param)
+        out = np.exp(self.log_pdf(x))
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = stats.gamma.cdf(x, a=self.shape, scale=self.scale_param)
+        out = special.gammainc(self.shape, np.maximum(x, 0.0) / self.scale_param)
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, q: float) -> float:
         if not 0.0 < q < 1.0:
             raise ValueError(f"quantile level must be in (0, 1), got {q}")
-        return float(stats.gamma.ppf(q, a=self.shape, scale=self.scale_param))
+        return float(special.gammaincinv(self.shape, q)) * self.scale_param
 
     def mean(self) -> float:
         return self.shape * self.scale_param
@@ -77,8 +76,11 @@ class GammaDistribution(ScalarDistribution):
         return (self.shape - 1.0) * self.scale_param
 
     def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = stats.gamma.logpdf(x, a=self.shape, scale=self.scale_param)
+        z = np.asarray(x, dtype=float) / self.scale_param
+        # At x = +inf with shape > 1 this is inf - inf = NaN, as in SciPy's own gamma.
+        with np.errstate(invalid="ignore"):
+            inside = special.xlogy(self.shape - 1.0, z) - z - special.gammaln(self.shape)
+        out = np.where(z < 0.0, -np.inf, inside) - math.log(self.scale_param)
         return float(out) if out.ndim == 0 else out
 
     def entropy(self) -> float:

@@ -53,9 +53,9 @@ class Gaussian(ScalarDistribution):
     __slots__ = ("mu", "sigma")
 
     def __init__(self, mu: float, sigma: float):
-        if not np.isfinite(mu):
+        if not math.isfinite(mu):
             raise DistributionError(f"Gaussian mean must be finite, got {mu}")
-        if not np.isfinite(sigma) or sigma <= 0.0:
+        if not math.isfinite(sigma) or sigma <= 0.0:
             raise DistributionError(f"Gaussian sigma must be positive and finite, got {sigma}")
         self.mu = float(mu)
         self.sigma = float(sigma)

@@ -16,7 +16,6 @@ import math
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import erf
 
 from .base import (
     DistributionError,
@@ -24,7 +23,7 @@ from .base import (
     as_rng,
     normalize_weights,
 )
-from .gaussian import Gaussian
+from .gaussian import Gaussian, gaussian_cdf
 
 __all__ = ["GaussianMixture", "fit_gmm_em", "select_components"]
 
@@ -111,9 +110,7 @@ class GaussianMixture(ScalarDistribution):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        xs = np.atleast_1d(x)[..., None]
-        comp = 0.5 * (1.0 + erf((xs - self.means) / (self.sigmas * math.sqrt(2.0))))
-        out = comp @ self.weights
+        out = gaussian_cdf(np.atleast_1d(x)[..., None], self.means, self.sigmas) @ self.weights
         return float(out[0]) if x.ndim == 0 else out
 
     def mean(self) -> float:

@@ -8,6 +8,7 @@ testing the characteristic-function machinery.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -23,7 +24,7 @@ class Uniform(ScalarDistribution):
     __slots__ = ("low", "high")
 
     def __init__(self, low: float, high: float):
-        if not np.isfinite(low) or not np.isfinite(high):
+        if not math.isfinite(low) or not math.isfinite(high):
             raise DistributionError("uniform bounds must be finite")
         if high <= low:
             raise DistributionError(f"uniform requires high > low, got [{low}, {high}]")

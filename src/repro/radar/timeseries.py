@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.distributions import as_rng
 
@@ -84,7 +84,7 @@ def identify_ma_order(
     if max_order < 1:
         return 0
     rho = sample_autocorrelation(x, max_order)
-    z = stats.norm.ppf(1.0 - significance / 2.0)
+    z = special.ndtri(1.0 - significance / 2.0)
     band = z / math.sqrt(n)
     significant = np.nonzero(np.abs(rho[1:]) > band)[0]
     if significant.size == 0:
@@ -199,5 +199,5 @@ def ljung_box(series: Sequence[float], lags: int = 10) -> Tuple[float, float]:
         raise ValueError("series too short for the Ljung-Box test")
     rho = sample_autocorrelation(x, lags)[1:]
     statistic = n * (n + 2) * float(np.sum(rho ** 2 / (n - np.arange(1, lags + 1))))
-    p_value = float(stats.chi2.sf(statistic, df=lags))
+    p_value = float(special.chdtrc(lags, statistic))
     return statistic, p_value

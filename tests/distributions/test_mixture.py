@@ -1,7 +1,10 @@
 """Tests for Gaussian mixtures, EM fitting, and AIC/BIC model selection."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from repro.distributions import (
     DistributionError,
@@ -10,6 +13,11 @@ from repro.distributions import (
     fit_gmm_em,
     select_components,
 )
+
+
+def old_mixture_cdf(mix, xs):
+    comp = 0.5 * (1.0 + erf((xs[:, None] - mix.means) / (mix.sigmas * math.sqrt(2.0))))
+    return comp @ mix.weights
 
 
 class TestGaussianMixture:
@@ -39,6 +47,18 @@ class TestGaussianMixture:
         xs = np.linspace(-5, 13, 200)
         cdf = mix.cdf(xs)
         assert np.all(np.diff(cdf) >= -1e-12)
+
+    def test_cdf_bit_identical_to_inline_erf_formula(self, rng):
+        # The mixture CDF is gaussian_cdf per component; it must equal the
+        # erf expression it replaced bit for bit, scalar and array inputs.
+        for _ in range(50):
+            k = int(rng.integers(1, 9))
+            mix = GaussianMixture(
+                rng.uniform(0.05, 1.0, k), rng.normal(0.0, 50.0, k), rng.uniform(0.01, 20.0, k)
+            )
+            xs = rng.normal(0.0, 80.0, 64)
+            assert np.array_equal(mix.cdf(xs), old_mixture_cdf(mix, xs))
+            assert mix.cdf(float(xs[0])) == float(old_mixture_cdf(mix, xs[:1])[0])
 
     def test_characteristic_function_at_zero(self):
         mix = GaussianMixture([0.5, 0.5], [1.0, -1.0], [2.0, 0.3])

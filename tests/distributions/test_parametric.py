@@ -1,9 +1,19 @@
 """Tests for the uniform, exponential, and gamma distributions."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy import stats
 
-from repro.distributions import DistributionError, Exponential, GammaDistribution, Uniform
+from repro.distributions import (
+    DistributionError,
+    Exponential,
+    GammaDistribution,
+    Gaussian,
+    Uniform,
+)
 
 
 class TestUniform:
@@ -124,3 +134,118 @@ class TestGamma:
             GammaDistribution(0.0, 1.0)
         with pytest.raises(DistributionError):
             GammaDistribution(1.0, -2.0)
+
+
+# Shape below, at and above one: the density is infinite, finite and zero at x = 0.
+GAMMA_SHAPES = (0.3, 1.0, 2.5, 40.0)
+GAMMA_SCALES = (0.2, 1.0, 3.7)
+GAMMA_GRID = np.concatenate(
+    [np.linspace(-2.0, 60.0, 1000), [-np.inf, -1e-300, 0.0, 1e-300, 1e300, np.inf, np.nan]]
+)
+
+
+def assert_matches_reference(mine, ref, rtol=1e-12):
+    """``mine`` equals ``ref`` to ``rtol`` (relative where large), NaNs and infinities exactly."""
+    mine, ref = np.asarray(mine), np.asarray(ref)
+    assert np.array_equal(np.isnan(mine), np.isnan(ref))
+    finite = np.isfinite(ref)
+    assert np.array_equal(mine[~finite], ref[~finite], equal_nan=True)
+    err = np.abs(mine[finite] - ref[finite]) / np.maximum(1.0, np.abs(ref[finite]))
+    assert err.max(initial=0.0) <= rtol
+
+
+class TestGammaAgainstScipyStats:
+    """The scipy.special formulas reproduce ``scipy.stats.gamma`` on a grid."""
+
+    @pytest.fixture(params=[(k, theta) for k in GAMMA_SHAPES for theta in GAMMA_SCALES])
+    def pair(self, request):
+        k, theta = request.param
+        return GammaDistribution(k, theta), stats.gamma(a=k, scale=theta)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_pdf(self, pair):
+        mine, ref = pair
+        assert_matches_reference(mine.pdf(GAMMA_GRID), ref.pdf(GAMMA_GRID))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_log_pdf(self, pair):
+        mine, ref = pair
+        assert_matches_reference(mine.log_pdf(GAMMA_GRID), ref.logpdf(GAMMA_GRID))
+
+    def test_cdf(self, pair):
+        mine, ref = pair
+        assert_matches_reference(mine.cdf(GAMMA_GRID), ref.cdf(GAMMA_GRID))
+
+    def test_quantile(self, pair):
+        mine, ref = pair
+        levels = np.linspace(1e-6, 1.0 - 1e-6, 1000)
+        assert_matches_reference([mine.quantile(q) for q in levels], ref.ppf(levels))
+
+    def test_support(self, pair):
+        mine, ref = pair
+        lo, hi = mine.support()
+        assert lo == 0.0 == ref.support()[0]
+        assert_matches_reference(hi, ref.ppf(1.0 - 1e-12))
+
+    def test_scalar_in_scalar_out(self, pair):
+        mine, ref = pair
+        pairs = ((mine.pdf, ref.pdf), (mine.cdf, ref.cdf), (mine.log_pdf, ref.logpdf))
+        for method, reference in pairs:
+            out = method(1.5)
+            assert isinstance(out, float)
+            assert_matches_reference(out, reference(1.5))
+
+    def test_own_evaluation_is_warning_free(self, pair):
+        mine, _ = pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mine.pdf(GAMMA_GRID)
+            mine.log_pdf(GAMMA_GRID)
+            mine.cdf(GAMMA_GRID)
+
+
+class TestScalarParameterChecks:
+    """The constructors' finiteness checks on Python floats, numpy scalars and 0-d arrays."""
+
+    BAD = (float("nan"), float("inf"), -float("inf"))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_non_finite_parameters_raise(self, bad):
+        for build in (
+            lambda: Gaussian(bad, 1.0),
+            lambda: Gaussian(0.0, bad),
+            lambda: Exponential(bad),
+            lambda: Uniform(bad, 1.0),
+            lambda: Uniform(0.0, bad),
+            lambda: GammaDistribution(bad, 1.0),
+            lambda: GammaDistribution(1.0, bad),
+        ):
+            with pytest.raises(DistributionError):
+                build()
+
+    @pytest.mark.parametrize("sigma", (0.0, -1.0))
+    def test_non_positive_scale_raises_with_the_same_message(self, sigma):
+        with pytest.raises(DistributionError, match="Gaussian sigma must be positive and finite"):
+            Gaussian(0.0, sigma)
+        with pytest.raises(DistributionError, match="exponential rate must be positive and finite"):
+            Exponential(sigma)
+        with pytest.raises(DistributionError, match="gamma shape must be positive and finite"):
+            GammaDistribution(sigma, 1.0)
+        with pytest.raises(DistributionError, match="gamma scale must be positive and finite"):
+            GammaDistribution(1.0, sigma)
+
+    def test_messages_for_non_finite_location_and_bounds(self):
+        with pytest.raises(DistributionError, match="Gaussian mean must be finite"):
+            Gaussian(math.nan, 1.0)
+        with pytest.raises(DistributionError, match="uniform bounds must be finite"):
+            Uniform(0.0, math.inf)
+
+    @pytest.mark.parametrize("wrap", (np.float64, np.float32, np.int64, np.array))
+    def test_numpy_scalars_and_zero_d_arrays_accepted(self, wrap):
+        g = Gaussian(wrap(2.0), wrap(3.0))
+        assert (g.mu, g.sigma) == (2.0, 3.0)
+        assert type(g.mu) is float and type(g.sigma) is float
+        assert Exponential(wrap(2.0)).lam == 2.0
+        assert Uniform(wrap(1.0), wrap(4.0)).support() == (1.0, 4.0)
+        gamma = GammaDistribution(wrap(2.0), wrap(3.0))
+        assert (gamma.shape, gamma.scale_param) == (2.0, 3.0)

@@ -1,7 +1,10 @@
 """Tests for MA time-series modelling (autocovariances, order identification, fitting)."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.radar import (
     MAModel,
@@ -110,3 +113,30 @@ class TestLjungBox:
         series = MAModel(0.0, (0.9,), 1.0).simulate(5000, rng=rng)
         _, p = ljung_box(series, lags=10)
         assert p < 1e-6
+
+
+class TestAgainstScipyStats:
+    """The scipy.special replacements equal ``norm.ppf`` and ``chi2.sf``."""
+
+    def test_identification_band_is_the_normal_quantile(self, rng):
+        # Put the band z / sqrt(n) a relative 1e-9 either side of each
+        # sample autocorrelation: the identified order flips exactly there
+        # only if z is norm.ppf(1 - significance / 2).
+        n, max_order = 400, 6
+        for _ in range(5):
+            series = MAModel(0.0, (0.3,), 1.0).simulate(n, rng=rng)
+            rho = np.abs(sample_autocorrelation(series, max_order)[1:]) * math.sqrt(n)
+            for c in rho:
+                for z in (c * (1.0 - 1e-9), c * (1.0 + 1e-9)):
+                    significance = 2.0 * stats.norm.sf(z)
+                    band = stats.norm.ppf(1.0 - significance / 2.0)
+                    above = np.nonzero(rho > band)[0]
+                    expected = int(above[-1]) + 1 if above.size else 0
+                    assert identify_ma_order(series, max_order, significance) == expected
+
+    @pytest.mark.parametrize("lags", (1, 2, 5, 10, 30))
+    def test_ljung_box_p_value_is_the_chi2_tail(self, lags, rng):
+        for coefficient in (0.0, 0.3, 0.9):
+            series = MAModel(0.0, (coefficient,), 1.0).simulate(2000, rng=rng)
+            statistic, p = ljung_box(series, lags=lags)
+            assert p == pytest.approx(stats.chi2.sf(statistic, df=lags), rel=1e-12, abs=1e-300)
