@@ -4,9 +4,9 @@ The paper's motivating claim is stream rates a single process cannot
 sustain.  This benchmark runs the canonical monitoring shape — a chain
 of probabilistic selections feeding a tumbling time-window SUM — through
 
-* the single-process engine on its tuple-at-a-time path (the repo's
+* the single-process engine fed one-row batches (the repo's
   correctness baseline and the reference for every speedup figure),
-* the single-process batch path (the fastest one-process configuration,
+* the single-process engine fed batches of ``CHUNK_SIZE`` (the fastest one-process configuration,
   reported for honesty: on a single core it beats sharding, which pays
   serialization per tuple), and
 * :class:`~repro.runtime.ShardedEngine` with 1, 2 and 4 forked workers
@@ -17,7 +17,7 @@ Two properties are asserted:
 
 * the 4-shard engine produces results identical (1e-9) to the single
   engine, and
-* it sustains at least ``MIN_SPEEDUP`` times the tuple-path baseline.
+* it sustains at least ``MIN_SPEEDUP`` times the one-row-batch baseline.
   The speedup has two independent sources — each worker runs the
   vectorised batch kernels, and workers run on separate cores — so a
   reduced floor applies on single-core machines, where only the first
@@ -41,7 +41,7 @@ N_TUPLES = 30_000
 CHUNK_SIZE = 4096
 REPEATS = 3
 SHARD_COUNTS = (1, 2, 4)
-MIN_SPEEDUP = 2.0  # 4 shards vs the single-process tuple path
+MIN_SPEEDUP = 2.0  # 4 shards vs the single process fed one-row batches
 MIN_SPEEDUP_SINGLE_CORE = 1.4  # no parallel term, kernel term only (margin)
 EQUIVALENCE_TOLERANCE = 1e-9
 SCALING_NOISE_TOLERANCE = 0.9  # >= 2 cores: a doubling must not cost throughput
@@ -68,10 +68,8 @@ def build_query():
     return stream.window(TumblingTimeWindow(2.0)).aggregate("value")
 
 
-def run_single(stream, mode):
-    query = build_query().compile(
-        mode=mode, batch_size=CHUNK_SIZE if mode == "batch" else None
-    )
+def run_single(stream, batch_size):
+    query = build_query().compile(batch_size=batch_size)
     started = time.perf_counter()
     query.push_many("s", stream)
     results = query.finish()
@@ -84,7 +82,6 @@ def run_sharded(stream, workers):
         workers=workers,
         backend="process",
         chunk_size=CHUNK_SIZE,
-        mode="batch",
     ) as engine:
         started = time.perf_counter()
         engine.push_many("s", stream)
@@ -119,19 +116,19 @@ def table(result_table_factory):
         "shard_scaling",
         f"# select->aggregate, {N_TUPLES} tuples, chunk={CHUNK_SIZE}, "
         f"cores={os.cpu_count()}, affinity={effective_cores()}\n"
-        f"{'configuration':>22} {'tuples/s':>12} {'vs tuple path':>14}",
+        f"{'configuration':>22} {'tuples/s':>12} {'vs 1-row':>14}",
     )
 
 
 def test_shard_scaling_and_equivalence(table):
     stream = gaussian_tuple_stream(N_TUPLES, rng=9)
 
-    base_rate, reference, _ = best_of(run_single, stream, "tuple")
-    batch_rate, batch_results, _ = best_of(run_single, stream, "batch")
+    base_rate, reference, _ = best_of(run_single, stream, 1)
+    batch_rate, batch_results, _ = best_of(run_single, stream, CHUNK_SIZE)
     assert_equivalent(reference, batch_results)
-    table.add_row(f"{'single (tuple path)':>22} {base_rate:>12.0f} {1.0:>13.2f}x")
+    table.add_row(f"{'single (1-row batches)':>22} {base_rate:>12.0f} {1.0:>13.2f}x")
     table.add_row(
-        f"{'single (batch path)':>22} {batch_rate:>12.0f} {batch_rate / base_rate:>13.2f}x"
+        f"{'single (batches)':>22} {batch_rate:>12.0f} {batch_rate / base_rate:>13.2f}x"
     )
 
     sharded_rates = {}
@@ -173,6 +170,6 @@ def test_shard_scaling_and_equivalence(table):
     floor = MIN_SPEEDUP if cores >= 2 else MIN_SPEEDUP_SINGLE_CORE
     assert speedup >= floor, (
         f"4-shard engine reached only {speedup:.2f}x the single-process "
-        f"tuple-path throughput ({sharded_rates[4]:.0f} vs {base_rate:.0f} "
+        f"one-row-batch throughput ({sharded_rates[4]:.0f} vs {base_rate:.0f} "
         f"tuples/s) on {cores} core(s); expected >= {floor}x"
     )

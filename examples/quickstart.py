@@ -7,7 +7,7 @@ stream, using the declarative query API (:mod:`repro.plan`):
    random variable (a Gaussian mixture per tuple),
 2. declare a query: probabilistic filter -> windowed SUM -> summary,
 3. let the planner rewrite it (the filter fuses into the aggregate's
-   batch kernel) and pick the execution mode, and
+   batch kernel) and size the batches the query runs on, and
 4. report the result as a full distribution, a confidence region, and
    error bounds.
 
@@ -49,14 +49,14 @@ def main() -> None:
     )
 
     # 3. What did the planner do?  The probabilistic filter is fused into
-    #    the aggregate's window kernel, and batch execution is chosen
-    #    because most boxes run vectorised kernels.
+    #    the aggregate's window kernel, and the batch size is stretched to
+    #    cover a whole window.
     print("\n" + query.explain())
 
     query.push_many("in", stream)
     results = query.finish()
 
-    print("\nper-box statistics (batch path):")
+    print("\nper-box statistics:")
     for stats in query.statistics(detailed=True):
         print(
             f"  {stats.name:<32} in={stats.tuples_in:<5} out={stats.tuples_out:<4} "

@@ -95,7 +95,7 @@ def main() -> None:
             print(f"  shard {shard}: {source.tuples_in} tuples in")
 
     # --- the same capability through the service layer ------------------
-    single = monitoring_query().compile(mode="tuple")
+    single = monitoring_query().compile()
     single.push_many("sightings", tuples)
     expected = single.finish()
 

@@ -176,9 +176,10 @@ def _result_tuple_from_parts(
 class _WindowAggregate(Operator):
     """Buffering, emission and checkpoint state shared by the windowed aggregates.
 
-    The tuple path (``process``/``flush``) emits closed windows with the
-    per-window loop; the batch path uses :meth:`_moment_kernel` whenever
-    a SUM/AVG strategy works from moments alone, and the loop otherwise.
+    The per-row reference (``process``/``flush``) emits closed windows
+    with the per-window loop; ``process_batch`` uses
+    :meth:`_moment_kernel` whenever a SUM/AVG strategy works from
+    moments alone, and the loop otherwise.
     """
 
     #: Group key of a row; ``None`` aggregates each window as one group.

@@ -8,7 +8,7 @@ implements a symmetric sliding-window join that
 
 * buffers each input in its own time window,
 * evaluates the (possibly probabilistic) join predicate against every
-  tuple currently in the opposite window,
+  tuple of the opposite window within ``window_length`` of the new one,
 * emits a merged tuple for every pair whose match probability clears a
   threshold, annotated with that probability, and
 * records the union of the two lineages so downstream operators can
@@ -114,6 +114,16 @@ class ProbabilisticJoin(Operator):
     adapters and connect each upstream operator to the corresponding
     port.
 
+    A pair matches when its timestamps lie less than ``window_length``
+    apart; the merged tuple carries the later of the two.  Each input
+    must arrive in timestamp order, but the two inputs may run ahead of
+    each other: a buffered tuple is expired only once the *other* input
+    has moved past its window, so the result does not depend on how
+    the engine interleaves the two inputs (a batch reaches one port
+    whole before the other port sees the same rows).  An input that
+    stops delivering therefore holds the other input's buffer until it
+    resumes.
+
     Parameters
     ----------
     window_length:
@@ -187,10 +197,14 @@ class ProbabilisticJoin(Operator):
         own = self._left if side == "left" else self._right
         other = self._right if side == "left" else self._left
         now = item.timestamp
-        own.expire(now)
+        # Later tuples on this input are no earlier than ``now``, so
+        # nothing the other input holds from before ``now - length`` can
+        # match again; this input's own buffer waits for the other one.
         other.expire(now)
         own.insert(item)
         for candidate in other.items:
+            if candidate.timestamp - now >= self.window_length:
+                continue  # delivered ahead of this input, outside the window
             left_item, right_item = (item, candidate) if side == "left" else (candidate, item)
             prob = self.match_probability(left_item, right_item)
             if prob < self.min_probability:
@@ -198,7 +212,7 @@ class ProbabilisticJoin(Operator):
             merged = StreamTuple.merge(
                 left_item,
                 right_item,
-                timestamp=now,
+                timestamp=max(now, candidate.timestamp),
                 prefix_left=self.prefix_left,
                 prefix_right=self.prefix_right,
             )

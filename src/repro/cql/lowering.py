@@ -833,7 +833,6 @@ def compile_cql(
     query: Union[str, Query],
     sources: Optional[Mapping[str, Union[Stream, SourceNode]]] = None,
     functions: Optional[Mapping[str, Callable]] = None,
-    mode: str = "auto",
     batch_size: Optional[int] = None,
     optimize: bool = True,
     planner=None,
@@ -848,4 +847,4 @@ def compile_cql(
 
     plan = lower_query(query, sources=sources, functions=functions)
     active = planner or Planner()
-    return active.compile(plan, mode=mode, batch_size=batch_size, optimize=optimize)
+    return active.compile(plan, batch_size=batch_size, optimize=optimize)

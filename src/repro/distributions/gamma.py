@@ -77,10 +77,11 @@ class GammaDistribution(ScalarDistribution):
 
     def log_pdf(self, x):
         z = np.asarray(x, dtype=float) / self.scale_param
-        # At x = +inf with shape > 1 this is inf - inf = NaN, as in SciPy's own gamma.
+        # At x = +inf with shape > 1 the formula is inf - inf = NaN; the
+        # density's limit there is 0 for every shape, so the log is -inf.
         with np.errstate(invalid="ignore"):
             inside = special.xlogy(self.shape - 1.0, z) - z - special.gammaln(self.shape)
-        out = np.where(z < 0.0, -np.inf, inside) - math.log(self.scale_param)
+        out = np.where((z < 0.0) | (z == np.inf), -np.inf, inside) - math.log(self.scale_param)
         return float(out) if out.ndim == 0 else out
 
     def entropy(self) -> float:

@@ -13,7 +13,7 @@ import math
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import erfinv
+from scipy.special import erf, erfinv
 
 from .base import Distribution, DistributionError, ScalarDistribution, as_rng
 
@@ -29,13 +29,8 @@ def gaussian_cdf(x, mu, sigma):
     This is the single definition of the erf-based CDF formula; the
     scalar :meth:`Gaussian.cdf` and the vectorised batch kernels
     (probabilistic selection over Gaussian columns) both call it, so
-    the tuple and batch execution paths stay bit-identical.
+    per-row and columnar evaluation stay bit-identical.
     """
-    # Imported per call, unlike erfinv: a module-level import makes the
-    # tuple-at-a-time engine path ~10% faster and so drops the batch/tuple
-    # ratio of benchmarks/test_engine_throughput.py under its 5.0x floor.
-    from scipy.special import erf
-
     return 0.5 * (1.0 + erf((x - mu) / (sigma * _SQRT_2)))
 
 

@@ -66,9 +66,6 @@ class ShardServer:
     host / port:
         Bind address; port ``0`` picks a free port (see
         :attr:`address`).
-    mode / batch_size:
-        Execution mode of the shard-local engine, as in
-        ``Planner.compile``.
     optimize:
         Apply the planner rewrites before splitting; must match the
         coordinator's setting so both sides split the same plan.
@@ -79,8 +76,6 @@ class ShardServer:
         query: Union[Stream, LogicalPlan, str],
         host: str = "127.0.0.1",
         port: int = 0,
-        mode: str = "auto",
-        batch_size: Optional[int] = None,
         planner: Optional[Planner] = None,
         optimize: bool = True,
         sources=None,
@@ -111,8 +106,6 @@ class ShardServer:
                 f"this query cannot run as a remote shard: {decision.reason}"
             )
         self.local_plan = decision.local
-        self.mode = mode
-        self.batch_size = batch_size
         self._max_payload = max_payload
         self._closed = False
         self._active_conn: Optional[socket.socket] = None
@@ -191,9 +184,7 @@ class ShardServer:
             )
             return
         try:
-            runner = ShardRunner(
-                shard_id, self.local_plan, mode=self.mode, batch_size=self.batch_size
-            )
+            runner = ShardRunner(shard_id, self.local_plan)
         except Exception:
             self._try_send_error(conn, shard_id, traceback.format_exc())
             return
@@ -264,8 +255,6 @@ class _ConnectionChannel:
 
 def spawn_shard_server(
     query: Union[Stream, LogicalPlan],
-    mode: str = "auto",
-    batch_size: Optional[int] = None,
     host: str = "127.0.0.1",
     port: int = 0,
     optimize: bool = True,
@@ -279,7 +268,7 @@ def spawn_shard_server(
     process to stop the server.
     """
     server = ShardServer(
-        query, host=host, port=port, mode=mode, batch_size=batch_size, optimize=optimize
+        query, host=host, port=port, optimize=optimize
     )
     context = multiprocessing.get_context("fork")
     process = context.Process(

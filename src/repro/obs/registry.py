@@ -199,9 +199,9 @@ class Histogram:
 class OperatorView:
     """A live view over one operator's plain counter attributes.
 
-    The engine's per-tuple path keeps its counters as ordinary instance
+    The engine's hot path keeps its counters as ordinary instance
     attributes (an ``int`` ``+=`` is the cheapest update Python offers
-    and runs per tuple); the registry reads them *at collection time*
+    and runs per batch); the registry reads them *at collection time*
     through a weak reference instead of forcing the hot path through an
     instrument.  ``stats()`` returns the same 5-field row shape as
     ``ShardRunner.statistics_rows()`` so callers can build their

@@ -11,7 +11,7 @@ Section 3, structured like a small DBMS front end:
 * :mod:`repro.plan.rewrites` — semantics-preserving rewrite rules
   (filter pushdown, filter fusion, select→aggregate fusion).
 * :mod:`repro.plan.cost` — the cost model choosing SUM strategies
-  (CF approximation / CLT / CF inversion) and batch vs tuple execution.
+  (CF approximation / CLT / CF inversion) and the batch size.
 * :class:`Planner` / :class:`CompiledQuery`
   (:mod:`repro.plan.planner`) — lowering onto the
   :class:`~repro.streams.engine.StreamEngine`, end-to-end

@@ -392,18 +392,18 @@ class Stream:
 
     def compile(
         self,
-        mode: str = "auto",
         batch_size: Optional[int] = None,
         optimize: bool = True,
         planner: Optional["Planner"] = None,
     ):
         """Optimize and lower this plan; returns a ``CompiledQuery``.
 
-        ``mode`` is ``"auto"`` (cost model decides), ``"tuple"`` or
-        ``"batch"``; ``optimize=False`` skips the rewrite rules (used
-        by the planner equivalence tests).
+        ``batch_size`` pins the rows per batch ``push_many`` cuts (the
+        cost model sizes it otherwise; ``push`` is always a batch of
+        one); ``optimize=False`` skips the rewrite rules (used by the
+        planner equivalence tests).
         """
         from .planner import Planner
 
         active = planner or Planner()
-        return active.compile(self.plan(), mode=mode, batch_size=batch_size, optimize=optimize)
+        return active.compile(self.plan(), batch_size=batch_size, optimize=optimize)

@@ -1,4 +1,4 @@
-"""Cost model: SUM-strategy selection and batch-vs-tuple execution choice.
+"""Cost model: SUM-strategy selection and batch sizing.
 
 The paper's Table 2 measures the speed/accuracy trade-off of the SUM
 algorithms; this module encodes its conclusions as a small, fully
@@ -17,9 +17,10 @@ pin a strategy explicitly:
   only worth it for *small* windows of non-Gaussian summands, where
   the CLT has not kicked in and the inversion cost is bounded.
 
-The execution-mode choice is structural: batch execution only pays off
-when the plan's boxes actually run vectorised kernels, so the model
-counts physical operators that advertise ``supports_batch``.
+Every plan runs on batches; the model sizes them so a windowed
+aggregate sees whole windows per bulk insert, and reports how many
+physical operators advertise ``supports_batch`` (the rest run the
+per-tuple fallback loop inside their batch call).
 """
 
 from __future__ import annotations
@@ -64,15 +65,14 @@ class StrategyChoice:
 
 @dataclass(frozen=True)
 class ExecutionChoice:
-    """A cost-model execution decision (mode + batch size) and why."""
+    """A cost-model execution decision (batch size) and why."""
 
-    mode: str  # "batch" or "tuple"
-    batch_size: Optional[int]
+    batch_size: int
     reason: str
 
 
 class CostModel:
-    """Deterministic cost model for strategy and execution-mode choices.
+    """Deterministic cost model for strategy and batch-size choices.
 
     Thresholds are tunable so experiments can shift the trade-off
     points; the defaults follow the Table 2 discussion (see module
@@ -84,7 +84,6 @@ class CostModel:
         clt_window_threshold: int = 50,
         inversion_window_limit: int = 8,
         default_batch_size: int = 256,
-        min_vectorized_fraction: float = 0.5,
         det_filter_cost: float = 1.0,
         prob_filter_cost: float = 4.0,
         default_filter_selectivity: float = 0.5,
@@ -95,8 +94,6 @@ class CostModel:
             raise ValueError("inversion_window_limit must be at least 1")
         if default_batch_size < 1:
             raise ValueError("default_batch_size must be at least 1")
-        if not 0.0 <= min_vectorized_fraction <= 1.0:
-            raise ValueError("min_vectorized_fraction must lie in [0, 1]")
         if det_filter_cost <= 0.0 or prob_filter_cost <= 0.0:
             raise ValueError("filter costs must be positive")
         if not 0.0 <= default_filter_selectivity <= 1.0:
@@ -104,7 +101,6 @@ class CostModel:
         self.clt_window_threshold = clt_window_threshold
         self.inversion_window_limit = inversion_window_limit
         self.default_batch_size = default_batch_size
-        self.min_vectorized_fraction = min_vectorized_fraction
         self.det_filter_cost = det_filter_cost
         self.prob_filter_cost = prob_filter_cost
         self.default_filter_selectivity = default_filter_selectivity
@@ -259,38 +255,22 @@ class CostModel:
         return c1 + s1 * c2 < c2 + s2 * c1
 
     # ------------------------------------------------------------------
-    # Execution mode
+    # Execution
     # ------------------------------------------------------------------
     def choose_execution(
         self,
         operators: Sequence[Operator],
         window_sizes: Sequence[int] = (),
     ) -> ExecutionChoice:
-        """Pick batch vs tuple execution for a lowered physical plan.
+        """Size the batches a lowered physical plan runs on.
 
-        Batch execution is chosen when at least
-        ``min_vectorized_fraction`` of the boxes run vectorised batch
-        kernels; otherwise the per-tuple fallback loops would dominate
-        and the tuple path's simpler scheduling wins.  The batch size
-        is the default, stretched to cover the largest expected window
-        so windowed aggregates see whole windows per bulk insert.
+        The batch size is the default, stretched to cover the largest
+        expected window (see :meth:`resolve_batch_size`); the reason
+        counts the boxes that run vectorised batch kernels.
         """
-        if not operators:
-            return ExecutionChoice("tuple", None, "no query boxes to vectorise")
         vectorized = [op for op in operators if getattr(op, "supports_batch", False)]
-        fraction = len(vectorized) / len(operators)
-        if fraction < self.min_vectorized_fraction:
-            return ExecutionChoice(
-                "tuple",
-                None,
-                f"only {len(vectorized)}/{len(operators)} boxes run vectorised "
-                "batch kernels; per-tuple fallback loops would dominate",
-            )
-        batch_size = self.default_batch_size
-        if window_sizes:
-            batch_size = max(batch_size, *window_sizes)
+        batch_size = self.resolve_batch_size(None, window_sizes)
         return ExecutionChoice(
-            "batch",
             batch_size,
             f"{len(vectorized)}/{len(operators)} boxes run vectorised batch "
             f"kernels; batch_size={batch_size}",
@@ -299,7 +279,7 @@ class CostModel:
     def resolve_batch_size(
         self, batch_size: Optional[int], window_sizes: Sequence[int] = ()
     ) -> int:
-        """Batch size for an explicitly requested batch mode."""
+        """The explicit batch size, else the default stretched to the largest window."""
         if batch_size is not None:
             return batch_size
         if window_sizes:

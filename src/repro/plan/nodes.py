@@ -198,7 +198,7 @@ class SourceNode(LogicalNode):
     family:
         Declared distribution family of the uncertain attributes
         (``"gaussian"``, ``"gmm"``, ``"empirical"``, ...).  The cost
-        model uses it to pick the SUM strategy and the execution mode.
+        model uses it to pick the SUM strategy and the batch size.
     rate_hint:
         Expected tuples per second; lets the cost model convert a time
         window into an expected window size.

@@ -26,8 +26,8 @@ class FusedSelectAggregate(Operator):
 
     * skips building annotated survivor tuples (the aggregate discards
       per-input attributes at the window boundary anyway), and
-    * on the batch path evaluates the selection mask and the window
-      moment columns in one pass over the batch.
+    * evaluates the selection mask and the window moment columns in
+      one pass over the batch.
 
     The wrapped aggregate is a regular :class:`UncertainAggregate` or
     :class:`GroupByAggregate`; this box drives its window buffer and
@@ -53,12 +53,6 @@ class FusedSelectAggregate(Operator):
         self.predicate = predicate
         self.min_probability = min_probability
         self.aggregate = aggregate
-
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        if self.predicate.probability(item) < self.min_probability:
-            return
-        agg = self.aggregate
-        yield from agg._emit(agg._buffer.add(item))
 
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
         probs = self.predicate.probabilities(batch)
@@ -91,11 +85,11 @@ class FusedBatchSegment(Operator):
     ``accept_batch``, so an entire branch pays one dispatch per batch.
 
     Semantics are exactly those of the unfused chain: members run in
-    order on both paths, and ``flush`` cascades each member's
-    end-of-stream output through the members after it — the same
-    tuples, in the same order, the engine's topological flush would
-    deliver.  The members must all advertise ``supports_batch``; the
-    planner never fuses a per-tuple fallback box, so the segment's own
+    order, and ``flush`` cascades each member's end-of-stream output
+    through the members after it as one batch — the same tuples, in the
+    same order, the engine's topological flush would deliver.  The
+    members must all advertise ``supports_batch``; the planner never
+    fuses a per-tuple fallback box, so the segment's own
     ``supports_batch = True`` stays honest.
     """
 
@@ -112,35 +106,12 @@ class FusedBatchSegment(Operator):
         super().__init__(name=name or "Segment[" + " → ".join(op.name for op in operators) + "]")
         self.operators: List[Operator] = list(operators)
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        items = [item]
-        for op in self.operators:
-            nxt: List[StreamTuple] = []
-            for it in items:
-                nxt.extend(op.process(it))
-            if not nxt:
-                return
-            items = nxt
-        yield from items
-
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        for op in self.operators:
-            if not len(batch):
-                break
-            batch = op.process_batch(batch)
-            if not isinstance(batch, TupleBatch):
-                batch = TupleBatch(batch)
-        return batch
+        return _run_chain(self.operators, batch)
 
     def flush(self) -> Iterable[StreamTuple]:
         for i, op in enumerate(self.operators):
-            items = list(op.flush())
-            for later in self.operators[i + 1:]:
-                nxt: List[StreamTuple] = []
-                for it in items:
-                    nxt.extend(later.process(it))
-                items = nxt
-            yield from items
+            yield from _run_chain(self.operators[i + 1 :], TupleBatch(op.flush()))
 
     def state_snapshot(self) -> dict:
         return {
@@ -165,3 +136,14 @@ class FusedBatchSegment(Operator):
                     f"checkpointed member {entry['name']!r}"
                 )
             op.state_restore(entry["state"])
+
+
+def _run_chain(operators: Sequence[Operator], batch: TupleBatch) -> TupleBatch:
+    """Run ``batch`` through ``operators``' batch kernels in order."""
+    for op in operators:
+        if not len(batch):
+            break
+        batch = op.process_batch(batch)
+        if not isinstance(batch, TupleBatch):
+            batch = TupleBatch(batch)
+    return batch

@@ -13,10 +13,10 @@ three phases:
    in :class:`NodeLowering` so the continuous-query service
    (:mod:`repro.service`) can reuse it box-by-box when attaching
    queries to a running engine.
-3. **Wire** — build a :class:`~repro.streams.engine.StreamEngine`, pick
-   batch vs tuple execution (cost model again, unless pinned), fuse
-   union fan-in branches into :class:`FusedBatchSegment` boxes on the
-   batch path, and attach one :class:`CollectSink` per plan output.
+3. **Wire** — build a :class:`~repro.streams.engine.StreamEngine`, size
+   its batches (cost model again, unless pinned), fuse union fan-in
+   branches and piped chains into :class:`FusedBatchSegment` boxes, and
+   attach one :class:`CollectSink` per plan output.
 
 The result is a :class:`CompiledQuery`: push tuples in, ``finish()``,
 read results — plus ``explain()`` (logical plan, rewrites, strategy and
@@ -82,8 +82,8 @@ class NodeLowering:
     plan): it propagates (family, rate_hint) source hints downstream so
     the cost model can size windows anywhere in the plan, resolves SUM
     strategies for aggregates that did not pin one, and records the
-    strategy decisions and expected window sizes the execution-mode
-    choice needs.  ``Planner.compile`` drives it over a whole plan;
+    strategy decisions and expected window sizes the batch-size choice
+    needs.  ``Planner.compile`` drives it over a whole plan;
     :class:`repro.service.QuerySession` drives it per registered query,
     skipping nodes whose physical box already exists.
     """
@@ -252,15 +252,15 @@ class CompiledQuery:
     # Data flow
     # ------------------------------------------------------------------
     def push(self, source: str, item: StreamTuple) -> None:
-        """Push one tuple (always the tuple-at-a-time path)."""
+        """Push one tuple (a batch of one)."""
         self.engine.push(source, item)
 
     def push_many(self, source: str, items) -> None:
-        """Push many tuples via the compiled execution mode."""
+        """Push many tuples in batches of the compiled batch size."""
         self.engine.push_many(source, items)
 
     def push_batch(self, source: str, batch) -> None:
-        """Push an explicit batch (always the batch path)."""
+        """Push an explicit batch as given."""
         self.engine.push_batch(source, batch)
 
     def finish(self) -> List[StreamTuple]:
@@ -313,19 +313,15 @@ class CompiledQuery:
                 f"- strategy for {decision.node_label}: "
                 f"{decision.choice.strategy.name} ({decision.choice.reason})"
             )
-        mode_desc = self.execution.mode
-        if self.execution.mode == "batch":
-            mode_desc += f"(batch_size={self.execution.batch_size})"
-        lines.append(f"- execution: {mode_desc} ({self.execution.reason})")
+        lines.append(
+            f"- execution: batch(batch_size={self.execution.batch_size}) "
+            f"({self.execution.reason})"
+        )
         lines.append("")
         lines.append("Physical plan")
         lines.append("=============")
-        batch_mode = self.execution.mode == "batch"
         for op, node in self._operator_tags:
-            if batch_mode:
-                tag = "vectorized" if op.supports_batch else "per-tuple fallback"
-            else:
-                tag = "tuple path"
+            tag = "vectorized" if op.supports_batch else "per-tuple fallback"
             lines.append(f"- {op.name} <- {node.label()}  [{tag}]")
         return "\n".join(lines)
 
@@ -358,13 +354,14 @@ class Planner:
     def compile(
         self,
         plan: LogicalPlan,
-        mode: str = "auto",
         batch_size: Optional[int] = None,
         optimize: bool = True,
     ) -> CompiledQuery:
-        """Compile a validated logical plan into a runnable query."""
-        if mode not in ("auto", "tuple", "batch"):
-            raise PlanError(f"unknown execution mode {mode!r}; use auto, tuple or batch")
+        """Compile a validated logical plan into a runnable query.
+
+        ``batch_size`` pins the rows per batch :meth:`CompiledQuery.push_many`
+        cuts; by default the cost model sizes it.
+        """
         plan.validate()
         if optimize:
             optimized, traces = self.optimize(plan)
@@ -411,22 +408,19 @@ class Planner:
         topo_index = {id(n): i for i, n in enumerate(nodes)}
         operator_tags.sort(key=lambda pair: topo_index.get(id(pair[1]), len(topo_index)))
 
-        # The execution decision looks only at real query boxes: the
+        # The execution report counts only real query boxes: the
         # pass-throughs the planner inserts for sources are trivially
-        # batch-friendly and would bias the vectorised fraction upward.
+        # batch-friendly and would bias the vectorised count upward.
         source_ops = {id(op) for op in engine_sources.values()}
         real_boxes = [op for op, _ in operator_tags if id(op) not in source_ops]
-        engine_mode, chosen_batch = self._choose_mode(
-            mode, batch_size, real_boxes, lowering.window_sizes
-        )
-        if engine_mode.mode == "batch":
-            operator_tags = _fuse_union_branches(
-                operator_tags, engine_sources, sinks
+        execution = self.cost_model.choose_execution(real_boxes, lowering.window_sizes)
+        if batch_size is not None:
+            execution = ExecutionChoice(
+                batch_size, f"pinned by compile(batch_size={batch_size})"
             )
-            operator_tags = _fuse_pipe_chains(
-                operator_tags, engine_sources, sinks
-            )
-        engine = StreamEngine(batch_size=chosen_batch if engine_mode.mode == "batch" else None)
+        operator_tags = _fuse_union_branches(operator_tags, engine_sources, sinks)
+        operator_tags = _fuse_pipe_chains(operator_tags, engine_sources, sinks)
+        engine = StreamEngine(batch_size=execution.batch_size)
         for name, entry in engine_sources.items():
             engine.add_source(name, entry)
         for op, _ in operator_tags:
@@ -442,31 +436,10 @@ class Planner:
             logical_plan=plan,
             optimized_plan=optimized,
             rewrites=traces,
-            execution=engine_mode,
+            execution=execution,
             strategy_decisions=lowering.strategy_decisions,
             operator_tags=operator_tags,
         )
-
-    def _choose_mode(
-        self,
-        mode: str,
-        batch_size: Optional[int],
-        operators: Sequence[Operator],
-        window_sizes: Sequence[int],
-    ) -> Tuple[ExecutionChoice, Optional[int]]:
-        if mode == "tuple":
-            choice = ExecutionChoice("tuple", None, "pinned by compile(mode='tuple')")
-            return choice, None
-        if mode == "batch":
-            size = self.cost_model.resolve_batch_size(batch_size, window_sizes)
-            choice = ExecutionChoice(
-                "batch", size, "pinned by compile(mode='batch')"
-            )
-            return choice, size
-        choice = self.cost_model.choose_execution(operators, window_sizes)
-        if batch_size is not None and choice.mode == "batch":
-            choice = ExecutionChoice("batch", batch_size, choice.reason)
-        return choice, choice.batch_size
 
 
 def _fuse_union_branches(
@@ -476,7 +449,7 @@ def _fuse_union_branches(
 ) -> List[Tuple[Operator, LogicalNode]]:
     """Fuse each batch-capable linear chain feeding a Union into one box.
 
-    On the batch path, every arrow costs one scheduler dispatch and one
+    Every arrow costs one scheduler dispatch and one
     ``accept_batch`` round (validation, counters, timing) per batch —
     and union fan-in multiplies arrows: each input branch is its own
     chain of small boxes.  This pass rewires every maximal linear chain
@@ -619,7 +592,6 @@ def _fuse_pipe_chains(
 
 def compile_streams(
     outputs: Dict[str, "Stream"],
-    mode: str = "auto",
     batch_size: Optional[int] = None,
     optimize: bool = True,
     planner: Optional[Planner] = None,
@@ -648,4 +620,4 @@ def compile_streams(
     )
     plan.validate()
     active = planner or Planner()
-    return active.compile(plan, mode=mode, batch_size=batch_size, optimize=optimize)
+    return active.compile(plan, batch_size=batch_size, optimize=optimize)

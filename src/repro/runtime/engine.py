@@ -190,10 +190,10 @@ class ShardedEngine:
         shard).  Defaults to a size comfortably holding
         ``queue_capacity`` chunks; raise it for very large chunks (a
         single frame may use at most half a ring).
-    mode / batch_size:
-        Execution mode for the shard-local engines (as in
-        ``Planner.compile``); ``"auto"`` lets each worker's cost model
-        decide.
+    batch_size:
+        Batch size of the single-engine fallback (as in
+        ``Planner.compile``); shard workers run each shipped chunk as
+        one batch.
     remote_shards:
         TCP addresses (``"host:port"``) of running
         :class:`repro.net.shard.ShardServer` processes.  The *highest*
@@ -205,7 +205,7 @@ class ShardedEngine:
         :mod:`repro.net.shard` on plan distribution).
     sink:
         Optional result sink operator; every merged result is delivered
-        through ``sink.accept``.  Defaults to a
+        through ``sink.accept_batch``.  Defaults to a
         :class:`~repro.streams.operators.basic.CollectSink` exposed via
         :attr:`results`.
     """
@@ -219,7 +219,6 @@ class ShardedEngine:
         chunk_size: int = 1024,
         queue_capacity: int = 8,
         ring_bytes: Optional[int] = None,
-        mode: str = "auto",
         batch_size: Optional[int] = None,
         planner: Optional[Planner] = None,
         optimize: bool = True,
@@ -271,8 +270,6 @@ class ShardedEngine:
         self.backend = backend
         self.chunk_size = chunk_size
         self._queue_capacity = queue_capacity
-        self.mode = mode
-        self.batch_size = batch_size
         self._sink = sink if sink is not None else CollectSink(name="sink:sharded")
         self._closed = False
         #: Scope label for this coordinator's instruments in the
@@ -314,7 +311,7 @@ class ShardedEngine:
         if not self.decision.shardable:
             # Single-engine fallback behind the sharded interface.
             self._compiled = self._planner.compile(
-                plan, mode=mode, batch_size=batch_size, optimize=optimize
+                plan, batch_size=batch_size, optimize=optimize
             )
             self._compiled_sink = self._compiled._sinks[self._compiled.logical_plan.names[0]]
             self.sources = list(self._compiled.sources)
@@ -335,9 +332,7 @@ class ShardedEngine:
         self._suffix = None
         self._suffix_sink = None
         if decision.suffix is not None:
-            self._suffix = self._planner.compile(
-                decision.suffix, mode="tuple", optimize=False
-            )
+            self._suffix = self._planner.compile(decision.suffix, optimize=False)
             self._suffix_sink = self._suffix._sinks[decision.suffix.names[0]]
 
         self._next_chunk = 0
@@ -432,7 +427,7 @@ class ShardedEngine:
             #: One channel per shard slot, indexed by shard id.
             self._channels = [
                 InlineShardChannel(
-                    ShardRunner(i, decision.local, mode=self.mode, batch_size=self.batch_size),
+                    ShardRunner(i, decision.local),
                     self._on_reply,
                 )
                 for i in range(self.workers)
@@ -493,13 +488,7 @@ class ShardedEngine:
                 for transport in local:
                     process = context.Process(
                         target=worker_main,
-                        args=(
-                            transport.shard,
-                            decision.local,
-                            self.mode,
-                            self.batch_size,
-                            transport,
-                        ),
+                        args=(transport.shard, decision.local, transport),
                         daemon=True,
                         name=f"repro-shard-{transport.shard}",
                     )
@@ -885,12 +874,11 @@ class ShardedEngine:
         t0 = obs.trace_clock() if traced else 0.0
         try:
             if self._suffix is not None:
-                for item in merged:
-                    self._suffix.push(PARTIAL_SOURCE, item)
+                self._suffix.push_batch(PARTIAL_SOURCE, merged)
                 merged = list(self._suffix_sink.results)
                 self._suffix_sink.results.clear()
-            for item in merged:
-                self._sink.accept(item)
+            if merged:
+                self._sink.accept_batch(TupleBatch(merged))
         finally:
             if traced:
                 obs.record_span(
@@ -917,8 +905,7 @@ class ShardedEngine:
         results = self._compiled_sink.results
         if not results:
             return
-        for item in list(results):
-            self._sink.accept(item)
+        self._sink.accept_batch(TupleBatch(results))
         results.clear()
 
     # ------------------------------------------------------------------
@@ -960,8 +947,8 @@ class ShardedEngine:
             self._suffix.engine.finish()
             leftovers = list(self._suffix_sink.results)
             self._suffix_sink.results.clear()
-            for item in leftovers:
-                self._sink.accept(item)
+            if leftovers:
+                self._sink.accept_batch(TupleBatch(leftovers))
         return self.results
 
     # ------------------------------------------------------------------
@@ -1232,7 +1219,6 @@ class ShardedEngine:
         lines.append(
             f"chunk_size: {self.chunk_size}, queue_capacity: {self._queue_capacity}"
         )
-        lines.append(f"worker execution: mode={self.mode}, batch_size={self.batch_size}")
         if not self.sharded:
             lines.append("")
             lines.append(self._compiled.explain())

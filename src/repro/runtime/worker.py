@@ -82,17 +82,11 @@ def plan_signature(plan: LogicalPlan) -> List[str]:
 class ShardRunner:
     """One shard: a compiled local plan plus the protocol handler."""
 
-    def __init__(
-        self,
-        shard_id: int,
-        plan: LogicalPlan,
-        mode: str = "auto",
-        batch_size: Optional[int] = None,
-    ):
+    def __init__(self, shard_id: int, plan: LogicalPlan):
         self.shard_id = shard_id
-        self.query = Planner().compile(
-            plan, mode=mode, batch_size=batch_size, optimize=False
-        )
+        # Chunks arrive as batches and run whole (``push_batch``), so
+        # the compiled batch size is never used here.
+        self.query = Planner().compile(plan, optimize=False)
         self._sink = self.query._sinks[plan.names[0]]
         self.watermark = -math.inf
 
@@ -183,12 +177,7 @@ class ShardRunner:
     def chunk(self, source: str, batch: TupleBatch) -> Tuple[List, float]:
         """Run one chunk; return (outputs, watermark after the chunk)."""
         if len(batch):
-            if self.query.engine.batch_size is not None:
-                self.query.push_batch(source, batch)
-            else:
-                push = self.query.push
-                for item in batch:
-                    push(source, item)
+            self.query.push_batch(source, batch)
             self.watermark = max(self.watermark, float(batch.timestamps()[-1]))
         return self._take(), self.watermark
 
@@ -265,8 +254,6 @@ def serve_shard(runner: ShardRunner, channel) -> None:
 def worker_main(
     shard_id: int,
     plan: LogicalPlan,
-    mode: str,
-    batch_size: Optional[int],
     transport,
 ) -> None:
     """Process entry point: serve the shard protocol until ``stop``.
@@ -281,7 +268,7 @@ def worker_main(
     # to export; shipping them back would duplicate them.
     tracing.local_spans().clear()
     try:
-        runner = ShardRunner(shard_id, plan, mode=mode, batch_size=batch_size)
+        runner = ShardRunner(shard_id, plan)
         serve_shard(runner, transport)
     except BaseException:
         from repro.net.protocol import encode_worker_message

@@ -251,8 +251,9 @@ class QuerySession:
         The :class:`~repro.plan.Planner` used to optimize and lower
         registered queries (rewrites, cost model).
     batch_size:
-        When set, :meth:`push_many` runs the engine's batch path with
-        this chunk size; ``None`` (default) runs tuple-at-a-time.
+        Rows per batch :meth:`push_many` cuts its input into; ``None``
+        (default) pushes one-row batches, so each result is delivered
+        before the next tuple is read.
     optimize:
         Apply the planner's rewrite rules to registered queries.
     functions:
@@ -533,7 +534,6 @@ class QuerySession:
             workers=self._workers,
             backend=self._shard_backend,
             chunk_size=self._shard_chunk_size,
-            mode="auto",
             batch_size=self._batch_size,
             planner=self._planner,
             optimize=False,  # the session already ran the rewrite rules
@@ -735,7 +735,7 @@ class QuerySession:
         )
 
     def push(self, source: str, item: StreamTuple) -> None:
-        """Push one tuple into a named source (tuple-at-a-time path)."""
+        """Push one tuple into a named source (a batch of one)."""
         self._check_source(source)
         if source in self._entries:
             self.engine.push(source, item)
@@ -749,7 +749,7 @@ class QuerySession:
         batch_size: Optional[int] = None,
         trace: Optional[obs.TraceContext] = None,
     ) -> None:
-        """Push many tuples (batch path when the session has a batch size).
+        """Push many tuples, in batches of the session's batch size.
 
         Each call is one ingested chunk for latency accounting: a trace
         context (minted here unless the caller — e.g. the network server

@@ -1,7 +1,7 @@
 """Columnar batches of stream tuples for batch-at-a-time execution.
 
-The tuple-at-a-time engine pays Python call overhead for every tuple at
-every box.  A :class:`TupleBatch` amortises that overhead: the engine
+Moving one tuple at a time would pay Python call overhead for every
+tuple at every box.  A :class:`TupleBatch` amortises that overhead: the engine
 moves whole batches between boxes and operators that can vectorise
 (probabilistic selection over Gaussians, moment accumulation for the
 CF-approximation sum) read *columnar views* of the batch -- numpy

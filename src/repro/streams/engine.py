@@ -9,17 +9,15 @@ deterministic: the paper's performance numbers come from algorithmic
 choices inside the operators, not from parallel execution, so a simple
 engine keeps experiments reproducible.
 
-Two execution paths share the same plans and operators:
-
-* **tuple-at-a-time** (:meth:`StreamEngine.push`): each tuple traverses
-  the plan depth-first, exactly mirroring the original recursive
-  semantics.  This is the correctness baseline.
-* **batch-at-a-time** (:meth:`StreamEngine.push_batch`, or
-  :meth:`StreamEngine.push_many` on an engine constructed with a
-  ``batch_size``): whole :class:`~repro.streams.batch.TupleBatch`
-  containers move between boxes, amortising per-call overhead and
-  letting operators run vectorised kernels
-  (:meth:`~repro.streams.operators.base.Operator.process_batch`).
+There is one execution path.  Whole
+:class:`~repro.streams.batch.TupleBatch` containers move between boxes
+(:meth:`~repro.streams.operators.base.Operator.accept_batch`), so
+operators run their vectorised kernels
+(:meth:`~repro.streams.operators.base.Operator.process_batch`) and pay
+per-call overhead once per batch.  :meth:`StreamEngine.push` is a batch
+of one; :meth:`StreamEngine.push_many` chunks its input into batches of
+the engine's ``batch_size`` (one tuple per batch when none is set);
+:meth:`StreamEngine.push_batch` takes a batch as given.
 """
 
 from __future__ import annotations
@@ -80,11 +78,9 @@ class StreamEngine:
     Parameters
     ----------
     batch_size:
-        When set, :meth:`push_many` chunks its input into
-        :class:`TupleBatch` containers of this size and runs the batch
-        path; when ``None`` (default) :meth:`push_many` runs the
-        tuple-at-a-time path.  :meth:`push` and :meth:`push_batch`
-        always use their respective paths regardless of this setting.
+        Rows per :class:`TupleBatch` that :meth:`push_many` cuts its
+        input into.  ``None`` (default) pushes one-row batches, so every
+        tuple is delivered before the next one is read.
     """
 
     def __init__(
@@ -99,7 +95,7 @@ class StreamEngine:
         self._operators: List[Operator] = []
         self._operator_ids: set = set()
         #: Operators unregistered while a propagation may still hold
-        #: scheduled (operator, tuple) pairs pointing at them.  The
+        #: scheduled (operator, batch) pairs pointing at them.  The
         #: propagation loops skip quarantined boxes so a query dropped
         #: from inside a sink callback stops receiving tuples
         #: *immediately*, not after the in-flight push drains.  Keyed by
@@ -213,17 +209,11 @@ class StreamEngine:
                     stack.pop()
 
     # ------------------------------------------------------------------
-    # Execution: tuple-at-a-time path
+    # Execution
     # ------------------------------------------------------------------
     def push(self, source: str, item: StreamTuple) -> None:
-        """Push one tuple into the plan via the named source."""
-        try:
-            entry = self._sources[source]
-        except KeyError as exc:
-            raise EngineError(f"unknown source {source!r}") from exc
-        if self._detached and self._propagation_depth == 0:
-            self._detached.clear()
-        self._propagate(entry, item)
+        """Push one tuple into the plan via the named source (a batch of one)."""
+        self.push_batch(source, TupleBatch((item,)))
 
     def push_many(
         self,
@@ -233,16 +223,13 @@ class StreamEngine:
     ) -> None:
         """Push a sequence of tuples into the plan via the named source.
 
-        With a ``batch_size`` (from the argument or the engine default)
-        the input is chunked into :class:`TupleBatch` containers and run
-        through the batch path; otherwise each tuple is pushed
-        individually.
+        The input is chunked into :class:`TupleBatch` containers of
+        ``batch_size`` rows (from the argument or the engine default;
+        one row when neither is set).
         """
         size = self.batch_size if batch_size is None else batch_size
         if size is None:
-            for item in items:
-                self.push(source, item)
-            return
+            size = 1
         if size < 1:
             raise EngineError(f"batch_size must be at least 1, got {size}")
         if isinstance(items, (list, tuple)):
@@ -259,35 +246,6 @@ class StreamEngine:
         if chunk:
             self.push_batch(source, TupleBatch(chunk))
 
-    def _propagate(self, operator: Operator, item: StreamTuple) -> None:
-        """Iterative depth-first propagation of one tuple.
-
-        A LIFO worklist visits (operator, tuple) pairs in exactly the
-        order the former recursive implementation did, so sinks observe
-        identical tuple orderings -- without consuming interpreter stack
-        proportional to plan depth.
-        """
-        stack: List[Tuple[Operator, StreamTuple]] = [(operator, item)]
-        self._propagation_depth += 1
-        try:
-            while stack:
-                op, current = stack.pop()
-                if self._detached and id(op) in self._detached:
-                    continue  # unregistered mid-propagation; drop in-flight tuples
-                outputs = op.accept(current)
-                if not outputs:
-                    continue
-                downstream = op.downstream
-                if not downstream:
-                    continue
-                pending = [(nxt, out) for out in outputs for nxt in downstream]
-                stack.extend(reversed(pending))
-        finally:
-            self._propagation_depth -= 1
-
-    # ------------------------------------------------------------------
-    # Execution: batch-at-a-time path
-    # ------------------------------------------------------------------
     def push_batch(
         self, source: str, batch: Union[TupleBatch, Iterable[StreamTuple]]
     ) -> None:
@@ -350,26 +308,19 @@ class StreamEngine:
     def finish(self) -> None:
         """Flush every operator in topological order (end of stream).
 
-        Flushed tuples propagate through whichever path the engine is
-        configured for; both paths produce the same multiset of results.
+        Each operator's flushed tuples propagate downstream as one batch.
         """
         if self._detached and self._propagation_depth == 0:
             self._detached.clear()
-        use_batches = self.batch_size is not None
         for op in self._topological_order():
             if self._detached and id(op) in self._detached:
                 continue  # dropped by a callback while this flush ran
             outputs = op.finish()
             if not outputs:
                 continue
-            if use_batches:
-                flushed = TupleBatch(outputs)
-                for nxt in op.downstream:
-                    self._propagate_batch(nxt, flushed)
-            else:
-                for out in outputs:
-                    for nxt in op.downstream:
-                        self._propagate(nxt, out)
+            flushed = TupleBatch(outputs)
+            for nxt in op.downstream:
+                self._propagate_batch(nxt, flushed)
 
     def _topological_order(self) -> List[Operator]:
         ops = self._discover()
@@ -444,7 +395,7 @@ def run_plan(
 
     If ``sink`` is None, a :class:`~repro.streams.operators.basic.CollectSink`
     is appended to the last operator reachable from ``source_operator``.
-    A ``batch_size`` selects the batch-at-a-time execution path.
+    ``batch_size`` is the rows per pushed batch (one when ``None``).
     """
     from .operators.basic import CollectSink
 

@@ -3,14 +3,13 @@
 Following the box-arrow paradigm (Aurora-style) described in Section 3,
 a query plan is a directed acyclic graph in which every *box* is an
 :class:`Operator` and every *arrow* is a connection along which tuples
-flow.  Operators are push-based: the engine calls :meth:`Operator.process`
-with each input tuple and forwards everything the operator emits to its
-downstream boxes.
+flow.  Operators are push-based: the engine calls
+:meth:`Operator.accept_batch` with each input batch and forwards the
+batch the operator emits to its downstream boxes.
 """
 
 from __future__ import annotations
 
-import abc
 from time import perf_counter
 from typing import Callable, Iterable, List, Optional, Sequence
 
@@ -25,11 +24,12 @@ class OperatorError(Exception):
     """Raised when an operator is misconfigured or misused."""
 
 
-class Operator(abc.ABC):
+class Operator:
     """A query-plan box that transforms an input stream into an output stream.
 
-    Subclasses implement :meth:`process` (per tuple) and optionally
-    :meth:`flush` (end of stream).  An operator may declare an
+    Subclasses implement :meth:`process` (per tuple), which the default
+    :meth:`process_batch` loops over, or :meth:`process_batch` itself,
+    and optionally :meth:`flush` (end of stream).  An operator may declare an
     ``input_schema`` against which incoming tuples are validated.
     """
 
@@ -100,9 +100,9 @@ class Operator(abc.ABC):
         """
         return type(self).process is cls.process
 
-    @abc.abstractmethod
     def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
         """Consume one input tuple and yield zero or more output tuples."""
+        raise NotImplementedError(f"{type(self).__name__} does not implement process")
 
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
         """Consume a batch and return the output batch.
@@ -126,17 +126,6 @@ class Operator(abc.ABC):
     # ------------------------------------------------------------------
     # Engine hooks
     # ------------------------------------------------------------------
-    def accept(self, item: StreamTuple) -> List[StreamTuple]:
-        """Validate, process and count one tuple; used by the engine."""
-        if self.input_schema is not None:
-            self.input_schema.validate(item)
-        self.tuples_in += 1
-        started = perf_counter()
-        outputs = list(self.process(item))
-        self.processing_seconds += perf_counter() - started
-        self.tuples_out += len(outputs)
-        return outputs
-
     def accept_batch(self, batch: TupleBatch) -> TupleBatch:
         """Validate, process and count a whole batch; used by the engine."""
         if self.input_schema is not None:

@@ -106,8 +106,8 @@ def to_batches(stream: Sequence[StreamTuple], batch_size: int) -> List[TupleBatc
     """Chunk a tuple stream into :class:`TupleBatch` containers.
 
     The batches share the tuple objects with ``stream``; only the
-    grouping changes, so a workload generated once can feed both the
-    tuple-at-a-time and the batch execution paths.
+    grouping changes, so a workload generated once can feed the engine
+    at any batch size.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")

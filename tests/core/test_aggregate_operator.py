@@ -31,7 +31,7 @@ class TestUncertainAggregate:
         op = UncertainAggregate(TumblingCountWindow(4), "weight", CFApproximationSum())
         outputs = []
         for i in range(8):
-            outputs.extend(op.accept(value_tuple(i, mean=10.0)))
+            outputs.extend(list(op.process(value_tuple(i, mean=10.0))))
         assert len(outputs) == 2
         result = outputs[0].distribution("sum_weight")
         assert result.mean() == pytest.approx(40.0)
@@ -42,7 +42,7 @@ class TestUncertainAggregate:
         op = UncertainAggregate(TumblingCountWindow(5), "weight", CLTSum(), function="avg")
         outputs = []
         for i in range(5):
-            outputs.extend(op.accept(value_tuple(i, mean=float(i))))
+            outputs.extend(list(op.process(value_tuple(i, mean=float(i)))))
         result = outputs[0].distribution("avg_weight")
         assert result.mean() == pytest.approx(2.0)
         assert result.variance() == pytest.approx(5.0 / 25.0)
@@ -51,14 +51,14 @@ class TestUncertainAggregate:
         op = UncertainAggregate(TumblingCountWindow(3), "weight", CLTSum(), function="count")
         outputs = []
         for i in range(3):
-            outputs.extend(op.accept(value_tuple(i, mean=1.0)))
+            outputs.extend(list(op.process(value_tuple(i, mean=1.0))))
         assert outputs[0].value("count_weight") == 3
 
     def test_max_uses_order_statistics(self):
         op = UncertainAggregate(TumblingCountWindow(2), "weight", CLTSum(), function="max")
         outputs = []
-        outputs.extend(op.accept(value_tuple(0, mean=0.0, sigma=1.0)))
-        outputs.extend(op.accept(value_tuple(1, mean=10.0, sigma=1.0)))
+        outputs.extend(list(op.process(value_tuple(0, mean=0.0, sigma=1.0))))
+        outputs.extend(list(op.process(value_tuple(1, mean=10.0, sigma=1.0))))
         result = outputs[0].distribution("max_weight")
         # Max of two well-separated Gaussians is essentially the larger one.
         assert result.mean() == pytest.approx(10.0, abs=0.2)
@@ -66,7 +66,7 @@ class TestUncertainAggregate:
     def test_flush_emits_partial_window(self):
         op = UncertainAggregate(TumblingCountWindow(10), "weight", CLTSum())
         for i in range(3):
-            assert op.accept(value_tuple(i, mean=1.0)) == []
+            assert list(op.process(value_tuple(i, mean=1.0))) == []
         outputs = list(op.flush())
         assert len(outputs) == 1
         assert outputs[0].value("window_count") == 3
@@ -80,7 +80,7 @@ class TestUncertainAggregate:
         high = [value_tuple(2, 80.0), value_tuple(3, 80.0)]
         outputs = []
         for item in low + high:
-            outputs.extend(op.accept(item))
+            outputs.extend(list(op.process(item)))
         assert len(outputs) == 1
         assert outputs[0].value("having_probability") > 0.99
 
@@ -92,29 +92,29 @@ class TestUncertainAggregate:
         ]
         outputs = []
         for item in items:
-            outputs.extend(op.accept(item))
+            outputs.extend(list(op.process(item)))
         assert outputs[0].distribution("sum_const").mean() == pytest.approx(12.0)
 
     def test_missing_attribute_raises(self):
         op = UncertainAggregate(TumblingCountWindow(1), "missing", CLTSum())
         with pytest.raises(OperatorError):
-            op.accept(value_tuple(0, mean=1.0))
+            list(op.process(value_tuple(0, mean=1.0)))
 
     def test_correlated_window_rejected_by_default(self):
         op = UncertainAggregate(TumblingCountWindow(2), "weight", CLTSum())
         base = value_tuple(0, mean=1.0)
         sibling = base.derive(values={"i": 1})
-        op.accept(base)
+        list(op.process(base))
         with pytest.raises(OperatorError):
-            op.accept(sibling)
+            list(op.process(sibling))
 
     def test_correlated_window_allowed_when_check_disabled(self):
         op = UncertainAggregate(
             TumblingCountWindow(2), "weight", CLTSum(), check_independence=False
         )
         base = value_tuple(0, mean=1.0)
-        op.accept(base)
-        outputs = op.accept(base.derive(values={"i": 1}))
+        list(op.process(base))
+        outputs = list(op.process(base.derive(values={"i": 1})))
         assert len(outputs) == 1
 
     def test_invalid_function_rejected(self):
@@ -124,8 +124,8 @@ class TestUncertainAggregate:
     def test_result_lineage_is_union_of_inputs(self):
         op = UncertainAggregate(TumblingCountWindow(2), "weight", CLTSum())
         a, b = value_tuple(0, 1.0), value_tuple(1, 2.0)
-        op.accept(a)
-        outputs = op.accept(b)
+        list(op.process(a))
+        outputs = list(op.process(b))
         assert outputs[0].lineage == a.lineage | b.lineage
 
 
@@ -145,7 +145,7 @@ class TestGroupByAggregate:
         ]
         outputs = []
         for item in items:
-            outputs.extend(op.accept(item))
+            outputs.extend(list(op.process(item)))
         outputs.extend(op.flush())
         by_group = {(t.value("group"), t.value("window_start")): t for t in outputs}
         assert by_group[("A", 0.0)].distribution("sum_weight").mean() == pytest.approx(40.0)
@@ -168,7 +168,7 @@ class TestGroupByAggregate:
         ]
         outputs = []
         for item in items:
-            outputs.extend(op.accept(item))
+            outputs.extend(list(op.process(item)))
         assert len(outputs) == 1
         assert outputs[0].value("group") == "hot"
 

@@ -33,7 +33,7 @@ class TestSummarizeResultsOperator:
 
     def test_replaces_distribution_with_statistics(self):
         op = SummarizeResults("total_weight", confidence=0.9)
-        out = op.accept(self.make_tuple())[0]
+        out = list(op.process(self.make_tuple()))[0]
         assert out.value("total_weight_mean") == pytest.approx(250.0)
         assert out.value("total_weight_variance") == pytest.approx(100.0)
         assert out.value("total_weight_lo") < 250.0 < out.value("total_weight_hi")
@@ -42,13 +42,13 @@ class TestSummarizeResultsOperator:
 
     def test_can_keep_distribution(self):
         op = SummarizeResults("total_weight", keep_distribution=True)
-        out = op.accept(self.make_tuple())[0]
+        out = list(op.process(self.make_tuple()))[0]
         assert out.has_uncertain("total_weight")
 
     def test_missing_attribute_raises(self):
         op = SummarizeResults("nope")
         with pytest.raises(OperatorError):
-            op.accept(self.make_tuple())
+            list(op.process(self.make_tuple()))
 
     def test_invalid_confidence(self):
         with pytest.raises(OperatorError):

@@ -70,8 +70,8 @@ class TestProbabilisticJoin:
     def test_matching_pair_is_emitted_with_probability(self):
         join = self.make_join()
         left_port, right_port = join.left_port(), join.right_port()
-        right_port.accept(located_tuple(0.0, 10.0, 10.0, sensor="T1"))
-        outputs = left_port.accept(located_tuple(0.5, 10.2, 9.9, tag_id="O1"))
+        list(right_port.process(located_tuple(0.0, 10.0, 10.0, sensor="T1")))
+        outputs = list(left_port.process(located_tuple(0.5, 10.2, 9.9, tag_id="O1")))
         assert len(outputs) == 1
         out = outputs[0]
         assert out.value("match_probability") > 0.5
@@ -80,37 +80,37 @@ class TestProbabilisticJoin:
 
     def test_non_matching_pair_suppressed(self):
         join = self.make_join()
-        join.right_port().accept(located_tuple(0.0, 50.0, 50.0))
-        assert join.left_port().accept(located_tuple(0.1, 0.0, 0.0)) == []
+        list(join.right_port().process(located_tuple(0.0, 50.0, 50.0)))
+        assert list(join.left_port().process(located_tuple(0.1, 0.0, 0.0))) == []
 
     def test_window_expiry(self):
         join = self.make_join(window_length=1.0)
-        join.right_port().accept(located_tuple(0.0, 0.0, 0.0))
+        list(join.right_port().process(located_tuple(0.0, 0.0, 0.0)))
         # Too late: the right tuple is outside the 1 s window.
-        assert join.left_port().accept(located_tuple(5.0, 0.0, 0.0)) == []
+        assert list(join.left_port().process(located_tuple(5.0, 0.0, 0.0))) == []
         # The stale right tuple has been expired from its window.
         assert join.window_sizes() == (1, 0)
 
     def test_symmetric_matching_from_either_side(self):
         join = self.make_join()
-        join.left_port().accept(located_tuple(0.0, 1.0, 1.0, tag_id="O1"))
-        outputs = join.right_port().accept(located_tuple(0.2, 1.0, 1.0, sensor="T9"))
+        list(join.left_port().process(located_tuple(0.0, 1.0, 1.0, tag_id="O1")))
+        outputs = list(join.right_port().process(located_tuple(0.2, 1.0, 1.0, sensor="T9")))
         assert len(outputs) == 1
         assert outputs[0].value("left_tag_id") == "O1"
 
     def test_one_to_many_matches(self):
         join = self.make_join()
         for i in range(3):
-            join.right_port().accept(located_tuple(0.1 * i, 0.0, 0.0, sensor=f"T{i}"))
-        outputs = join.left_port().accept(located_tuple(0.5, 0.0, 0.0, tag_id="O1"))
+            list(join.right_port().process(located_tuple(0.1 * i, 0.0, 0.0, sensor=f"T{i}")))
+        outputs = list(join.left_port().process(located_tuple(0.5, 0.0, 0.0, tag_id="O1")))
         assert len(outputs) == 3
 
     def test_lineage_union_in_outputs(self):
         join = self.make_join()
         right = located_tuple(0.0, 0.0, 0.0, sensor="T1")
         left = located_tuple(0.1, 0.0, 0.0, tag_id="O1")
-        join.right_port().accept(right)
-        out = join.left_port().accept(left)[0]
+        list(join.right_port().process(right))
+        out = list(join.left_port().process(left))[0]
         assert right.lineage <= out.lineage
         assert left.lineage <= out.lineage
 

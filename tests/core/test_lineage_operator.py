@@ -17,7 +17,7 @@ class TestArchivingOperator:
         archive = TupleArchive()
         op = ArchivingOperator(archive)
         item = base_tuple(0.0, 1.0)
-        outputs = op.accept(item)
+        outputs = list(op.process(item))
         assert outputs == [item]
         assert item.tuple_id in archive
 
@@ -25,8 +25,8 @@ class TestArchivingOperator:
         archive = TupleArchive()
         op = ArchivingOperator(archive, retention_seconds=5.0)
         old = base_tuple(0.0, 1.0)
-        op.accept(old)
-        op.accept(base_tuple(10.0, 2.0))
+        list(op.process(old))
+        list(op.process(base_tuple(10.0, 2.0)))
         assert old.tuple_id not in archive
         assert len(archive) == 1
 
@@ -46,9 +46,9 @@ class TestLineageAwareAggregate:
         items = [base_tuple(float(i), float(i), 0.5) for i in range(4)]
         outputs_lineage, outputs_plain = [], []
         for item in items:
-            archiver.accept(item)
-            outputs_lineage.extend(lineage_agg.accept(item))
-            outputs_plain.extend(plain_agg.accept(item))
+            list(archiver.process(item))
+            outputs_lineage.extend(list(lineage_agg.process(item)))
+            outputs_plain.extend(list(plain_agg.process(item)))
         assert len(outputs_lineage) == 1 and len(outputs_plain) == 1
         a = outputs_lineage[0].distribution("sum_v")
         b = outputs_plain[0].distribution("sum_v")
@@ -68,7 +68,7 @@ class TestLineageAwareAggregate:
         )
         outputs = []
         for item in derived:
-            outputs.extend(lineage_agg.accept(item))
+            outputs.extend(list(lineage_agg.process(item)))
         assert len(outputs) == 1
         result = outputs[0].distribution("sum_v")
         naive = UncertainAggregate(
@@ -76,7 +76,7 @@ class TestLineageAwareAggregate:
         )
         naive_outputs = []
         for item in derived:
-            naive_outputs.extend(naive.accept(item))
+            naive_outputs.extend(list(naive.process(item)))
         naive_result = naive_outputs[0].distribution("sum_v")
         assert result.mean() == pytest.approx(20.0, rel=0.05)
         assert result.variance() > 1.5 * naive_result.variance()
@@ -87,19 +87,19 @@ class TestLineageAwareAggregate:
         archive.archive(base)
         derived = [base.derive(values={"k": k}) for k in range(2)]
         plain = UncertainAggregate(TumblingCountWindow(2), "v", CLTSum())
-        plain.accept(derived[0])
+        list(plain.process(derived[0]))
         with pytest.raises(OperatorError):
-            plain.accept(derived[1])
+            list(plain.process(derived[1]))
         lineage_agg = LineageAwareAggregate(TumblingCountWindow(2), "v", archive, rng=3)
-        lineage_agg.accept(derived[0])
-        assert lineage_agg.accept(derived[1])
+        list(lineage_agg.process(derived[0]))
+        assert list(lineage_agg.process(derived[1]))
 
     def test_flush_emits_partial_window(self):
         archive = TupleArchive()
         lineage_agg = LineageAwareAggregate(TumblingCountWindow(10), "v", archive, rng=4)
         item = base_tuple(0.0, 3.0)
         archive.archive(item)
-        lineage_agg.accept(item)
+        list(lineage_agg.process(item))
         outputs = list(lineage_agg.flush())
         assert len(outputs) == 1
         assert outputs[0].value("window_count") == 1

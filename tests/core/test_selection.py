@@ -42,14 +42,14 @@ class TestProbabilisticSelect:
         select = ProbabilisticSelect(
             UncertainPredicate("temp", Comparison.GREATER, 60.0), min_probability=0.5
         )
-        assert select.accept(temp_tuple(70.0)) != []
-        assert select.accept(temp_tuple(50.0)) == []
+        assert list(select.process(temp_tuple(70.0))) != []
+        assert list(select.process(temp_tuple(50.0))) == []
 
     def test_annotates_probability(self):
         select = ProbabilisticSelect(
             UncertainPredicate("temp", Comparison.GREATER, 60.0), min_probability=0.0
         )
-        out = select.accept(temp_tuple(62.0))[0]
+        out = list(select.process(temp_tuple(62.0)))[0]
         prob = out.value("selection_probability")
         assert 0.5 < prob < 1.0
 
@@ -59,14 +59,14 @@ class TestProbabilisticSelect:
             min_probability=0.0,
             probability_attribute=None,
         )
-        out = select.accept(temp_tuple(80.0))[0]
+        out = list(select.process(temp_tuple(80.0)))[0]
         assert not out.has_value("selection_probability")
 
     def test_zero_threshold_keeps_everything(self):
         select = ProbabilisticSelect(
             UncertainPredicate("temp", Comparison.GREATER, 1000.0), min_probability=0.0
         )
-        assert select.accept(temp_tuple(0.0)) != []
+        assert list(select.process(temp_tuple(0.0))) != []
 
     def test_invalid_threshold(self):
         with pytest.raises(OperatorError):

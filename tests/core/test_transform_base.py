@@ -96,5 +96,5 @@ class TestTransformOperator:
     def test_process_unwraps_raw_attribute(self):
         op = DoublingTransform()
         wrapped = StreamTuple(timestamp=2.0, values={"raw": 5.0})
-        outputs = op.accept(wrapped)
+        outputs = list(op.process(wrapped))
         assert outputs[0].distribution("value").mu == pytest.approx(10.0)

@@ -1,11 +1,10 @@
-"""Property-style equivalence of the tuple and batch execution paths.
+"""Property-style equivalence of one-row and larger batches.
 
 Runs the Q1-shaped query of ``examples/quickstart.py`` (probabilistic
 selection -> windowed CF-approximation SUM -> summary) over randomly
 generated uncertain streams and asserts that ``run_plan`` produces the
-same results whether the engine executes tuple-at-a-time
-(``push_many`` without a batch size) or batch-at-a-time
-(``push_batch``-based chunking).
+same results whether the engine is fed one-row batches (``push_many``
+without a batch size) or larger ones (``push_batch``-based chunking).
 """
 
 import pytest

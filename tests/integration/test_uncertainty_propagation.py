@@ -69,8 +69,8 @@ class TestUncertaintyPropagation:
         borderline = StreamTuple(
             timestamp=0.0, values={}, uncertain={"value": Gaussian(5.5, 1.0)}
         )
-        assert select_lenient.accept(borderline) != []
-        assert select_strict.accept(borderline) == []
+        assert list(select_lenient.process(borderline)) != []
+        assert list(select_strict.process(borderline)) == []
 
     def test_window_count_preserved_through_pipeline(self):
         engine, sink = build_pipeline(window=10)

@@ -219,10 +219,11 @@ class TestCompiledQuery:
         detailed = query.statistics(detailed=True)
         assert any(s.tuples_in == 4 for s in detailed)
 
-    def test_bad_mode_rejected(self):
+    def test_no_execution_mode_option(self):
+        # One execution path: compile() takes a batch size, not a mode.
         stream = Stream.source("in")
-        with pytest.raises(PlanError, match="unknown execution mode"):
-            stream.compile(mode="warp")
+        with pytest.raises(TypeError, match="mode"):
+            stream.compile(mode="tuple")
 
 
 class TestStagedStateSafety:
@@ -235,7 +236,7 @@ class TestStagedStateSafety:
             .group_by(lambda t: t.value("group"))
             .where(lambda t: True, description="interposed")
             .aggregate("weight", strategy=CLTSum())
-            .compile(mode="tuple")
+            .compile(batch_size=1)
         )
         query.push_many(
             "in", [weight_tuple(i, 10.0, group="A" if i % 2 else "B") for i in range(4)]
@@ -261,9 +262,9 @@ class TestPipeReuseGuards:
 
     def test_second_compile_rejected(self):
         stream = Stream.source("in").pipe(PassThroughOperator(name="box"))
-        stream.compile(mode="tuple")
+        stream.compile(batch_size=1)
         with pytest.raises(PlanError, match="can only be compiled once"):
-            stream.compile(mode="tuple")
+            stream.compile(batch_size=1)
 
     def test_same_instance_piped_twice_rejected(self):
         box = PassThroughOperator(name="box")

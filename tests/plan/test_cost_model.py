@@ -1,4 +1,4 @@
-"""Tests for the planner cost model: strategy choice and execution mode."""
+"""Tests for the planner cost model: strategy choice and batch sizing."""
 
 import pytest
 
@@ -86,28 +86,29 @@ def _vectorized_plan_ops():
 class TestExecutionChoice:
     def test_vectorized_plan_runs_batched(self):
         choice = CostModel().choose_execution(_vectorized_plan_ops())
-        assert choice.mode == "batch"
         assert choice.batch_size == 256
+        assert "3/3 boxes run vectorised" in choice.reason
 
     def test_batch_size_stretches_to_window(self):
         choice = CostModel().choose_execution(_vectorized_plan_ops(), window_sizes=[1000])
         assert choice.batch_size == 1000
 
-    def test_per_tuple_plan_stays_on_tuple_path(self):
+    def test_per_tuple_plan_reports_fallback_boxes(self):
         join = ProbabilisticJoin(window_length=5.0, match_probability=lambda a, b: 1.0)
         ports = [join.left_port(), join.right_port()]
         choice = CostModel().choose_execution([join, *ports])
-        assert choice.mode == "tuple"
+        assert choice.batch_size == 256
+        assert "0/3 boxes run vectorised" in choice.reason
 
-    def test_compile_mode_pins_override_cost_model(self):
+    def test_compile_batch_size_pins_override_cost_model(self):
         stream = (
             Stream.source("in", uncertain=("v",))
             .window(TumblingCountWindow(4))
             .aggregate("v", strategy=CLTSum())
         )
-        assert stream.compile(mode="tuple").execution.mode == "tuple"
-        pinned = stream.compile(mode="batch", batch_size=17)
-        assert pinned.execution.mode == "batch"
+        assert stream.compile().execution.batch_size == 256
+        assert stream.compile().engine.batch_size == 256
+        pinned = stream.compile(batch_size=17)
         assert pinned.execution.batch_size == 17
         assert pinned.engine.batch_size == 17
 
@@ -118,5 +119,3 @@ class TestValidation:
             CostModel(clt_window_threshold=1)
         with pytest.raises(ValueError):
             CostModel(default_batch_size=0)
-        with pytest.raises(ValueError):
-            CostModel(min_vectorized_fraction=1.5)

@@ -71,21 +71,22 @@ def test_explain_reports_vectorized_vs_per_tuple():
         Stream.source("l", uncertain=("x",))
         .join(Stream.source("r", uncertain=("x",)), on=lambda a, b: 1.0, window_length=5.0)
     )
-    # Force batch mode: the cost model would pick tuple for this plan.
-    text = joined.compile(mode="batch").explain()
+    text = joined.compile().explain()
     assert "ProbabilisticJoin" in text
     assert "[per-tuple fallback]" in text
     assert "[vectorized]" in text  # the source pass-throughs
 
-    tuple_text = joined.compile(mode="tuple").explain()
-    assert "[tuple path]" in tuple_text
+    # One-row batches run the same boxes: the tags do not change.
+    assert joined.compile(batch_size=1).explain().count("[per-tuple fallback]") == text.count(
+        "[per-tuple fallback]"
+    )
 
 
 def test_explain_marks_shared_subplans():
     shared = Stream.source("in", uncertain=("v",)).where(lambda t: True, description="shared")
     a = shared.window(TumblingCountWindow(2)).aggregate("v", strategy=CLTSum())
     b = shared.summarize("v")
-    query = compile_streams({"agg": a, "summary": b}, mode="tuple")
+    query = compile_streams({"agg": a, "summary": b}, batch_size=1)
     text = query.explain()
     assert "#1" in text
     assert "(see #1)" in text
@@ -96,7 +97,7 @@ def test_explain_without_rewrites_says_so():
     text = (
         Stream.source("in", uncertain=("v",))
         .summarize("v")
-        .compile(mode="tuple", optimize=False)
+        .compile(batch_size=1, optimize=False)
         .explain()
     )
     assert "(none applied)" in text

@@ -1,4 +1,4 @@
-"""PipeNode chain fusion: fused batch segments + batch/tuple equivalence."""
+"""PipeNode chain fusion: fused batch segments + fused/unfused equivalence."""
 
 from repro.distributions import Gaussian
 from repro.plan import FusedBatchSegment, Stream
@@ -18,7 +18,7 @@ def tuples(n):
     ]
 
 
-def piped_query(mode, middle=None):
+def piped_query(batch_size, middle=None):
     """source -> pipe(filter) [-> pipe(middle)] -> pipe(filter) -> aggregate."""
     stream = Stream.source("in", values=("kind", "seq"), uncertain=("w",), family="gaussian")
     stream = stream.pipe(Filter(lambda t: t.value("kind") != "ghost", name="real"))
@@ -28,7 +28,7 @@ def piped_query(mode, middle=None):
     return (
         stream.window(TumblingCountWindow(4))
         .aggregate("w")
-        .compile(mode=mode, batch_size=8 if mode == "batch" else None)
+        .compile(batch_size=batch_size)
     )
 
 
@@ -37,8 +37,8 @@ def segments_of(query):
 
 
 class TestPipeChainFusion:
-    def test_adjacent_pipes_fuse_in_batch_mode(self):
-        query = piped_query("batch")
+    def test_adjacent_pipes_fuse(self):
+        query = piped_query(8)
         segments = segments_of(query)
         assert len(segments) == 1
         assert [op.name for op in segments[0].operators] == ["real", "lucky"]
@@ -50,21 +50,23 @@ class TestPipeChainFusion:
     def test_per_tuple_pipe_breaks_the_run(self):
         # Map has no vectorised kernel, so it must not be fused -- and it
         # splits the two filters into runs of one, which stay unfused.
-        query = piped_query("batch", middle=Map(lambda t: t, name="ident"))
+        query = piped_query(8, middle=Map(lambda t: t, name="ident"))
         assert segments_of(query) == []
 
-    def test_tuple_mode_keeps_separate_boxes(self):
-        assert segments_of(piped_query("tuple")) == []
+    def test_fusion_does_not_depend_on_batch_size(self):
+        assert len(segments_of(piped_query(1))) == 1
 
-    def test_batch_results_match_tuple_results(self):
+    def test_fused_results_match_unfused_results(self):
         items = tuples(37)
-        tuple_query = piped_query("tuple")
-        tuple_query.push_many("in", items)
-        expected = tuple_query.finish()
+        # The identity Map splits the run, so this plan stays unfused.
+        unfused_query = piped_query(1, middle=Map(lambda t: t, name="ident"))
+        assert segments_of(unfused_query) == []
+        unfused_query.push_many("in", items)
+        expected = unfused_query.finish()
 
-        batch_query = piped_query("batch")
-        batch_query.push_many("in", items)
-        got = batch_query.finish()
+        fused_query = piped_query(8)
+        fused_query.push_many("in", items)
+        got = fused_query.finish()
 
         assert expected, "the piped plan must produce windows"
         assert len(got) == len(expected)

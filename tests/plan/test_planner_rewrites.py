@@ -3,7 +3,7 @@
 Every rewrite rule gets (a) a structural test that it fires on its
 target pattern, (b) an equivalence test running the same synthetic
 GMM/Gaussian stream through the naive (``optimize=False``) and
-optimized plan on BOTH execution paths and comparing results within
+optimized plan with one-row batches AND the planner's batch size, comparing results within
 ``TOLERANCE``, and (c) a guard test that it does *not* fire when its
 side conditions fail (shared nodes, annotations, missing ``uses``).
 """
@@ -31,9 +31,9 @@ TOLERANCE = 1e-9
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
-def run(stream, sources, mode, optimize):
+def run(stream, sources, batch_size, optimize):
     """Compile ``stream`` and run the named source feeds through it."""
-    query = stream.compile(mode=mode, optimize=optimize)
+    query = stream.compile(batch_size=batch_size, optimize=optimize)
     for name, items in sources.items():
         query.push_many(name, items)
     return query.finish()
@@ -61,16 +61,16 @@ def assert_equivalent(left, right):
 
 
 def assert_rule_equivalence(build, sources):
-    """Naive vs optimized results agree on the tuple AND batch paths."""
-    naive_tuple = run(build(), sources, "tuple", optimize=False)
+    """Naive vs optimized results agree with one-row AND planner-sized batches."""
+    naive_tuple = run(build(), sources, 1, optimize=False)
     assert naive_tuple, "test workload produced no results; the test is vacuous"
-    for mode in ("tuple", "batch"):
-        assert_equivalent(naive_tuple, run(build(), sources, mode, optimize=True))
-    assert_equivalent(naive_tuple, run(build(), sources, "batch", optimize=False))
+    for batch_size in (1, None):
+        assert_equivalent(naive_tuple, run(build(), sources, batch_size, optimize=True))
+    assert_equivalent(naive_tuple, run(build(), sources, None, optimize=False))
 
 
 def applied_rules(stream):
-    query = stream.compile(mode="tuple")
+    query = stream.compile(batch_size=1)
     return {trace.rule for trace in query.rewrites}
 
 
@@ -101,7 +101,7 @@ class TestPushFilterBelowDerive:
 
     def test_fires_and_reorders(self):
         assert "push_filter_below_derive" in applied_rules(self.build())
-        optimized = self.build().compile(mode="tuple").optimized_plan
+        optimized = self.build().compile(batch_size=1).optimized_plan
         agg = optimized.outputs[0]
         assert isinstance(agg, AggregateNode)
         derive = agg.input
@@ -134,7 +134,7 @@ class TestPushFilterBelowDerive:
         )
         filtered = derived.where(lambda t: t.value("kind") == "hot", uses=("kind",))
         other = derived.where(lambda t: True, description="other consumer")
-        query = compile_streams({"a": filtered, "b": other}, mode="tuple")
+        query = compile_streams({"a": filtered, "b": other}, batch_size=1)
         assert "push_filter_below_derive" not in {t.rule for t in query.rewrites}
 
 
@@ -184,7 +184,7 @@ class TestPushFilterBelowJoin:
     def test_fires_and_pushes_to_right_input(self):
         stream = self.build()
         assert "push_filter_below_join" in applied_rules(stream)
-        optimized = stream.compile(mode="tuple").optimized_plan
+        optimized = stream.compile(batch_size=1).optimized_plan
         join = optimized.outputs[0]
         assert isinstance(join, JoinNode)
         pushed = join.right
@@ -220,7 +220,7 @@ class TestFuseAdjacentFilters:
     def test_fires_and_merges_boxes(self):
         stream = self.build()
         assert "fuse_adjacent_filters" in applied_rules(stream)
-        query = stream.compile(mode="tuple")
+        query = stream.compile(batch_size=1)
         filters = [
             op for op, node in query._operator_tags if isinstance(node, FilterNode)
         ]
@@ -246,7 +246,7 @@ class TestReorderCheapFilterFirst:
     def test_fires_and_reorders(self):
         stream = self.build()
         assert "reorder_cheap_filter_first" in applied_rules(stream)
-        optimized = stream.compile(mode="tuple").optimized_plan
+        optimized = stream.compile(batch_size=1).optimized_plan
         # After the reorder (and the follow-on select fusion) the
         # deterministic filter feeds the fused select+aggregate box.
         root = optimized.outputs[0]
@@ -280,7 +280,7 @@ class TestFuseSelectIntoAggregate:
     def test_fires(self):
         stream = self.build()
         assert "fuse_select_into_aggregate" in applied_rules(stream)
-        optimized = stream.compile(mode="tuple").optimized_plan
+        optimized = stream.compile(batch_size=1).optimized_plan
         assert isinstance(optimized.outputs[0], FusedSelectAggregateNode)
 
     @pytest.mark.parametrize("function", ["sum", "avg", "count", "max"])
@@ -294,7 +294,7 @@ class TestFuseSelectIntoAggregate:
             .where_probably("value", ">", 30.0)
         )
         agg = selected.window(TumblingCountWindow(10)).aggregate("value")
-        query = compile_streams({"agg": agg, "raw": selected}, mode="tuple")
+        query = compile_streams({"agg": agg, "raw": selected}, batch_size=1)
         assert "fuse_select_into_aggregate" not in {t.rule for t in query.rewrites}
         # ... and the shared select's annotated output stays observable.
         query.push_many("in", gmm_tuple_stream(20, mean_range=(0.0, 100.0), rng=3))
@@ -342,7 +342,7 @@ class TestFusionAnnotationSafety:
         )
         assert "fuse_select_into_aggregate" not in applied_rules(stream)
         # ... and the plan actually runs: the key reads the annotation.
-        query = stream.compile(mode="tuple")
+        query = stream.compile(batch_size=1)
         query.push_many("in", gmm_tuple_stream(8, mean_range=(50.0, 100.0), rng=2))
         assert query.finish()
 

@@ -1,4 +1,4 @@
-"""Union fan-in lowering: fused batch segments + batch/tuple equivalence."""
+"""Union fan-in lowering: fused batch segments + fused/unfused equivalence."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.distributions import Gaussian
 from repro.plan import FusedBatchSegment, Stream
 from repro.streams import StreamTuple
 from repro.streams.operators.base import OperatorError, PassThroughOperator
-from repro.streams.operators.basic import Filter
+from repro.streams.operators.basic import Filter, Map
 from repro.streams.windows import TumblingCountWindow
 
 
@@ -30,11 +30,9 @@ def branch_tuples(n, offset=0.0, ghost_every=5):
 
 
 class TestSegmentLowering:
-    def test_union_branches_fuse_in_batch_mode(self):
+    def test_union_branches_fuse(self):
         union = branch_stream("a").union(branch_stream("b"))
-        query = (
-            union.window(TumblingCountWindow(4)).aggregate("w").compile(mode="batch")
-        )
+        query = union.window(TumblingCountWindow(4)).aggregate("w").compile()
         segments = [
             op for op, _ in query._operator_tags if isinstance(op, FusedBatchSegment)
         ]
@@ -48,11 +46,13 @@ class TestSegmentLowering:
         assert sum("Segment[" in name for name in names) == 2
         assert not any(name == "ProbabilisticSelect" for name in names)
 
-    def test_tuple_mode_keeps_separate_boxes(self):
-        union = branch_stream("a").union(branch_stream("b"))
-        query = (
-            union.window(TumblingCountWindow(4)).aggregate("w").compile(mode="tuple")
+    def test_per_tuple_box_keeps_branch_unfused(self):
+        # Map has no vectorised kernel: the chain walk from the union
+        # stops at it, so neither branch is fused.
+        union = branch_stream("a").pipe(Map(lambda t: t)).union(
+            branch_stream("b").pipe(Map(lambda t: t))
         )
+        query = union.window(TumblingCountWindow(4)).aggregate("w").compile()
         assert not any(
             isinstance(op, FusedBatchSegment) for op, _ in query._operator_tags
         )
@@ -70,24 +70,30 @@ class TestSegmentLowering:
             FusedBatchSegment([PassThroughOperator()])
 
 
-class TestBatchTupleEquivalence:
-    def _run(self, mode):
-        union = branch_stream("a").union(branch_stream("b"))
+class TestFusedUnfusedEquivalence:
+    def _run(self, batch_size, fused):
+        a, b = branch_stream("a"), branch_stream("b")
+        if not fused:
+            # A per-tuple box at the end of each branch blocks fusion.
+            a, b = a.pipe(Map(lambda t: t)), b.pipe(Map(lambda t: t))
         query = (
-            union.window(TumblingCountWindow(4))
+            a.union(b)
+            .window(TumblingCountWindow(4))
             .aggregate("w")
-            .compile(mode=mode, batch_size=8 if mode == "batch" else None)
+            .compile(batch_size=batch_size)
         )
+        segments = [op for op, _ in query._operator_tags if isinstance(op, FusedBatchSegment)]
+        assert len(segments) == (2 if fused else 0)
         query.push_many("a", branch_tuples(23))
         query.push_many("b", branch_tuples(17, offset=100.0, ghost_every=3))
         return query.finish()
 
-    def test_union_results_identical_across_paths(self):
-        tuple_results = self._run("tuple")
-        batch_results = self._run("batch")
-        assert len(tuple_results) == len(batch_results)
-        assert tuple_results, "the union plan must produce windows"
-        for a, b in zip(tuple_results, batch_results):
+    def test_union_results_identical_fused_and_unfused(self):
+        unfused_results = self._run(1, fused=False)
+        fused_results = self._run(8, fused=True)
+        assert len(unfused_results) == len(fused_results)
+        assert unfused_results, "the union plan must produce windows"
+        for a, b in zip(unfused_results, fused_results):
             assert set(a.values) == set(b.values)
             assert b.value("sum_w_mean") == pytest.approx(
                 a.value("sum_w_mean"), abs=1e-9

@@ -48,8 +48,8 @@ class TestFireCodeMonitor(object):
     def test_overloaded_area_reported(self):
         weights = {"A": 150.0, "B": 120.0}
         monitor = self.make_monitor(weights)
-        monitor.accept(location_tuple(0.5, "A", 2.5, 2.5, sigma=0.05))
-        monitor.accept(location_tuple(1.0, "B", 2.5, 2.5, sigma=0.05))
+        list(monitor.process(location_tuple(0.5, "A", 2.5, 2.5, sigma=0.05)))
+        list(monitor.process(location_tuple(1.0, "B", 2.5, 2.5, sigma=0.05)))
         results = list(monitor.flush())
         assert len(results) == 1
         out = results[0]
@@ -60,7 +60,7 @@ class TestFireCodeMonitor(object):
     def test_underloaded_area_not_reported(self):
         weights = {"A": 50.0}
         monitor = self.make_monitor(weights)
-        monitor.accept(location_tuple(0.5, "A", 2.5, 2.5, sigma=0.05))
+        list(monitor.process(location_tuple(0.5, "A", 2.5, 2.5, sigma=0.05)))
         assert list(monitor.flush()) == []
 
     def test_uncertain_location_spreads_weight_over_cells(self):
@@ -68,19 +68,19 @@ class TestFireCodeMonitor(object):
         # confident violation at the 0.5 probability bar.
         weights = {"A": 210.0}
         monitor = self.make_monitor(weights, min_violation_probability=0.5)
-        monitor.accept(location_tuple(0.5, "A", 3.0, 2.5, sigma=0.4))
+        list(monitor.process(location_tuple(0.5, "A", 3.0, 2.5, sigma=0.4)))
         assert list(monitor.flush()) == []
         # But with a lower reporting bar both candidate cells appear.
         lenient = self.make_monitor(weights, min_violation_probability=0.1)
-        lenient.accept(location_tuple(0.5, "A", 3.0, 2.5, sigma=0.4))
+        list(lenient.process(location_tuple(0.5, "A", 3.0, 2.5, sigma=0.4)))
         results = list(lenient.flush())
         assert len(results) >= 1
 
     def test_windows_are_independent(self):
         weights = {"A": 300.0}
         monitor = self.make_monitor(weights)
-        monitor.accept(location_tuple(0.5, "A", 1.5, 1.5, sigma=0.05))
-        outputs_mid = monitor.accept(location_tuple(6.0, "A", 1.5, 1.5, sigma=0.05))
+        list(monitor.process(location_tuple(0.5, "A", 1.5, 1.5, sigma=0.05)))
+        outputs_mid = list(monitor.process(location_tuple(6.0, "A", 1.5, 1.5, sigma=0.05)))
         # Closing the first window emits its violation.
         assert len(list(outputs_mid)) == 1
         assert len(list(monitor.flush())) == 1
@@ -89,8 +89,8 @@ class TestFireCodeMonitor(object):
         weights = {"A": 150.0}
         monitor = self.make_monitor(weights, min_violation_probability=0.5)
         # The same object reported twice must not double its weight.
-        monitor.accept(location_tuple(0.5, "A", 2.5, 2.5, sigma=0.05))
-        monitor.accept(location_tuple(1.0, "A", 2.5, 2.5, sigma=0.05))
+        list(monitor.process(location_tuple(0.5, "A", 2.5, 2.5, sigma=0.05)))
+        list(monitor.process(location_tuple(1.0, "A", 2.5, 2.5, sigma=0.05)))
         assert list(monitor.flush()) == []
 
     def test_invalid_configuration(self):

@@ -156,7 +156,7 @@ def run_inline(plan):
 def run_forked(plan):
     transport = ShardShmTransport(SHARD, 1 << 20, queue_capacity=4)
     process = multiprocessing.get_context("fork").Process(
-        target=worker_main, args=(SHARD, plan, "auto", None, transport), daemon=True
+        target=worker_main, args=(SHARD, plan, transport), daemon=True
     )
     process.start()
     transport.process = process

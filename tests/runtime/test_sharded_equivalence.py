@@ -2,8 +2,8 @@
 
 The paper's monitoring queries run twice — once on a single
 ``CompiledQuery`` engine, once through :class:`ShardedEngine` — over
-identical input, for every shard count in {1, 2, 4} and both execution
-paths (tuple-at-a-time and batch) inside the workers.  Results must
+identical input, for every shard count in {1, 2, 4} and both one-row
+batches and the cost model's batch size inside the workers.  Results must
 agree to 1e-9 in every deterministic value and in the first two moments
 of every uncertain attribute, in the same order.
 
@@ -23,7 +23,8 @@ from repro.runtime import ShardedEngine
 from repro.streams import TumblingTimeWindow, StreamTuple
 
 SHARD_COUNTS = (1, 2, 4)
-MODES = ("tuple", "batch")
+#: One-row batches, and the batch size the cost model picks.
+BATCH_SIZES = (1, None)
 TOLERANCE = 1e-9
 
 
@@ -145,7 +146,7 @@ def assert_equivalent(expected, got):
 @pytest.fixture(scope="module")
 def q1_reference(warehouse):
     catalog, objects, _ = warehouse
-    query = q1_stream(catalog).compile(mode="tuple")
+    query = q1_stream(catalog).compile(batch_size=1)
     query.push_many("rfid", objects)
     results = query.finish()
     assert results, "Q1 must produce overloaded-area windows"
@@ -155,7 +156,7 @@ def q1_reference(warehouse):
 @pytest.fixture(scope="module")
 def q2_reference(warehouse):
     catalog, objects, sensors = warehouse
-    query = q2_streams(catalog).compile(mode="tuple")
+    query = q2_streams(catalog).compile(batch_size=1)
     query.push_many("temperature", sensors)
     query.push_many("objects", objects)
     results = query.finish()
@@ -165,15 +166,15 @@ def q2_reference(warehouse):
 
 class TestQ1ShardedEquivalence:
     @pytest.mark.parametrize("workers", SHARD_COUNTS)
-    @pytest.mark.parametrize("mode", MODES)
-    def test_matches_single_engine(self, warehouse, q1_reference, workers, mode):
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_matches_single_engine(self, warehouse, q1_reference, workers, batch_size):
         catalog, objects, _ = warehouse
         with ShardedEngine(
             q1_stream(catalog),
             workers=workers,
             backend="process",
             chunk_size=64,
-            mode=mode,
+            batch_size=batch_size,
         ) as engine:
             assert engine.sharded
             engine.push_many("rfid", objects)
@@ -185,11 +186,11 @@ class TestQ2ShardedEquivalence:
     """Q2 does not shard (probabilistic join); the fallback must be exact."""
 
     @pytest.mark.parametrize("workers", SHARD_COUNTS)
-    @pytest.mark.parametrize("mode", MODES)
-    def test_matches_single_engine(self, warehouse, q2_reference, workers, mode):
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_matches_single_engine(self, warehouse, q2_reference, workers, batch_size):
         catalog, objects, sensors = warehouse
         with ShardedEngine(
-            q2_streams(catalog), workers=workers, backend="process", mode=mode
+            q2_streams(catalog), workers=workers, backend="process", batch_size=batch_size
         ) as engine:
             assert not engine.sharded
             assert "join" in engine.decision.reason.lower()

@@ -32,7 +32,7 @@ def shared_prefix_session(batch_size=None):
     return session
 
 
-@pytest.mark.parametrize("batch_size", [None, 4], ids=["tuple-path", "batch-path"])
+@pytest.mark.parametrize("batch_size", [None, 4], ids=["one-row-batches", "batches-of-4"])
 def test_drop_other_query_from_callback_mid_push(batch_size):
     """The drop happens while the same tuple is still queued for the victim.
 

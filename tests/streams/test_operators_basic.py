@@ -12,6 +12,7 @@ from repro.streams import (
     Map,
     PassThroughOperator,
     StreamTuple,
+    TupleBatch,
 )
 from repro.streams.operators.base import OperatorError
 
@@ -36,10 +37,11 @@ class TestOperatorBase:
 
     def test_accept_counts_tuples(self):
         op = PassThroughOperator()
-        op.accept(make_tuple(0))
-        op.accept(make_tuple(1))
+        op.accept_batch(TupleBatch([make_tuple(0)]))
+        op.accept_batch(TupleBatch([make_tuple(1)]))
         assert op.tuples_in == 2
         assert op.tuples_out == 2
+        assert op.batches_in == 2
         op.reset_counters()
         assert op.tuples_in == 0
 
@@ -49,7 +51,7 @@ class TestOperatorBase:
             yield item.derive(values={"copy": True})
 
         op = FunctionOperator(explode)
-        outputs = op.accept(make_tuple(0))
+        outputs = list(op.process(make_tuple(0)))
         assert len(outputs) == 2
         assert op.name == "explode"
 
@@ -57,18 +59,18 @@ class TestOperatorBase:
 class TestFilterAndMap:
     def test_filter_keeps_matching_tuples(self):
         op = Filter(lambda t: t.value("i") % 2 == 0)
-        kept = [t for i in range(6) for t in op.accept(make_tuple(i))]
+        kept = [t for i in range(6) for t in list(op.process(make_tuple(i)))]
         assert [t.value("i") for t in kept] == [0, 2, 4]
 
     def test_map_transforms_tuples(self):
         op = Map(lambda t: t.derive(values={"doubled": t.value("i") * 2}))
-        out = op.accept(make_tuple(3))[0]
+        out = list(op.process(make_tuple(3)))[0]
         assert out.value("doubled") == 6
 
     def test_map_must_return_stream_tuple(self):
         op = Map(lambda t: 42)
         with pytest.raises(OperatorError):
-            op.accept(make_tuple(0))
+            list(op.process(make_tuple(0)))
 
 
 class TestAttributeDeriver:
@@ -77,7 +79,7 @@ class TestAttributeDeriver:
             value_functions={"weight": lambda t: 10.0 * t.value("i")},
             uncertain_functions={"scaled_temp": lambda t: t.distribution("temp").scale(2.0)},
         )
-        out = op.accept(make_tuple(2, temp=30.0))[0]
+        out = list(op.process(make_tuple(2, temp=30.0)))[0]
         assert out.value("weight") == 20.0
         assert out.distribution("scaled_temp").mu == pytest.approx(60.0)
         # Original attributes preserved.
@@ -87,7 +89,7 @@ class TestAttributeDeriver:
     def test_uncertain_function_must_return_distribution(self):
         op = AttributeDeriver(uncertain_functions={"bad": lambda t: 3.0})
         with pytest.raises(OperatorError):
-            op.accept(make_tuple(0, temp=1.0))
+            list(op.process(make_tuple(0, temp=1.0)))
 
     def test_requires_at_least_one_function(self):
         with pytest.raises(OperatorError):
@@ -98,7 +100,7 @@ class TestSinks:
     def test_collect_sink_accumulates(self):
         sink = CollectSink()
         for i in range(3):
-            sink.accept(make_tuple(i))
+            list(sink.process(make_tuple(i)))
         assert len(sink.results) == 3
         sink.clear()
         assert sink.results == []
@@ -106,5 +108,5 @@ class TestSinks:
     def test_callback_sink_invokes_callback(self):
         seen = []
         sink = CallbackSink(seen.append)
-        sink.accept(make_tuple(7))
+        list(sink.process(make_tuple(7)))
         assert seen[0].value("i") == 7
