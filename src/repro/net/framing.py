@@ -13,7 +13,7 @@ One frame is::
 
 Control data rides in the JSON header — small, debuggable, and
 schema-free — while bulk tuple data rides in the binary payload using
-the columnar/row batch codec the sharded runtime already speaks, so a
+the columnar batch codec the sharded runtime already speaks, so a
 tuple crossing a machine boundary costs the same bytes whether it goes
 to a forked worker or over TCP.
 

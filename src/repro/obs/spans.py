@@ -13,7 +13,7 @@ sampled when ``trace_id % n == 0`` for the process-wide sampling
 denominator ``n`` (:func:`set_trace_sample`, default 64; ``0`` disables
 tracing, ``1`` records every trace).  The decision is a pure function
 of the trace id, so the coordinator and its forked shard workers agree
-without shipping any flag — the existing TRB1 batch trailer already
+without shipping any flag — the batch header's trace context already
 carries the id, and the wire format is untouched.
 
 **Cross-process causality.**  Span ids are *deterministic* strings

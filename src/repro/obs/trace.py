@@ -17,7 +17,7 @@ embedded use) and records two fields:
     at delivery time, and is monotone where wall clocks are not.
 
 Propagation is explicit where execution crosses a thread or process
-(the context rides the encoded batch as a trailer; see
+(the context rides the encoded batch's header; see
 ``repro.streams.serialization``) and implicit within a thread: the
 active context lives in a ``threading.local`` that the delivery paths
 set around sink calls, so sinks read ``active()`` without any plumbing

@@ -10,11 +10,11 @@ length-prefixed batch sections
 
 The header is the state dict with every non-empty list of tuples
 replaced by a ``{"__batch__": i}`` placeholder referencing the *i*-th
-batch section, which is the existing wire format
-(:func:`~repro.streams.serialization.encode_batch_wire`) — columnar
-when eligible, row framing otherwise — so tuple ids, lineage sets and
-distributions round-trip exactly.  Floats use Python's JSON dialect
-(``Infinity``/``NaN`` literals), which matters for watermark fields.
+batch section, which is the columnar wire format of
+:func:`~repro.streams.serialization.encode_batch_wire`, so tuple ids,
+lineage sets and distributions round-trip exactly.  Floats use
+Python's JSON dialect (``Infinity``/``NaN`` literals), which matters
+for watermark fields.
 """
 
 from __future__ import annotations
@@ -86,26 +86,33 @@ def encode_state(state: Any) -> bytes:
 
 
 def decode_state(payload: bytes) -> Any:
-    """Decode a payload produced by :func:`encode_state`."""
+    """Decode a payload produced by :func:`encode_state`.
+
+    Raises :class:`StateError` on any malformed or truncated payload.
+    """
     payload = bytes(payload)
     if payload[: len(_MAGIC)] != _MAGIC:
         raise StateError("payload does not start with the state magic prefix")
     offset = len(_MAGIC)
-    (header_len,) = _U32.unpack_from(payload, offset)
-    offset += 4
-    header = json.loads(payload[offset : offset + header_len].decode("utf-8"))
-    offset += header_len
-    (count,) = _U32.unpack_from(payload, offset)
-    offset += 4
-    batches: List[TupleBatch] = []
-    for _ in range(count):
-        (length,) = _U32.unpack_from(payload, offset)
-        offset += 4
-        batches.append(decode_batch(payload[offset : offset + length]))
+
+    def section(length: int) -> bytes:
+        nonlocal offset
+        if offset + length > len(payload):
+            raise StateError(f"truncated state payload: {length} bytes needed at offset {offset}")
         offset += length
-    if offset != len(payload):
-        raise StateError("trailing bytes after the declared batch sections")
-    return _restore(header, batches)
+        return payload[offset - length : offset]
+
+    def u32() -> int:
+        return _U32.unpack(section(4))[0]
+
+    try:
+        header = json.loads(section(u32()).decode("utf-8"))
+        batches = [decode_batch(section(u32())) for _ in range(u32())]
+        if offset != len(payload):
+            raise StateError("trailing bytes after the declared batch sections")
+        return _restore(header, batches)
+    except (ValueError, LookupError, TypeError) as exc:  # JSON, batch codec, placeholders
+        raise StateError(f"malformed state payload: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -572,7 +572,7 @@ class ShardedEngine:
             return
         encode_start = time.perf_counter()
         # The active trace context (stamped by the session/server at
-        # ingest) rides each chunk's encoded batch as a trailer, so the
+        # ingest) rides each chunk's encoded batch header, so the
         # shard workers and the reply path inherit it without any frame
         # change.  Chunk granularity: a buffer shipped mid-ingest
         # carries the current context (latest-wins); one shipped from

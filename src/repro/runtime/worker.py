@@ -110,7 +110,7 @@ class ShardRunner:
             batch = decode_batch(raw)
             release()
             outputs, watermark = self._traced_chunk(source, batch, chunk_id)
-            # The trace trailer survives the wire round trip, so the
+            # The trace context survives the wire round trip, so the
             # coordinator can account ingest→delivery latency across
             # the process boundary.
             out = TupleBatch(outputs)

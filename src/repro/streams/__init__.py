@@ -24,19 +24,7 @@ from .operators import (
     Union,
 )
 from .schema import Attribute, AttributeKind, Schema, SchemaError
-from .serialization import (
-    batch_size_bytes,
-    decode_batch,
-    decode_distribution,
-    decode_tuple,
-    distribution_size_bytes,
-    encode_batch,
-    encode_batch_columnar,
-    encode_batch_wire,
-    encode_distribution,
-    encode_tuple,
-    tuple_size_bytes,
-)
+from .serialization import decode_batch, encode_batch_wire
 from .tuples import (
     StreamTuple,
     TupleId,
@@ -89,15 +77,6 @@ __all__ = [
     "TupleArchive",
     "are_independent",
     "correlation_groups",
-    "encode_distribution",
-    "decode_distribution",
-    "distribution_size_bytes",
-    "encode_tuple",
-    "decode_tuple",
-    "tuple_size_bytes",
-    "encode_batch",
-    "decode_batch",
-    "batch_size_bytes",
-    "encode_batch_columnar",
     "encode_batch_wire",
+    "decode_batch",
 ]

@@ -1,27 +1,48 @@
-"""Serialization of tuples and distributions, with size accounting.
+"""The wire codec: one columnar binary format for tuple batches.
 
-Section 4.3 motivates compressing particle clouds into parametric
-distributions partly by *stream volume*: "every tuple now carries tens
-or hundreds of samples.  This will increase the stream volume by one or
-two orders of magnitude."  To make that claim measurable, this module
-provides a compact binary encoding for stream tuples and their
-uncertain attributes, plus helpers that report encoded sizes without
-materialising the bytes.
+Section 4.3 argues for compressing particle clouds into parametric
+distributions by *stream volume*: "every tuple now carries tens or
+hundreds of samples."  Every batch that crosses a process boundary
+(shard workers, the TCP service, checkpoints) is encoded here, so the
+encoded bytes make that claim measurable.
 
-The format is a simple self-describing binary layout (struct-packed),
-sufficient for shipping tuples between operators or nodes and for
-measuring bandwidth; it is not meant to be a long-term storage format.
+Layout (little-endian)::
+
+    batch   = "TBC2" · flags u8 · n_runs u32 · [trace_id i64 · t_ingest f64] · run*
+    run     = n u32 · n_values u16 · n_uncertain u16 · has_lineage u8
+              · timestamps f64[n] · tuple_ids i64[n]
+              · [lineage counts u32[n] · lineage ids i64[sum]]
+              · value_column* · uncertain_column*
+    value_column     = name · kind u8 · data
+    uncertain_column = name · families u8 (bit set) · [family tags u8[n]] · family_block*
+
+Bit 0 of ``flags`` marks a trace context.  A *run* is a stretch of
+consecutive rows with one layout (the same value and uncertain names,
+the same type per value), so row order is kept; a decoded row lists its
+attributes in its run's first-row order.  A run of source tuples
+(lineage = own id) carries no lineage section.  An uncertain column may
+mix the five families: the tag array is present only when it does, and
+each family present adds one block of parameter arrays (see
+``_write_family``), so an all-Gaussian column is a ``mu`` and a
+``sigma`` array.
+
+The format ships tuples between processes and nodes and measures
+bandwidth; it is not a long-term storage format.  Decoding treats the
+payload as outside input: lengths are bounds-checked, distribution
+parameters validated, and anything malformed raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional, Tuple
+from itertools import chain, repeat
+from operator import attrgetter, contains, itemgetter
+from typing import List
 
 import numpy as np
 
 from repro.distributions import (
-    Distribution,
+    DistributionError,
     Gaussian,
     GaussianMixture,
     HistogramDistribution,
@@ -32,561 +53,401 @@ from repro.distributions import (
 from .batch import TupleBatch
 from .tuples import StreamTuple
 
-__all__ = [
-    "encode_distribution",
-    "decode_distribution",
-    "distribution_size_bytes",
-    "encode_tuple",
-    "decode_tuple",
-    "tuple_size_bytes",
-    "encode_batch",
-    "decode_batch",
-    "batch_size_bytes",
-    "encode_batch_columnar",
-    "encode_batch_wire",
-    "wire_format",
-]
+__all__ = ["encode_batch_wire", "decode_batch", "wire_format"]
 
-_GAUSSIAN = 1
-_MIXTURE = 2
-_UNIFORM = 3
-_PARTICLES = 4
-_HISTOGRAM = 5
+#: Magic prefix identifying an encoded tuple batch (columnar, version 2).
+_MAGIC = b"TBC2"
+_TRACED = 0x01
 
-# Precompiled layouts.  The runtime's sharded execution ships every
-# tuple through this codec twice (parent encode, worker decode), so the
-# hot paths avoid re-parsing format strings per call.
-_PAIR = struct.Struct("<Bdd")  # Gaussian / Uniform payloads
-_COUNTED = struct.Struct("<BI")  # mixture / particle / histogram headers
-_TUPLE_HEADER = struct.Struct("<dqHH")
+_HEADER = struct.Struct("<4sBI")
+_TRACE = struct.Struct("<qd")
+_RUN = struct.Struct("<IHHB")
 _U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
+_U8 = struct.Struct("<B")
+
+# Value column kinds.  ``np.float64`` has its own so the type survives.
+_BOOL, _INT, _FLOAT, _NP_FLOAT, _STR, _INT_TUPLE = 0x62, 0x69, 0x66, 0x64, 0x73, 0x74
+_VALUE_KINDS = {bool: _BOOL, int: _INT, float: _FLOAT, str: _STR, tuple: _INT_TUPLE}
+_VALUE_KINDS[np.float64] = _NP_FLOAT
+
+# Distribution families; a column's family set is a bit set of ``1 << tag``.
+_GAUSSIAN, _MIXTURE, _UNIFORM, _PARTICLES, _HISTOGRAM = 1, 2, 3, 4, 5
+_FAMILIES = {
+    Gaussian: _GAUSSIAN,
+    GaussianMixture: _MIXTURE,
+    Uniform: _UNIFORM,
+    ParticleDistribution: _PARTICLES,
+    HistogramDistribution: _HISTOGRAM,
+}
+_ALL_FAMILIES = sum(1 << tag for tag in _FAMILIES.values())
+#: Parameter arrays of each family's block, in wire order.  The sized
+#: families (all but Gaussian and Uniform) prefix them with per-object
+#: counts: components, particles or bins (a histogram has one more edge).
+_FIELDS = {
+    _GAUSSIAN: ("mu", "sigma"),
+    _UNIFORM: ("low", "high"),
+    _MIXTURE: ("weights", "means", "sigmas"),
+    _PARTICLES: ("values", "weights"),
+    _HISTOGRAM: ("edges", "densities"),
+}
 
 
-def encode_distribution(dist: Distribution) -> bytes:
-    """Encode a scalar distribution into a compact binary representation."""
-    if isinstance(dist, Gaussian):
-        return _PAIR.pack(_GAUSSIAN, dist.mu, dist.sigma)
-    if isinstance(dist, GaussianMixture):
-        header = _COUNTED.pack(_MIXTURE, dist.n_components)
-        body = np.concatenate([dist.weights, dist.means, dist.sigmas]).astype("<f8").tobytes()
-        return header + body
-    if isinstance(dist, Uniform):
-        return _PAIR.pack(_UNIFORM, dist.low, dist.high)
-    if isinstance(dist, ParticleDistribution):
-        header = _COUNTED.pack(_PARTICLES, dist.n_particles)
-        body = np.concatenate([dist.values, dist.weights]).astype("<f8").tobytes()
-        return header + body
-    if isinstance(dist, HistogramDistribution):
-        header = _COUNTED.pack(_HISTOGRAM, dist.n_bins)
-        body = np.concatenate([dist.edges, dist.densities]).astype("<f8").tobytes()
-        return header + body
-    raise TypeError(f"cannot encode a distribution of type {type(dist).__name__}")
+def _kind_of(table, cls, what: str) -> int:
+    """Look ``cls`` (or its nearest registered base) up in ``table``."""
+    for base in cls.__mro__:
+        if base in table:
+            return table[base]
+    raise TypeError(f"cannot encode {what} of type {cls.__name__}")
 
 
-def _decode_distribution_at(payload: bytes, offset: int) -> Tuple[Distribution, int]:
-    """Decode one distribution at ``offset``; return it and the next offset."""
-    kind = payload[offset]
-    if kind in (_GAUSSIAN, _UNIFORM):
-        _, a, b = _PAIR.unpack_from(payload, offset)
-        offset += _PAIR.size
-        return (Gaussian(a, b) if kind == _GAUSSIAN else Uniform(a, b)), offset
-    if kind in (_MIXTURE, _PARTICLES, _HISTOGRAM):
-        _, count = _COUNTED.unpack_from(payload, offset)
-        offset += _COUNTED.size
-        if kind == _MIXTURE:
-            n_values = 3 * count
-        elif kind == _PARTICLES:
-            n_values = 2 * count
+# ----------------------------------------------------------------------
+# Encoder
+# ----------------------------------------------------------------------
+def encode_batch_wire(batch: TupleBatch) -> bytes:
+    """Encode a batch (any rows, any mix of the five families) for transport.
+
+    Raises ``TypeError`` for a value or distribution the format cannot
+    carry (``None``, ``MultivariateGaussian``, tuples of non-integers).
+    """
+    rows = batch.to_tuples() if isinstance(batch, TupleBatch) else list(batch)
+    parts: List[bytes] = []
+    n_runs = 1 if rows else 0
+    if rows and not _write_run(rows, parts):
+        # Rows differ: cut where a row's names or value types change.
+        layouts = [
+            (tuple(t.values), tuple(map(type, t.values.values())), tuple(t.uncertain)) for t in rows
+        ]
+        starts = [i for i in range(len(rows)) if i == 0 or layouts[i] != layouts[i - 1]]
+        for start, stop in zip(starts, starts[1:] + [len(rows)]):
+            _write_run(rows[start:stop], parts)
+        n_runs = len(starts)
+    trace_id = getattr(batch, "trace_id", None)
+    if trace_id is None:
+        return _HEADER.pack(_MAGIC, 0, n_runs) + b"".join(parts)
+    trace = _TRACE.pack(int(trace_id), float(getattr(batch, "t_ingest", None) or 0.0))
+    return _HEADER.pack(_MAGIC, _TRACED, n_runs) + trace + b"".join(parts)
+
+
+def _write_run(rows, parts: list) -> bool:
+    """Append ``rows`` as one run, or return False (appending nothing) if
+    they differ in attribute names or in a value column's type."""
+    n = len(rows)
+    first = rows[0]
+    values = list(map(attrgetter("values"), rows))
+    uncertain = list(map(attrgetter("uncertain"), rows))
+    if list(map(len, values)).count(len(first.values)) != n:
+        return False
+    if list(map(len, uncertain)).count(len(first.uncertain)) != n:
+        return False
+    try:
+        value_columns = [list(map(itemgetter(name), values)) for name in first.values]
+        uncertain_columns = [list(map(itemgetter(name), uncertain)) for name in first.uncertain]
+    except KeyError:
+        return False
+    value_types = [type(value) for value in first.values.values()]
+    for cls, column in zip(value_types, value_columns):
+        if list(map(type, column)).count(cls) != n:
+            return False
+    lineages = list(map(attrgetter("lineage"), rows))
+    tuple_ids = np.fromiter(map(attrgetter("tuple_id"), rows), dtype="<i8", count=n)
+    own_lineage = list(map(len, lineages)).count(1) == n
+    own_lineage = own_lineage and all(map(contains, lineages, tuple_ids.tolist()))
+    parts.append(_RUN.pack(n, len(value_columns), len(uncertain_columns), 0 if own_lineage else 1))
+    parts.append(np.fromiter(map(attrgetter("timestamp"), rows), dtype="<f8", count=n).tobytes())
+    parts.append(tuple_ids.tobytes())
+    if not own_lineage:
+        _write_sized(list(map(sorted, lineages)), parts)
+    for name, cls, column in zip(first.values, value_types, value_columns):
+        kind = _kind_of(_VALUE_KINDS, cls, "a deterministic value")
+        parts.append(_name(name) + _U8.pack(kind))
+        if kind == _STR:
+            blobs = [v.encode("utf-8") for v in column]
+            parts.append(np.fromiter(map(len, blobs), dtype="<u4", count=n).tobytes())
+            parts.append(b"".join(blobs))
+        elif kind == _INT_TUPLE:
+            if not all(isinstance(v, (int, np.integer)) for value in column for v in value):
+                raise TypeError("cannot encode a tuple value with non-integer elements")
+            _write_sized(column, parts)
         else:
-            n_values = 2 * count + 1
-        body = np.frombuffer(payload, dtype="<f8", count=n_values, offset=offset)
-        offset += n_values * 8
-        if kind == _MIXTURE:
-            weights, means, sigmas = body[:count], body[count : 2 * count], body[2 * count :]
-            return GaussianMixture(weights, means, sigmas), offset
-        if kind == _PARTICLES:
-            return ParticleDistribution(body[:count], body[count:]), offset
-        return HistogramDistribution(body[: count + 1], body[count + 1 :]), offset
-    raise ValueError(f"unknown distribution tag {kind}")
+            dtype = {_BOOL: np.uint8, _INT: "<i8"}.get(kind, "<f8")
+            parts.append(np.fromiter(column, dtype=dtype, count=n).tobytes())
+    for name, column in zip(first.uncertain, uncertain_columns):
+        parts.append(_name(name))
+        _write_uncertain(column, parts)
+    return True
 
 
-def decode_distribution(payload: bytes) -> Tuple[Distribution, int]:
-    """Decode one distribution; return it and the number of bytes consumed."""
-    dist, offset = _decode_distribution_at(payload, 0)
-    return dist, offset
-
-
-def distribution_size_bytes(dist: Distribution) -> int:
-    """Return the encoded size of a distribution without building the bytes."""
-    if isinstance(dist, (Gaussian, Uniform)):
-        return struct.calcsize("<Bdd")
-    if isinstance(dist, GaussianMixture):
-        return struct.calcsize("<BI") + 3 * dist.n_components * 8
-    if isinstance(dist, ParticleDistribution):
-        return struct.calcsize("<BI") + 2 * dist.n_particles * 8
-    if isinstance(dist, HistogramDistribution):
-        return struct.calcsize("<BI") + (2 * dist.n_bins + 1) * 8
-    raise TypeError(f"cannot size a distribution of type {type(dist).__name__}")
-
-
-def _encode_value(value) -> bytes:
-    if isinstance(value, bool):
-        return b"b" + struct.pack("<B", int(value))
-    if isinstance(value, int):
-        return b"i" + _I64.pack(value)
-    if isinstance(value, float):
-        return b"f" + _F64.pack(value)
-    if isinstance(value, str):
-        raw = value.encode("utf-8")
-        return b"s" + _U32.pack(len(raw)) + raw
-    if isinstance(value, tuple) and all(isinstance(v, (int, np.integer)) for v in value):
-        return b"t" + _U32.pack(len(value)) + struct.pack(f"<{len(value)}q", *value)
-    raise TypeError(f"cannot encode deterministic value of type {type(value).__name__}")
-
-
-def _decode_value(payload: bytes, offset: int):
-    tag = payload[offset]
-    offset += 1
-    if tag == 0x66:  # "f" first: floats dominate real streams
-        return _F64.unpack_from(payload, offset)[0], offset + 8
-    if tag == 0x69:  # "i"
-        return _I64.unpack_from(payload, offset)[0], offset + 8
-    if tag == 0x73:  # "s"
-        (length,) = _U32.unpack_from(payload, offset)
-        offset += 4
-        return payload[offset : offset + length].decode("utf-8"), offset + length
-    if tag == 0x62:  # "b"
-        return bool(payload[offset]), offset + 1
-    if tag == 0x74:  # "t"
-        (length,) = _U32.unpack_from(payload, offset)
-        offset += 4
-        values = struct.unpack_from(f"<{length}q", payload, offset)
-        return tuple(values), offset + 8 * length
-    raise ValueError(f"unknown value tag {bytes((tag,))!r}")
-
-
-def _encode_name(name: str) -> bytes:
+def _name(name: str) -> bytes:
     raw = name.encode("utf-8")
     return _U16.pack(len(raw)) + raw
 
 
-def _decode_name(payload: bytes, offset: int):
-    (length,) = _U16.unpack_from(payload, offset)
-    offset += 2
-    return payload[offset : offset + length].decode("utf-8"), offset + length
+def _write_sized(sequences: list, parts: list) -> None:
+    """Append integer sequences as u32 counts, then one flat i64 array."""
+    parts.append(np.fromiter(map(len, sequences), dtype="<u4", count=len(sequences)).tobytes())
+    parts.append(np.fromiter(chain.from_iterable(sequences), dtype="<i8").tobytes())
 
 
-def encode_tuple(item: StreamTuple) -> bytes:
-    """Encode a stream tuple (timestamp, values, uncertain attributes, lineage)."""
-    parts = [
-        _TUPLE_HEADER.pack(item.timestamp, item.tuple_id, len(item.values), len(item.uncertain))
-    ]
-    for name, value in item.values.items():
-        parts.append(_encode_name(name))
-        parts.append(_encode_value(value))
-    for name, dist in item.uncertain.items():
-        parts.append(_encode_name(name))
-        encoded = encode_distribution(dist)
-        parts.append(_U32.pack(len(encoded)))
-        parts.append(encoded)
-    lineage = sorted(item.lineage)
-    parts.append(_U32.pack(len(lineage)))
-    parts.append(struct.pack(f"<{len(lineage)}q", *lineage) if lineage else b"")
-    return b"".join(parts)
+def _write_uncertain(dists: list, parts: list) -> None:
+    classes = set(map(type, dists))
+    if len(classes) == 1:
+        tags, present = None, [_kind_of(_FAMILIES, classes.pop(), "a distribution")]
+    else:
+        tags = [_kind_of(_FAMILIES, type(d), "a distribution") for d in dists]
+        present = sorted(set(tags))
+    parts.append(_U8.pack(sum(1 << tag for tag in present)))
+    if len(present) == 1:
+        _write_family(present[0], dists, parts)
+        return
+    parts.append(bytes(tags))
+    for tag in present:
+        _write_family(tag, [d for d, t in zip(dists, tags) if t == tag], parts)
 
 
-def _decode_tuple_at(payload: bytes, offset: int) -> Tuple[StreamTuple, int]:
-    """Decode one tuple at ``offset``; return it and the next offset.
-
-    Builds the tuple through :meth:`StreamTuple._unchecked`: every part
-    is well-formed by construction (the encoder only accepts validated
-    tuples), so the frozen-dataclass validation and defensive copies of
-    ``__post_init__`` would be pure overhead on the runtime's
-    parent-to-worker hot path.
-    """
-    timestamp, tuple_id, n_values, n_uncertain = _TUPLE_HEADER.unpack_from(payload, offset)
-    offset += _TUPLE_HEADER.size
-    # The name/value/Gaussian decodes are inlined: this loop runs once
-    # per attribute of every shipped tuple and call overhead dominates.
-    u16_unpack, pair_unpack = _U16.unpack_from, _PAIR.unpack_from
-    values: Dict[str, object] = {}
-    for _ in range(n_values):
-        (length,) = u16_unpack(payload, offset)
-        offset += 2
-        name = payload[offset : offset + length].decode("utf-8")
-        offset += length
-        value, offset = _decode_value(payload, offset)
-        values[name] = value
-    uncertain: Dict[str, Distribution] = {}
-    for _ in range(n_uncertain):
-        (length,) = u16_unpack(payload, offset)
-        offset += 2
-        name = payload[offset : offset + length].decode("utf-8")
-        offset += length + 4  # the name, then the distribution length prefix
-        if payload[offset] == _GAUSSIAN:
-            _, mu, sigma = pair_unpack(payload, offset)
-            uncertain[name] = Gaussian(mu, sigma)
-            offset += _PAIR.size
-        else:
-            uncertain[name], offset = _decode_distribution_at(payload, offset)
-    (n_lineage,) = _U32.unpack_from(payload, offset)
-    offset += 4
-    lineage = struct.unpack_from(f"<{n_lineage}q", payload, offset) if n_lineage else ()
-    offset += 8 * n_lineage
-    item = StreamTuple._unchecked(
-        timestamp=timestamp,
-        values=values,
-        uncertain=uncertain,
-        lineage=frozenset(lineage) if lineage else frozenset({tuple_id}),
-        tuple_id=tuple_id,
-    )
-    return item, offset
-
-
-def decode_tuple(payload: bytes) -> StreamTuple:
-    """Decode a tuple produced by :func:`encode_tuple`."""
-    item, _ = _decode_tuple_at(payload, 0)
-    return item
-
-
-def tuple_size_bytes(item: StreamTuple) -> int:
-    """Return the encoded size of a tuple in bytes."""
-    return len(encode_tuple(item))
+def _write_family(tag: int, dists: list, parts: list) -> None:
+    """Append one family's block: counts (sized families), then ``_FIELDS``."""
+    fields, n = _FIELDS[tag], len(dists)
+    if tag == _GAUSSIAN or tag == _UNIFORM:
+        for field in fields:
+            parts.append(np.fromiter(map(attrgetter(field), dists), dtype="<f8", count=n).tobytes())
+        return
+    counts = np.fromiter(map(len, map(attrgetter(fields[-1]), dists)), dtype="<u4", count=n)
+    parts.append(counts.tobytes())
+    for field in fields:
+        parts.append(np.concatenate([getattr(d, field) for d in dists]).astype("<f8").tobytes())
 
 
 # ----------------------------------------------------------------------
-# Batch framing
+# Decoder
 # ----------------------------------------------------------------------
-#: Magic prefix identifying an encoded tuple batch (version 1).
-_BATCH_MAGIC = b"TB1\x00"
-
-#: Magic of the optional trace trailer (version 1).  The trailer rides
-#: *after* the declared rows/columns of either batch format:
-#: ``TRB1`` magic · trace_id i64 · t_ingest f64.  Appended only when the
-#: batch carries a trace context, so traceless payloads are
-#: byte-identical to the pre-trace format in both directions.
-_TRACE_MAGIC = b"TRB1"
-_TRACE_TRAILER = struct.Struct("<4sqd")
-
-
-def _trace_trailer(batch) -> bytes:
-    trace_id = getattr(batch, "trace_id", None)
-    if trace_id is None:
-        return b""
-    t_ingest = getattr(batch, "t_ingest", None)
-    return _TRACE_TRAILER.pack(_TRACE_MAGIC, int(trace_id), float(t_ingest or 0.0))
-
-
-def _split_trace_trailer(payload):
-    """Return ``(body, trace_or_None)``, stripping a trace trailer if present."""
-    size = _TRACE_TRAILER.size
-    if len(payload) >= size:
-        magic, trace_id, t_ingest = _TRACE_TRAILER.unpack_from(payload, len(payload) - size)
-        if magic == _TRACE_MAGIC:
-            return payload[: len(payload) - size], (trace_id, t_ingest)
-    return payload, None
-
-
-def encode_batch(batch: TupleBatch) -> bytes:
-    """Encode a whole batch: magic, row count, then length-prefixed tuples.
-
-    The framing keeps rows independently decodable, so a receiver can
-    stream-decode without materialising the full batch first.
-    """
-    parts = [_BATCH_MAGIC, struct.pack("<I", len(batch))]
-    for item in batch:
-        encoded = encode_tuple(item)
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-    parts.append(_trace_trailer(batch))
-    return b"".join(parts)
-
-
-def decode_batch(payload: bytes) -> TupleBatch:
-    """Decode a batch produced by :func:`encode_batch`.
-
-    Raises ``ValueError`` on a missing magic prefix, a truncated
-    payload, or trailing bytes after the declared rows, so framing
-    corruption is caught here rather than surfacing as an unrelated
-    error from the tuple decoder.  Columnar payloads
-    (:func:`encode_batch_columnar`) are recognised by their own magic
-    and decoded transparently.
-    """
-    payload, trace = _split_trace_trailer(payload)
-    if bytes(payload[: len(_COLUMNAR_MAGIC)]) == _COLUMNAR_MAGIC:
-        # The columnar decoder consumes memoryviews natively
-        # (``np.frombuffer`` reads straight out of a transport ring or
-        # receive buffer), so the dominant wire format never pays a
-        # whole-payload copy.
-        return _install_trace(_decode_batch_columnar(payload), trace)
-    if not isinstance(payload, bytes):
-        # The row-format fallback keeps its inlined bytes-only decode
-        # loops (slice.decode, frombuffer); normalise once.
-        payload = bytes(payload)
-    if payload[: len(_BATCH_MAGIC)] != _BATCH_MAGIC:
+def wire_format(payload) -> str:
+    """Classify an encoded batch: ``"columnar"``, or ``ValueError`` if it is none."""
+    if bytes(payload[: len(_MAGIC)]) != _MAGIC:
         raise ValueError("payload does not start with the tuple-batch magic prefix")
-    offset = len(_BATCH_MAGIC)
-    if len(payload) < offset + 4:
-        raise ValueError("truncated tuple-batch payload: missing row count")
-    (count,) = _U32.unpack_from(payload, offset)
-    offset += 4
-    rows = []
-    for index in range(count):
-        if len(payload) < offset + 4:
-            raise ValueError(f"truncated tuple-batch payload: missing length of row {index}")
-        (length,) = _U32.unpack_from(payload, offset)
-        offset += 4
-        if len(payload) < offset + length:
-            raise ValueError(f"truncated tuple-batch payload: row {index} is incomplete")
-        try:
-            row, consumed = _decode_tuple_at(payload, offset)
-        except struct.error as exc:
-            raise ValueError(f"truncated tuple-batch payload: row {index} is incomplete") from exc
-        if consumed != offset + length:
-            raise ValueError(
-                f"tuple-batch payload: row {index} decoded {consumed - offset} bytes "
-                f"but declared {length}"
-            )
-        rows.append(row)
-        offset += length
-    if offset != len(payload):
-        raise ValueError(
-            f"tuple-batch payload has {len(payload) - offset} trailing bytes after {count} rows"
-        )
-    return _install_trace(TupleBatch(rows), trace)
+    return "columnar"
 
 
-def _install_trace(batch: TupleBatch, trace) -> TupleBatch:
+class _Reader:
+    """Bounds-checked cursor over a payload (bytes, bytearray or memoryview)."""
+
+    __slots__ = ("buf", "pos")
+
+    def __init__(self, buf):
+        self.buf = buf
+        self.pos = 0
+
+    def take(self, nbytes: int) -> int:
+        start = self.pos
+        if start + nbytes > len(self.buf):
+            raise ValueError(f"truncated tuple-batch payload: {nbytes} bytes at offset {start}")
+        self.pos = start + nbytes
+        return start
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        return layout.unpack_from(self.buf, self.take(layout.size))
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        offset = self.take(count * dtype.itemsize)
+        return np.frombuffer(self.buf, dtype=dtype, count=count, offset=offset)
+
+    def raw(self, nbytes: int) -> bytes:
+        start = self.take(nbytes)
+        return bytes(self.buf[start : start + nbytes])
+
+    def name(self) -> str:
+        return self.raw(self.unpack(_U16)[0]).decode("utf-8")
+
+    def counts(self, n: int):
+        """Read ``n`` u32 counts; return their start/stop offsets and their sum."""
+        ends = np.cumsum(self.array("<u4", n), dtype=np.int64)
+        starts = np.concatenate(([0], ends[:-1])) if n else ends
+        return starts.tolist(), ends.tolist(), int(ends[-1]) if n else 0
+
+    def sized(self, n: int) -> list:
+        """Read what :func:`_write_sized` wrote: ``n`` integer lists."""
+        starts, ends, total = self.counts(n)
+        flat = self.array("<i8", total).tolist()
+        return [flat[a:b] for a, b in zip(starts, ends)]
+
+
+def decode_batch(payload) -> TupleBatch:
+    """Decode a payload of :func:`encode_batch_wire` (bytes or a view).
+
+    Raises ``ValueError`` on a wrong magic, flag or tag, a truncated
+    payload, trailing bytes, or a parameter a constructor would reject.
+    The batch owns its memory (kept arrays are copies), so the caller
+    may release a ring record or receive buffer at once.  The wire's
+    timestamps and, in a one-run batch, all-Gaussian ``mu``/``sigma``
+    arrays prime the batch's columnar caches.
+    """
+    reader = _Reader(payload)
+    magic, flags, n_runs = reader.unpack(_HEADER)
+    if magic != _MAGIC:
+        raise ValueError("payload does not start with the tuple-batch magic prefix")
+    if flags & ~_TRACED:
+        raise ValueError(f"unknown tuple-batch flags {flags:#x}")
+    trace = reader.unpack(_TRACE) if flags & _TRACED else None
+    rows: List[StreamTuple] = []
+    try:
+        runs = [_read_run(reader, rows) for _ in range(n_runs)]
+    except DistributionError as exc:
+        raise ValueError(f"invalid distribution in tuple-batch payload: {exc}") from exc
+    if reader.pos != len(payload):
+        raise ValueError(f"tuple-batch payload has {len(payload) - reader.pos} trailing bytes")
+    batch = TupleBatch(rows)
+    if runs:
+        batch._timestamps = np.concatenate([timestamps for timestamps, _ in runs])
+    if n_runs == 1:
+        batch._gaussian_cols.update(runs[0][1])
     if trace is not None:
         batch.trace_id, batch.t_ingest = trace
     return batch
 
 
-def batch_size_bytes(batch: TupleBatch) -> int:
-    """Return the encoded size of a batch without building the bytes."""
-    trailer = _TRACE_TRAILER.size if getattr(batch, "trace_id", None) is not None else 0
-    return len(_BATCH_MAGIC) + 4 + sum(4 + tuple_size_bytes(item) for item in batch) + trailer
-
-
-# ----------------------------------------------------------------------
-# Columnar batch framing (the sharded runtime's hot wire format)
-# ----------------------------------------------------------------------
-#: Magic prefix identifying a columnar-encoded tuple batch (version 1).
-_COLUMNAR_MAGIC = b"TBC1"
-
-_COL_INT, _COL_FLOAT, _COL_BOOL, _COL_STR = 0x69, 0x66, 0x62, 0x73
-_COLUMNAR_HEADER = struct.Struct("<IHH")
-
-
-def _columnar_layout(rows):
-    """Return (value names, uncertain names) when the batch is columnar.
-
-    Eligibility: every row carries its own id as its entire lineage (a
-    source tuple), the same attribute names, Gaussian-only uncertain
-    attributes, and per-column homogeneous scalar types.  Anything else
-    returns ``None`` and the caller falls back to the row format.
-    """
-    first = rows[0]
-    value_keys = first.values.keys()
-    uncertain_keys = first.uncertain.keys()
-    for item in rows:
-        lineage = item.lineage
-        if len(lineage) != 1 or item.tuple_id not in lineage:
-            return None
-        if item.values.keys() != value_keys or item.uncertain.keys() != uncertain_keys:
-            return None
-        for dist in item.uncertain.values():
-            if type(dist) is not Gaussian:
-                return None
-    return list(value_keys), list(uncertain_keys)
-
-
-def encode_batch_columnar(batch: TupleBatch) -> Optional[bytes]:
-    """Encode a batch column-by-column, or ``None`` if it is not eligible.
-
-    The row format (:func:`encode_batch`) parses and rebuilds every
-    attribute name and struct field per tuple; for the sharded
-    runtime's dominant traffic — uniform source tuples carrying
-    Gaussian attributes — the columnar layout ships each column as one
-    contiguous float64/int64 array instead, cutting both payload size
-    and decode time by several times.
-    """
-    rows = batch.to_tuples() if isinstance(batch, TupleBatch) else list(batch)
-    if not rows:
-        return None
-    layout = _columnar_layout(rows)
-    if layout is None:
-        return None
-    value_names, uncertain_names = layout
-    n = len(rows)
-    parts = [
-        _COLUMNAR_MAGIC,
-        _COLUMNAR_HEADER.pack(n, len(value_names), len(uncertain_names)),
-        np.fromiter((t.timestamp for t in rows), dtype="<f8", count=n).tobytes(),
-        np.fromiter((t.tuple_id for t in rows), dtype="<i8", count=n).tobytes(),
-    ]
-    try:
-        for name in value_names:
-            column = [t.values[name] for t in rows]
-            kind = type(column[0])
-            if any(type(v) is not kind for v in column):
-                return None
-            parts.append(_encode_name(name))
-            if kind is bool:
-                parts.append(struct.pack("<B", _COL_BOOL))
-                parts.append(np.fromiter(column, dtype=np.uint8, count=n).tobytes())
-            elif kind is int:
-                parts.append(struct.pack("<B", _COL_INT))
-                parts.append(np.fromiter(column, dtype="<i8", count=n).tobytes())
-            elif kind is float:
-                parts.append(struct.pack("<B", _COL_FLOAT))
-                parts.append(np.fromiter(column, dtype="<f8", count=n).tobytes())
-            elif kind is str:
-                blobs = [v.encode("utf-8") for v in column]
-                parts.append(struct.pack("<B", _COL_STR))
-                parts.append(
-                    np.fromiter((len(b) for b in blobs), dtype="<u4", count=n).tobytes()
-                )
-                parts.append(b"".join(blobs))
-            else:
-                return None
-    except OverflowError:  # an int column that does not fit int64
-        return None
-    for name in uncertain_names:
-        parts.append(_encode_name(name))
-        parts.append(
-            np.fromiter((t.uncertain[name].mu for t in rows), dtype="<f8", count=n).tobytes()
-        )
-        parts.append(
-            np.fromiter(
-                (t.uncertain[name].sigma for t in rows), dtype="<f8", count=n
-            ).tobytes()
-        )
-    parts.append(_trace_trailer(batch))
-    return b"".join(parts)
-
-
-def encode_batch_wire(batch: TupleBatch) -> bytes:
-    """Encode a batch for transport: columnar when eligible, else rows."""
-    encoded = encode_batch_columnar(batch)
-    if encoded is not None:
-        return encoded
-    return encode_batch(batch)
-
-
-def wire_format(payload) -> str:
-    """Classify an encoded batch: ``"columnar"`` or ``"rows"``.
-
-    Diagnostic helper for transports and tests — e.g. asserting that
-    ingest traffic actually took the compact columnar path.
-    """
-    prefix = bytes(payload[:4])
-    if prefix == _COLUMNAR_MAGIC:
-        return "columnar"
-    if prefix == _BATCH_MAGIC:
-        return "rows"
-    raise ValueError("payload does not start with a known tuple-batch magic prefix")
-
-
-def _bytes_at(payload, start: int, stop: int) -> bytes:
-    """Slice-to-bytes that is a no-op copy for bytes input."""
-    raw = payload[start:stop]
-    return raw if isinstance(raw, bytes) else bytes(raw)
-
-
-def _decode_batch_columnar(payload) -> TupleBatch:
-    """Decode a columnar payload (bytes or memoryview) into a batch.
-
-    Ownership rule of the zero-copy transport: the returned batch owns
-    its memory.  Every column is copied *once* out of ``payload`` into
-    a fresh array (``np.frombuffer(...).copy()``), so the caller may
-    release the underlying ring record or receive buffer as soon as
-    this returns.  The timestamp and Gaussian parameter arrays are also
-    installed into the batch's columnar caches, so downstream batch
-    kernels start from the wire columns instead of re-extracting them
-    row by row.
-    """
-    n, n_values, n_uncertain = _COLUMNAR_HEADER.unpack_from(payload, len(_COLUMNAR_MAGIC))
-    offset = len(_COLUMNAR_MAGIC) + _COLUMNAR_HEADER.size
-    ts_column = np.frombuffer(payload, dtype="<f8", count=n, offset=offset).copy()
-    timestamps = ts_column.tolist()
-    offset += 8 * n
-    tuple_ids = np.frombuffer(payload, dtype="<i8", count=n, offset=offset).tolist()
-    offset += 8 * n
-    value_columns = []
+def _read_run(reader: _Reader, rows: list):
+    """Decode one run into ``rows``; return its timestamps and Gaussian columns."""
+    n, n_values, n_uncertain, has_lineage = reader.unpack(_RUN)
+    timestamps = reader.array("<f8", n).copy()
+    tuple_ids = reader.array("<i8", n).tolist()
+    if has_lineage > 1:
+        raise ValueError(f"unknown lineage flag {has_lineage}")
+    if has_lineage:
+        lineages = [frozenset(ids) for ids in reader.sized(n)]
+        if not all(lineages):
+            raise ValueError("tuple-batch payload has an empty lineage")
+    else:
+        lineages = [frozenset((tuple_id,)) for tuple_id in tuple_ids]
+    value_names, value_columns = [], []
     for _ in range(n_values):
-        name, offset = _decode_name_view(payload, offset)
-        tag = payload[offset]
-        offset += 1
-        if tag == _COL_BOOL:
-            column = [bool(v) for v in np.frombuffer(payload, np.uint8, count=n, offset=offset)]
-            offset += n
-        elif tag == _COL_INT:
-            column = np.frombuffer(payload, dtype="<i8", count=n, offset=offset).tolist()
-            offset += 8 * n
-        elif tag == _COL_FLOAT:
-            column = np.frombuffer(payload, dtype="<f8", count=n, offset=offset).tolist()
-            offset += 8 * n
-        elif tag == _COL_STR:
-            lengths = np.frombuffer(payload, dtype="<u4", count=n, offset=offset).tolist()
-            offset += 4 * n
-            column = []
-            for length in lengths:
-                column.append(_bytes_at(payload, offset, offset + length).decode("utf-8"))
-                offset += length
-        else:
-            raise ValueError(f"unknown columnar value tag {tag:#x}")
-        value_columns.append((name, column))
-    uncertain_columns = []
+        value_names.append(reader.name())
+        value_columns.append(_read_values(reader, n))
+    uncertain_names, uncertain_columns, gaussian_cols = [], [], {}
     for _ in range(n_uncertain):
-        name, offset = _decode_name_view(payload, offset)
-        mu_column = np.frombuffer(payload, dtype="<f8", count=n, offset=offset).copy()
-        offset += 8 * n
-        sigma_column = np.frombuffer(payload, dtype="<f8", count=n, offset=offset).copy()
-        offset += 8 * n
-        uncertain_columns.append((name, mu_column, mu_column.tolist(), sigma_column, sigma_column.tolist()))
-    if offset != len(payload):
-        raise ValueError(
-            f"columnar batch payload has {len(payload) - offset} trailing bytes"
+        uncertain_names.append(reader.name())
+        column, gaussian = _read_uncertain(reader, n)
+        uncertain_columns.append(column)
+        if gaussian is not None:
+            gaussian_cols[uncertain_names[-1]] = gaussian
+    rows.extend(
+        map(
+            StreamTuple._unchecked,
+            timestamps.tolist(),
+            _dicts(value_names, value_columns, n),
+            _dicts(uncertain_names, uncertain_columns, n),
+            lineages,
+            tuple_ids,
         )
-    rows = []
-    unchecked = StreamTuple._unchecked
-    gaussian_new = Gaussian.__new__
-    for i in range(n):
-        uncertain = {}
-        for name, _, mus, _, sigmas in uncertain_columns:
-            # The encoder only accepts validated Gaussians, so the
-            # finite/positive checks of Gaussian.__init__ are redundant
-            # on this hot path.
-            dist = gaussian_new(Gaussian)
-            dist.mu = mus[i]
-            dist.sigma = sigmas[i]
-            uncertain[name] = dist
-        tuple_id = tuple_ids[i]
-        rows.append(
-            unchecked(
-                timestamp=timestamps[i],
-                values={name: column[i] for name, column in value_columns},
-                uncertain=uncertain,
-                lineage=frozenset((tuple_id,)),
-                tuple_id=tuple_id,
-            )
-        )
-    batch = TupleBatch(rows)
-    # Prime the columnar caches from the wire columns: the vectorised
-    # kernels (probabilistic selection, moment sums) and the watermark
-    # reads in the shard workers skip their per-row extraction passes.
-    batch._timestamps = ts_column
-    for name, mu_column, _, sigma_column, _ in uncertain_columns:
-        batch._gaussian_cols[name] = (mu_column, sigma_column)
-    return batch
+    )
+    return timestamps, gaussian_cols
 
 
-def _decode_name_view(payload, offset: int):
-    """`_decode_name` over bytes *or* memoryview input."""
-    (length,) = _U16.unpack_from(payload, offset)
-    offset += 2
-    return _bytes_at(payload, offset, offset + length).decode("utf-8"), offset + length
+def _dicts(names: list, columns: list, n: int):
+    """One fresh ``{name: value}`` dict per row."""
+    if len(names) == 1:  # the common case, four times faster than dict(zip(...))
+        name = names[0]
+        return [{name: value} for value in columns[0]]
+    if not names:
+        return map(dict, repeat((), n))
+    return map(dict, map(zip, repeat(names), zip(*columns)))
+
+
+def _read_values(reader: _Reader, n: int) -> list:
+    (kind,) = reader.unpack(_U8)
+    if kind == _FLOAT:
+        return reader.array("<f8", n).tolist()
+    if kind == _INT:
+        return reader.array("<i8", n).tolist()
+    if kind == _NP_FLOAT:
+        return list(reader.array("<f8", n).astype(np.float64))
+    if kind == _BOOL:
+        return (reader.array(np.uint8, n) != 0).tolist()
+    if kind == _STR:
+        starts, ends, total = reader.counts(n)
+        blob = reader.raw(total)
+        return [blob[a:b].decode("utf-8") for a, b in zip(starts, ends)]
+    if kind == _INT_TUPLE:
+        return [tuple(value) for value in reader.sized(n)]
+    raise ValueError(f"unknown value column kind {kind:#x}")
+
+
+def _read_uncertain(reader: _Reader, n: int):
+    """Decode one uncertain column: its distributions and, when it is
+    all Gaussian, its ``(mu, sigma)`` arrays."""
+    (families,) = reader.unpack(_U8)
+    if not families or families & ~_ALL_FAMILIES:
+        raise ValueError(f"invalid distribution family set {families:#x}")
+    present = [tag for tag in sorted(_FIELDS) if families >> tag & 1]
+    if len(present) == 1:
+        return _read_family(reader, present[0], n)
+    tags = reader.array(np.uint8, n)
+    if not np.isin(tags, present).all():
+        raise ValueError("distribution tag outside the column's family set")
+    column = [None] * n
+    for tag in present:
+        positions = np.flatnonzero(tags == tag).tolist()
+        dists, _ = _read_family(reader, tag, len(positions))
+        for position, dist in zip(positions, dists):
+            column[position] = dist
+    return column, None
+
+
+def _require(ok: np.ndarray, message: str) -> None:
+    if not ok.all():
+        raise ValueError(f"{message}, got {ok.size - np.count_nonzero(ok)} invalid value(s)")
+
+
+def _read_family(reader: _Reader, tag: int, n: int):
+    """Decode ``n`` distributions of one family (see :func:`_write_family`).
+
+    The Gaussian and mixture blocks are validated in one array pass
+    each and built without the per-object constructor checks; the
+    rarer families go through their constructors.
+    """
+    if tag == _UNIFORM:
+        low = reader.array("<f8", n).tolist()
+        high = reader.array("<f8", n).tolist()
+        return [Uniform(a, b) for a, b in zip(low, high)], None
+    if tag == _GAUSSIAN:
+        mu = reader.array("<f8", n).copy()
+        sigma = reader.array("<f8", n).copy()
+        _require(np.isfinite(mu), "Gaussian mean must be finite")
+        _require(np.isfinite(sigma) & (sigma > 0.0), "Gaussian sigma must be positive and finite")
+        dists = []
+        new = Gaussian.__new__
+        for mean, std in zip(mu.tolist(), sigma.tolist()):
+            dist = new(Gaussian)
+            dist.mu = mean
+            dist.sigma = std
+            dists.append(dist)
+        return dists, (mu, sigma)
+    starts, ends, total = reader.counts(n)
+    if any(a == b for a, b in zip(starts, ends)):
+        raise ValueError("a sized distribution needs at least one component")
+    sizes = [total + n if field == "edges" else total for field in _FIELDS[tag]]
+    arrays = [reader.array("<f8", size).copy() for size in sizes]
+    if tag == _PARTICLES:
+        values, weights = arrays
+        return [ParticleDistribution(values[a:b], weights[a:b]) for a, b in zip(starts, ends)], None
+    if tag == _HISTOGRAM:  # object i owns bins a:b and edges a+i:b+i+1
+        edges, densities = arrays
+        return [
+            HistogramDistribution(edges[a + i : b + i + 1], densities[a:b])
+            for i, (a, b) in enumerate(zip(starts, ends))
+        ], None
+    weights, means, sigmas = arrays
+    _require(np.isfinite(means), "all component means must be finite")
+    _require(np.isfinite(sigmas) & (sigmas > 0), "all component sigmas must be positive and finite")
+    _require(np.isfinite(weights) & (weights >= 0.0), "weights must be finite and non-negative")
+    if n:
+        _require(np.add.reduceat(weights, starts) > 0.0, "weights must not all be zero")
+    dists = []
+    new = GaussianMixture.__new__
+    for a, b in zip(starts, ends):
+        dist = new(GaussianMixture)
+        w = weights[a:b]
+        dist.weights = w / w.sum()  # normalised exactly as GaussianMixture.__init__ does
+        dist.means = means[a:b]
+        dist.sigmas = sigmas[a:b]
+        dists.append(dist)
+    return dists, None

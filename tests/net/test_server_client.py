@@ -1,6 +1,7 @@
 """StreamServer + clients: verbs, subscriptions, slow consumers, errors."""
 
 import asyncio
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro import QuerySession
 from repro.distributions import Gaussian
 from repro.net.errors import ConnectionClosed
-from repro.streams import StreamTuple
+from repro.streams import StreamTuple, encode_batch_wire
 from repro.net import (
     AsyncStreamClient,
     RemoteError,
@@ -148,6 +149,24 @@ class TestErrors:
         # The connection must still serve unrelated requests correctly.
         assert "QuerySession" in client.explain()
         assert client.ingest("rfid", rfid_tuples[:50], batch_size=10) == 50
+
+    def test_corrupt_gaussian_payload_is_a_remote_error(self, client, rfid_tuples, monkeypatch):
+        """Wire Gaussians are validated: a sigma of -1.0 never reaches the session."""
+        import repro.net.client as client_module
+
+        declare_rfid(client)
+        client.register("totals", TOTALS)
+
+        def corrupt(batch):
+            payload = encode_batch_wire(batch)
+            sigma = struct.pack("<d", batch[0].distribution("w").sigma)
+            return payload.replace(sigma, struct.pack("<d", -1.0), 1)
+
+        monkeypatch.setattr(client_module, "encode_batch_wire", corrupt)
+        with pytest.raises(RemoteError, match="sigma must be positive"):
+            client.ingest("rfid", rfid_tuples[:10])
+        monkeypatch.undo()
+        assert client.ingest("rfid", rfid_tuples[:10]) == 10
 
     def test_subscribe_to_unknown_query_fails(self, client):
         with pytest.raises(RemoteError):

@@ -10,7 +10,7 @@ from repro.streams import (
     StreamTuple,
     TupleBatch,
     decode_batch,
-    encode_batch,
+    encode_batch_wire,
 )
 from repro.streams.operators.base import Operator, PassThroughOperator
 
@@ -163,7 +163,7 @@ class TestColumnarViews:
 class TestBatchSerialization:
     def test_encode_decode_roundtrip(self):
         batch = TupleBatch(make_gaussian_tuples(4))
-        decoded = decode_batch(encode_batch(batch))
+        decoded = decode_batch(encode_batch_wire(batch))
         assert len(decoded) == len(batch)
         for original, restored in zip(batch, decoded):
             assert restored.timestamp == original.timestamp
@@ -172,19 +172,36 @@ class TestBatchSerialization:
             assert restored.distribution("value") == original.distribution("value")
 
     def test_empty_batch_roundtrip(self):
-        assert len(decode_batch(encode_batch(TupleBatch()))) == 0
+        assert len(decode_batch(encode_batch_wire(TupleBatch()))) == 0
+
+    def test_wire_columns_prime_the_gaussian_cache(self):
+        decoded = decode_batch(encode_batch_wire(TupleBatch(make_gaussian_tuples(4))))
+        mu, sigma = decoded._gaussian_cols["value"]
+        np.testing.assert_array_equal(mu, [1.0, 2.0, 3.0, 4.0])
+        assert decoded.gaussian_params("value") is decoded._gaussian_cols["value"]
+
+    def test_mixture_batch_roundtrip(self):
+        mixture = GaussianMixture([0.5, 0.5], [0.0, 1.0], [1.0, 2.0])
+        rows = [
+            StreamTuple(timestamp=0.0, uncertain={"value": mixture}),
+            StreamTuple(timestamp=1.0, uncertain={"value": Gaussian(3.0, 1.0)}),
+        ]
+        decoded = decode_batch(encode_batch_wire(TupleBatch(rows)))
+        assert isinstance(decoded[0].distribution("value"), GaussianMixture)
+        assert decoded[1].distribution("value") == Gaussian(3.0, 1.0)
+        assert decoded.gaussian_params("value") is None
 
     def test_decode_rejects_garbage(self):
         with pytest.raises(ValueError):
             decode_batch(b"not a batch")
 
     def test_decode_rejects_truncated_payload(self):
-        payload = encode_batch(TupleBatch(make_gaussian_tuples(3)))
+        payload = encode_batch_wire(TupleBatch(make_gaussian_tuples(3)))
         with pytest.raises(ValueError, match="truncated"):
             decode_batch(payload[:-5])
 
     def test_decode_rejects_trailing_bytes(self):
-        payload = encode_batch(TupleBatch(make_gaussian_tuples(2)))
+        payload = encode_batch_wire(TupleBatch(make_gaussian_tuples(2)))
         with pytest.raises(ValueError, match="trailing bytes"):
             decode_batch(payload + b"\x00\x01")
 

@@ -1,7 +1,7 @@
-"""Wire-format edge cases: both codecs must round-trip exactly.
+"""Wire-format edge cases: the batch codec must round-trip exactly.
 
 The network layer ships every tuple through
-:mod:`repro.streams.serialization`, so the codecs must survive the
+:mod:`repro.streams.serialization`, so the codec must survive the
 awkward payloads real streams produce: empty batches, NaN/±inf moments
 in value columns, degenerate mixtures, and frames well past 64 KiB.
 """
@@ -21,18 +21,12 @@ from repro.distributions import (
 )
 from repro.streams import StreamTuple
 from repro.streams.batch import TupleBatch
-from repro.streams.serialization import (
-    decode_batch,
-    encode_batch,
-    encode_batch_columnar,
-    encode_batch_wire,
-    wire_format,
-)
+from repro.streams.serialization import decode_batch, encode_batch_wire, wire_format
 
 
-def roundtrip(batch, encoder=encode_batch_wire):
-    payload = encoder(batch)
-    assert payload is not None
+def roundtrip(batch):
+    payload = encode_batch_wire(batch)
+    assert wire_format(payload) == "columnar"
     return decode_batch(payload).to_tuples()
 
 
@@ -58,10 +52,9 @@ class TestEmptyBatch:
     def test_wire_round_trip(self):
         assert roundtrip(TupleBatch([])) == []
 
-    def test_empty_batch_uses_row_framing(self):
-        # Columnar needs at least one row to derive a layout.
-        assert encode_batch_columnar(TupleBatch([])) is None
-        assert wire_format(encode_batch_wire(TupleBatch([]))) == "rows"
+    def test_empty_batch_is_columnar(self):
+        # Zero runs: the header alone.
+        assert wire_format(encode_batch_wire(TupleBatch([]))) == "columnar"
 
 
 class TestNonFiniteMoments:
@@ -79,22 +72,21 @@ class TestNonFiniteMoments:
         ]
         return TupleBatch(rows)
 
-    def test_columnar_round_trip_is_exact(self):
+    def test_round_trip_is_exact(self):
         batch = self._batch()
-        payload = encode_batch_columnar(batch)
-        assert payload is not None and wire_format(payload) == "columnar"
-        assert_exact(batch.to_tuples(), decode_batch(payload).to_tuples())
+        assert_exact(batch.to_tuples(), roundtrip(batch))
 
-    def test_row_codec_round_trip_is_exact(self):
-        batch = self._batch()
-        assert_exact(batch.to_tuples(), roundtrip(batch, encode_batch))
+    def test_derived_rows_round_trip_is_exact(self):
+        # Lineage sets take a lineage section in the same format.
+        rows = [row.derive() for row in self._batch()]
+        assert_exact(rows, roundtrip(TupleBatch(rows)))
 
     def test_non_finite_timestamps_round_trip(self):
         rows = [
             StreamTuple(timestamp=float("inf"), values={"v": 1.0}),
             StreamTuple(timestamp=float("-inf"), values={"v": 2.0}),
         ]
-        assert_exact(rows, roundtrip(TupleBatch(rows), encode_batch))
+        assert_exact(rows, roundtrip(TupleBatch(rows)))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf moments in numpy dot
     def test_particles_with_infinite_values_round_trip(self):
@@ -103,7 +95,7 @@ class TestNonFiniteMoments:
             np.array([0.25, 0.25, 0.25, 0.25]),
         )
         row = StreamTuple(timestamp=0.0, uncertain={"p": particles})
-        (got,) = roundtrip(TupleBatch([row]), encode_batch)
+        (got,) = roundtrip(TupleBatch([row]))
         np.testing.assert_array_equal(got.distribution("p").values, particles.values)
         np.testing.assert_array_equal(got.distribution("p").weights, particles.weights)
 
@@ -112,7 +104,7 @@ class TestDegenerateMixtures:
     def test_single_component_mixture_round_trips(self):
         mixture = GaussianMixture([1.0], [2.5], [0.75])
         row = StreamTuple(timestamp=1.0, uncertain={"m": mixture})
-        (got,) = roundtrip(TupleBatch([row]), encode_batch)
+        (got,) = roundtrip(TupleBatch([row]))
         decoded = got.distribution("m")
         assert decoded.n_components == 1
         np.testing.assert_allclose(decoded.weights, mixture.weights)
@@ -128,11 +120,11 @@ class TestDegenerateMixtures:
         with pytest.raises(DistributionError):
             GaussianMixture([], [], [])
 
-    def test_mixture_batches_fall_back_to_row_framing(self):
+    def test_mixture_batches_are_columnar(self):
         mixture = GaussianMixture([0.5, 0.5], [0.0, 4.0], [1.0, 2.0])
-        rows = [StreamTuple(timestamp=0.0, uncertain={"m": mixture})]
-        assert encode_batch_columnar(TupleBatch(rows)) is None
-        assert wire_format(encode_batch_wire(TupleBatch(rows))) == "rows"
+        rows = [StreamTuple(timestamp=0.0, uncertain={"m": mixture})] * 3
+        (decoded, *_) = roundtrip(TupleBatch(rows))
+        np.testing.assert_array_equal(decoded.distribution("m").means, mixture.means)
 
 
 class TestLargeFrames:
@@ -147,12 +139,11 @@ class TestLargeFrames:
             )
             for i in range(3000)
         ]
-        batch = TupleBatch(rows)
-        payload = encode_batch_columnar(batch)
-        assert payload is not None and len(payload) > (64 << 10)
+        payload = encode_batch_wire(TupleBatch(rows))
+        assert len(payload) > (64 << 10)
         assert_exact(rows, decode_batch(payload).to_tuples())
 
-    def test_row_frame_over_64kib_with_mixed_payloads(self):
+    def test_frame_over_64kib_with_mixed_payloads(self):
         rng = np.random.default_rng(5)
         rows = []
         for i in range(400):
@@ -175,8 +166,8 @@ class TestLargeFrames:
                     lineage=frozenset(range(i, i + 5)),
                 )
             )
-        payload = encode_batch(TupleBatch(rows))
-        assert len(payload) > (64 << 10)
+        payload = encode_batch_wire(TupleBatch(rows))
+        assert wire_format(payload) == "columnar" and len(payload) > (64 << 10)
         got = decode_batch(payload).to_tuples()
         assert_exact(rows, got)
         for a, b in zip(rows, got):
@@ -184,7 +175,7 @@ class TestLargeFrames:
 
     def test_single_string_value_over_64kib(self):
         row = StreamTuple(timestamp=0.0, values={"doc": "y" * (70 << 10)})
-        (got,) = roundtrip(TupleBatch([row]), encode_batch)
+        (got,) = roundtrip(TupleBatch([row]))
         assert got.value("doc") == row.value("doc")
 
 
