@@ -6,8 +6,7 @@ Three analyzers under one roof (see :mod:`repro.analysis.cli` for the
 * :mod:`repro.analysis.semantic` — post-parse, pre-lowering CQL
   validation against declared stream schemas;
 * :mod:`repro.analysis.contracts` — operator/plan contract linter
-  (``supports_batch`` honesty, snapshot protocol, magic uniqueness,
-  worker verb-table sync);
+  (snapshot protocol, magic uniqueness, worker verb-table sync);
 * :mod:`repro.analysis.concurrency` — fork-safety and thread
   discipline lint over :mod:`repro.runtime`.
 

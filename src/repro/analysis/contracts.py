@@ -1,26 +1,14 @@
 """Operator/plan contract linter: codebase invariants as executable checks.
 
-The repo's load-bearing conventions — honest ``supports_batch``
-advertisements, the checkpoint snapshot protocol, wire-format magic
-uniqueness, coordinator/worker verb-table sync — were enforced only by
-code review until this module.  :func:`lint_contracts` turns each into
+The repo's load-bearing conventions — the checkpoint snapshot protocol,
+wire-format magic uniqueness, coordinator/worker verb-table sync — were
+enforced only by code review until this module.  :func:`lint_contracts` turns each into
 a diagnostic-producing check that runs over ``src/repro`` itself (the
 CLI gate and the self-lint test), so a future PR that breaks a contract
 fails loudly instead of corrupting results quietly.
 
 Checks
 ------
-``batch-honesty`` (error)
-    A class declares ``supports_batch = True`` as a plain attribute but
-    neither it nor any ancestor below :class:`Operator` overrides
-    ``process_batch`` — the cost model would route batches into the
-    per-tuple fallback while predicting a kernel.
-``batch-advertisement`` (warning)
-    The mirror image: a class ships its own ``process_batch`` but still
-    advertises the inherited ``supports_batch = False``.  Classes that
-    express ``supports_batch`` as a property are exempt from both
-    directions (they re-check themselves; see
-    ``Operator._keeps_process_of``).
 ``stateful-snapshot`` (error)
     An operator's ``__init__`` creates *accumulating* mutable state (an
     empty ``[]``/``{}``/``set()``/``deque()``/``defaultdict`` — state
@@ -56,7 +44,6 @@ __all__ = [
     "lint_magic_registry",
     "lint_verb_tables",
     "STATE_ALLOWLIST",
-    "BATCH_FALLBACK_ALLOWLIST",
 ]
 
 #: Operators allowed to hold accumulating mutable state without the
@@ -69,10 +56,6 @@ STATE_ALLOWLIST: Dict[str, str] = {
         "posterior intentionally lives outside the checkpoint protocol"
     ),
 }
-
-#: Classes allowed to override ``process_batch`` while advertising
-#: ``supports_batch = False`` (e.g. buffered per-tuple semantics).
-BATCH_FALLBACK_ALLOWLIST: Dict[str, str] = {}
 
 _DOMAIN = "contract"
 
@@ -248,52 +231,16 @@ def _is_empty_container(node: ast.expr) -> bool:
 def lint_operator_classes(
     classes: Sequence[type],
     state_allowlist: Optional[Dict[str, str]] = None,
-    batch_allowlist: Optional[Dict[str, str]] = None,
     index: Optional[_SourceIndex] = None,
 ) -> List[Diagnostic]:
     """Run the per-class operator contracts over ``classes``."""
     state_allow = STATE_ALLOWLIST if state_allowlist is None else state_allowlist
-    batch_allow = (
-        BATCH_FALLBACK_ALLOWLIST if batch_allowlist is None else batch_allowlist
-    )
     index = index or _SourceIndex()
     diagnostics: List[Diagnostic] = []
     for cls in classes:
         qualname = f"{cls.__module__}.{cls.__qualname__}"
         node, file, line = index.class_node(cls)
         file = file or f"{cls.__module__}.py"
-
-        own_flag = inspect.getattr_static(cls, "supports_batch", None)
-        is_property = isinstance(own_flag, property)
-        has_kernel = _own_below_operator(cls, "process_batch")
-
-        if not is_property:
-            if own_flag is True and not has_kernel:
-                diagnostics.append(
-                    _diag(
-                        "batch-honesty",
-                        Severity.ERROR,
-                        f"{qualname} advertises supports_batch = True but never "
-                        "overrides process_batch; the batch path would run the "
-                        "per-tuple fallback while the cost model predicts a "
-                        "kernel",
-                        file,
-                        line,
-                    )
-                )
-            elif has_kernel and not own_flag and qualname not in batch_allow:
-                diagnostics.append(
-                    _diag(
-                        "batch-advertisement",
-                        Severity.WARNING,
-                        f"{qualname} overrides process_batch but advertises "
-                        "supports_batch = False; either advertise the kernel "
-                        "(ideally as a self-checking property) or add the class "
-                        "to BATCH_FALLBACK_ALLOWLIST with a reason",
-                        file,
-                        line,
-                    )
-                )
 
         if node is not None and "__init__" in cls.__dict__:
             init_node = next(

@@ -43,7 +43,7 @@ class Diagnostic:
     """One static-analysis finding with a source span.
 
     ``rule`` is a stable kebab-case identifier (``unknown-column``,
-    ``batch-honesty``, ...), ``domain`` names the analyzer family that
+    ``stateful-snapshot``, ...), ``domain`` names the analyzer family that
     produced it (``"CQL semantic"``, ``"contract"``, ``"concurrency"``).
     Query diagnostics set ``line``/``column``/``token``; code
     diagnostics set ``file`` (and ``line``).

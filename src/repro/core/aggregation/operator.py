@@ -176,10 +176,10 @@ def _result_tuple_from_parts(
 class _WindowAggregate(Operator):
     """Buffering, emission and checkpoint state shared by the windowed aggregates.
 
-    The per-row reference (``process``/``flush``) emits closed windows
-    with the per-window loop; ``process_batch`` uses
+    ``process_batch`` emits the windows a batch closes with
     :meth:`_moment_kernel` whenever a SUM/AVG strategy works from
-    moments alone, and the loop otherwise.
+    moments alone, and with the per-window loop otherwise; ``flush``
+    always uses the loop.
     """
 
     #: Group key of a row; ``None`` aggregates each window as one group.
@@ -311,17 +311,8 @@ class _WindowAggregate(Operator):
             )
         return out
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        yield from self._emit(self._buffer.add(item))
-
-    @property
-    def supports_batch(self) -> bool:  # type: ignore[override]
-        return self._keeps_process_of(_WindowAggregate)
-
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
         """Bulk-add a batch to the window buffer and emit its closes in one pass."""
-        if not self.supports_batch:
-            return super().process_batch(batch)
         return TupleBatch(self._emit_batch(self._buffer.add_many(batch)))
 
     def flush(self) -> Iterable[StreamTuple]:

@@ -12,11 +12,12 @@ application.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.distributions import Distribution
+from repro.streams.batch import TupleBatch
 from repro.streams.operators.base import Operator, OperatorError
 from repro.streams.tuples import StreamTuple
 
@@ -80,7 +81,7 @@ class SummarizeResults(Operator):
         self.confidence = confidence
         self.keep_distribution = keep_distribution
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
+    def _summarize(self, item: StreamTuple) -> StreamTuple:
         if not item.has_uncertain(self.attribute):
             raise OperatorError(
                 f"tuple has no uncertain attribute {self.attribute!r} to summarise"
@@ -96,4 +97,7 @@ class SummarizeResults(Operator):
         uncertain = dict(item.uncertain)
         if not self.keep_distribution:
             uncertain.pop(self.attribute, None)
-        yield item.derive(values=values, uncertain=uncertain, replace_uncertain=True)
+        return item.derive(values=values, uncertain=uncertain, replace_uncertain=True)
+
+    def process_batch(self, batch: TupleBatch) -> TupleBatch:
+        return TupleBatch([self._summarize(item) for item in batch])

@@ -25,6 +25,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.distributions import Distribution, Gaussian, MultivariateGaussian, as_rng
+from repro.streams.batch import TupleBatch
 from repro.streams.operators.base import Operator, OperatorError
 from repro.streams.tuples import StreamTuple
 
@@ -141,13 +142,6 @@ class ProbabilisticJoin(Operator):
         Attribute-name prefixes applied when merging matched tuples.
     """
 
-    #: Honest advertisement: the join has no vectorised kernel.  Batches
-    #: reaching either port run through the per-tuple fallback loop
-    #: (symmetric window insertion and probe are inherently sequential),
-    #: so ``explain()`` reports this box as per-tuple and the cost model
-    #: does not count it toward batch-execution benefits.
-    supports_batch = False
-
     def __init__(
         self,
         window_length: float,
@@ -186,10 +180,10 @@ class ProbabilisticJoin(Operator):
     # ------------------------------------------------------------------
     # Processing
     # ------------------------------------------------------------------
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
+    def process_batch(self, batch: TupleBatch) -> TupleBatch:
         # Tuples pushed directly into the join (not via a port) are
         # treated as left-input tuples for convenience.
-        yield from self.process_side(item, side="left")
+        return TupleBatch([out for item in batch for out in self.process_side(item, "left")])
 
     def process_side(self, item: StreamTuple, side: str) -> Iterable[StreamTuple]:
         if side not in ("left", "right"):
@@ -237,9 +231,6 @@ class ProbabilisticJoin(Operator):
 class _JoinPort(Operator):
     """Adapter forwarding tuples into one side of a ProbabilisticJoin."""
 
-    # Ports delegate to the join's per-tuple probe loop (see above).
-    supports_batch = False
-
     def __init__(self, join: ProbabilisticJoin, side: str, name: str):
         super().__init__(name=name)
         self._join = join
@@ -247,10 +238,13 @@ class _JoinPort(Operator):
         # Results must flow out of the join operator's connections, so the
         # port shares the join's downstream list by delegating emission.
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        self._join.tuples_in += 1
-        outputs = list(self._join.process_side(item, side=self._side))
-        self._join.tuples_out += len(outputs)
+    def process_batch(self, batch: TupleBatch) -> TupleBatch:
+        # ``match_probability`` is an opaque per-pair callable, so the
+        # rows run the join's insert-and-probe step one at a time.
+        join, side = self._join, self._side
+        join.tuples_in += len(batch)
+        outputs = TupleBatch([out for item in batch for out in join.process_side(item, side)])
+        join.tuples_out += len(outputs)
         return outputs
 
     def connect(self, downstream: Operator) -> Operator:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -121,19 +121,6 @@ class ProbabilisticSelect(Operator):
         self.min_probability = min_probability
         self.probability_attribute = probability_attribute
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        prob = self.predicate.probability(item)
-        if prob < self.min_probability:
-            return
-        if self.probability_attribute is None:
-            yield item
-        else:
-            yield item.derive(values={self.probability_attribute: prob})
-
-    @property
-    def supports_batch(self) -> bool:  # type: ignore[override]
-        return self._keeps_process_of(ProbabilisticSelect)
-
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
         """Vectorised selection: one tail-probability kernel per batch.
 
@@ -141,8 +128,6 @@ class ProbabilisticSelect(Operator):
         fast path: the source tuples are already validated, so only the
         ``values`` dict needs copying to carry the probability.
         """
-        if not self.supports_batch:
-            return super().process_batch(batch)
         probs = self.predicate.probabilities(batch)
         keep = probs >= self.min_probability
         if not keep.any():

@@ -33,6 +33,7 @@ from repro.distributions import (
     compress_particles,
     fit_gaussian,
 )
+from repro.streams.batch import TupleBatch
 from repro.streams.operators.base import Operator
 from repro.streams.tuples import StreamTuple
 
@@ -121,9 +122,11 @@ class TransformOperator(Operator):
     def transform(self, observation, timestamp: float) -> Iterable[StreamTuple]:
         """Map one raw observation to output tuples with pdfs attached."""
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        observation = item.value(self.raw_attribute)
-        yield from self.transform(observation, item.timestamp)
+    def process_batch(self, batch: TupleBatch) -> TupleBatch:
+        raw, transform = self.raw_attribute, self.transform
+        return TupleBatch(
+            [out for item in batch for out in transform(item.value(raw), item.timestamp)]
+        )
 
     # Convenience for drivers that have raw observations rather than tuples.
     def ingest(self, observation, timestamp: float) -> Iterable[StreamTuple]:

@@ -237,9 +237,9 @@ def weighted_mean_and_variance(
 def normalize_weights(weights: Iterable[float]) -> np.ndarray:
     """Return weights normalised to sum to one.
 
-    Raises :class:`DistributionError` if the weights are all zero or
-    any weight is negative, which would indicate a broken particle
-    filter update.
+    Raises :class:`DistributionError` if the weights are all zero, any
+    weight is negative, or their sum is not finite (a NaN or infinite
+    weight), which would indicate a broken particle filter update.
     """
     arr = np.asarray(list(weights) if not isinstance(weights, np.ndarray) else weights, dtype=float)
     if arr.size == 0:
@@ -247,6 +247,10 @@ def normalize_weights(weights: Iterable[float]) -> np.ndarray:
     if np.any(arr < 0):
         raise DistributionError("weights must be non-negative")
     total = arr.sum()
+    # One test on the sum catches NaN and +inf weights (-inf fails above)
+    # without another pass over the array.
+    if not np.isfinite(total):
+        raise DistributionError("weights must be finite")
     if total <= 0:
         raise DistributionError("weights must not all be zero")
     return arr / total

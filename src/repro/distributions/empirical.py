@@ -174,6 +174,8 @@ class HistogramDistribution(ScalarDistribution):
         dens_arr = np.asarray(densities, dtype=float)
         if edges_arr.ndim != 1 or edges_arr.size < 2:
             raise DistributionError("histogram needs at least two bin edges")
+        if not np.all(np.isfinite(edges_arr)):
+            raise DistributionError("histogram edges must be finite")
         if np.any(np.diff(edges_arr) <= 0):
             raise DistributionError("histogram edges must be strictly increasing")
         if dens_arr.shape != (edges_arr.size - 1,):

@@ -56,7 +56,7 @@ from .nodes import (
     UnionNode,
     explain_logical,
 )
-from .physical import FusedBatchSegment, FusedSelectAggregate
+from .physical import FusedSelectAggregate
 from .planner import CompiledQuery, NodeLowering, Planner, compile_streams
 from .sharding import (
     MergeSpec,
@@ -113,7 +113,6 @@ __all__ = [
     "reorder_selective_prob_filter_first",
     "fuse_select_into_aggregate",
     "FusedSelectAggregate",
-    "FusedBatchSegment",
     "NodeLowering",
     "ColumnStat",
     "callable_fingerprint",

@@ -18,9 +18,7 @@ pin a strategy explicitly:
   the CLT has not kicked in and the inversion cost is bounded.
 
 Every plan runs on batches; the model sizes them so a windowed
-aggregate sees whole windows per bulk insert, and reports how many
-physical operators advertise ``supports_batch`` (the rest run the
-per-tuple fallback loop inside their batch call).
+aggregate sees whole windows per bulk insert.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from typing import Optional, Sequence
 
 from repro.core.aggregation import CFApproximationSum, CFInversionSum, CLTSum, SumStrategy
 from repro.core.selection import Comparison
-from repro.streams.operators.base import Operator
 from repro.streams.windows import (
     NowWindow,
     SlidingTimeWindow,
@@ -257,24 +254,19 @@ class CostModel:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def choose_execution(
-        self,
-        operators: Sequence[Operator],
-        window_sizes: Sequence[int] = (),
-    ) -> ExecutionChoice:
+    def choose_execution(self, window_sizes: Sequence[int] = ()) -> ExecutionChoice:
         """Size the batches a lowered physical plan runs on.
 
         The batch size is the default, stretched to cover the largest
-        expected window (see :meth:`resolve_batch_size`); the reason
-        counts the boxes that run vectorised batch kernels.
+        expected window (see :meth:`resolve_batch_size`).
         """
-        vectorized = [op for op in operators if getattr(op, "supports_batch", False)]
         batch_size = self.resolve_batch_size(None, window_sizes)
-        return ExecutionChoice(
-            batch_size,
-            f"{len(vectorized)}/{len(operators)} boxes run vectorised batch "
-            f"kernels; batch_size={batch_size}",
+        reason = (
+            f"stretched to the largest expected window ({max(window_sizes)} rows)"
+            if batch_size != self.default_batch_size
+            else "default"
         )
+        return ExecutionChoice(batch_size, reason)
 
     def resolve_batch_size(
         self, batch_size: Optional[int], window_sizes: Sequence[int] = ()

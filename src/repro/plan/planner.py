@@ -14,14 +14,13 @@ three phases:
    (:mod:`repro.service`) can reuse it box-by-box when attaching
    queries to a running engine.
 3. **Wire** — build a :class:`~repro.streams.engine.StreamEngine`, size
-   its batches (cost model again, unless pinned), fuse union fan-in
-   branches and piped chains into :class:`FusedBatchSegment` boxes, and
-   attach one :class:`CollectSink` per plan output.
+   its batches (cost model again, unless pinned), and attach one
+   :class:`CollectSink` per plan output.
 
 The result is a :class:`CompiledQuery`: push tuples in, ``finish()``,
 read results — plus ``explain()`` (logical plan, rewrites, strategy and
-execution decisions, physical boxes with vectorised/per-tuple tags) and
-``statistics()`` (per-box counters from the engine).
+execution decisions, physical boxes) and ``statistics()`` (per-box
+counters from the engine).
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from .nodes import (
     UnionNode,
     topological_nodes,
 )
-from .physical import FusedBatchSegment, FusedSelectAggregate
+from .physical import FusedSelectAggregate
 from .rewrites import DEFAULT_RULES, RewriteRule, RewriteTrace, apply_rewrites, default_rules
 
 __all__ = ["Planner", "CompiledQuery", "NodeLowering", "compile_streams"]
@@ -321,8 +320,7 @@ class CompiledQuery:
         lines.append("Physical plan")
         lines.append("=============")
         for op, node in self._operator_tags:
-            tag = "vectorized" if op.supports_batch else "per-tuple fallback"
-            lines.append(f"- {op.name} <- {node.label()}  [{tag}]")
+            lines.append(f"- {op.name} <- {node.label()}")
         return "\n".join(lines)
 
 
@@ -408,18 +406,11 @@ class Planner:
         topo_index = {id(n): i for i, n in enumerate(nodes)}
         operator_tags.sort(key=lambda pair: topo_index.get(id(pair[1]), len(topo_index)))
 
-        # The execution report counts only real query boxes: the
-        # pass-throughs the planner inserts for sources are trivially
-        # batch-friendly and would bias the vectorised count upward.
-        source_ops = {id(op) for op in engine_sources.values()}
-        real_boxes = [op for op, _ in operator_tags if id(op) not in source_ops]
-        execution = self.cost_model.choose_execution(real_boxes, lowering.window_sizes)
+        execution = self.cost_model.choose_execution(lowering.window_sizes)
         if batch_size is not None:
             execution = ExecutionChoice(
                 batch_size, f"pinned by compile(batch_size={batch_size})"
             )
-        operator_tags = _fuse_union_branches(operator_tags, engine_sources, sinks)
-        operator_tags = _fuse_pipe_chains(operator_tags, engine_sources, sinks)
         engine = StreamEngine(batch_size=execution.batch_size)
         for name, entry in engine_sources.items():
             engine.add_source(name, entry)
@@ -440,154 +431,6 @@ class Planner:
             strategy_decisions=lowering.strategy_decisions,
             operator_tags=operator_tags,
         )
-
-
-def _fuse_union_branches(
-    operator_tags: List[Tuple[Operator, LogicalNode]],
-    engine_sources: Dict[str, Operator],
-    sinks: Dict[str, CollectSink],
-) -> List[Tuple[Operator, LogicalNode]]:
-    """Fuse each batch-capable linear chain feeding a Union into one box.
-
-    Every arrow costs one scheduler dispatch and one
-    ``accept_batch`` round (validation, counters, timing) per batch —
-    and union fan-in multiplies arrows: each input branch is its own
-    chain of small boxes.  This pass rewires every maximal linear chain
-    of vectorised single-consumer boxes that ends in a Union input into
-    a single :class:`FusedBatchSegment`, which runs the member kernels
-    back-to-back inside one dispatch.
-
-    Only applied when every member advertises ``supports_batch`` (so
-    the fusion never hides a per-tuple fallback loop) and the chain is
-    truly linear (one upstream, one downstream per member); source
-    entry boxes and sinks are never fused so engine addressing and
-    result collection are untouched.
-    """
-    node_of: Dict[int, LogicalNode] = {id(op): node for op, node in operator_tags}
-    source_ids = {id(op) for op in engine_sources.values()}
-    sink_ids = {id(s) for s in sinks.values()}
-    upstream: Dict[int, List[Operator]] = {}
-    for op, _ in operator_tags:
-        for nxt in op.downstream:
-            upstream.setdefault(id(nxt), []).append(op)
-
-    def eligible(op: Operator) -> bool:
-        return (
-            id(op) not in source_ids
-            and id(op) not in sink_ids
-            and not isinstance(op, UnionOperator)
-            and op.supports_batch
-            and len(op.downstream) == 1
-            and len(upstream.get(id(op), ())) == 1
-        )
-
-    fused: List[Tuple[List[Operator], Operator]] = []  # (chain, union)
-    for op, _ in operator_tags:
-        if not isinstance(op, UnionOperator):
-            continue
-        for pred in list(upstream.get(id(op), ())):
-            chain: List[Operator] = []
-            cur = pred
-            while eligible(cur):
-                chain.insert(0, cur)
-                cur = upstream[id(cur)][0]
-            if len(chain) >= 2:
-                fused.append((chain, op))
-
-    if not fused:
-        return operator_tags
-
-    removed: set = set()
-    new_tags = list(operator_tags)
-    for chain, union_op in fused:
-        parent = upstream[id(chain[0])][0]
-        segment = FusedBatchSegment(chain)
-        # Sever the members from the graph and splice the segment in.
-        parent.disconnect(chain[0])
-        for member in chain:
-            for nxt in list(member.downstream):
-                member.disconnect(nxt)
-        parent.connect(segment)
-        segment.connect(union_op)
-        removed.update(id(member) for member in chain)
-        tail_node = node_of[id(chain[-1])]
-        index = next(
-            i for i, (op, _) in enumerate(new_tags) if id(op) == id(chain[-1])
-        )
-        new_tags.insert(index + 1, (segment, tail_node))
-    return [(op, node) for op, node in new_tags if id(op) not in removed]
-
-
-def _fuse_pipe_chains(
-    operator_tags: List[Tuple[Operator, LogicalNode]],
-    engine_sources: Dict[str, Operator],
-    sinks: Dict[str, CollectSink],
-) -> List[Tuple[Operator, LogicalNode]]:
-    """Fuse linear runs of batch-capable piped operators into one box.
-
-    ``pipe()`` chains are the T-operator idiom: several custom boxes in
-    a row (transform, enrich, monitor), each costing a scheduler
-    dispatch per batch.  Every maximal run of >= 2 consecutive
-    PipeNode-lowered boxes that are linear (one upstream, one
-    downstream) and advertise ``supports_batch`` is spliced into a
-    :class:`FusedBatchSegment`, exactly like union fan-in branches.
-    Per-tuple fallback boxes are never fused, so the segment's batch
-    kernel claim stays honest.
-    """
-    node_of: Dict[int, LogicalNode] = {id(op): node for op, node in operator_tags}
-    source_ids = {id(op) for op in engine_sources.values()}
-    sink_ids = {id(s) for s in sinks.values()}
-    upstream: Dict[int, List[Operator]] = {}
-    for op, _ in operator_tags:
-        for nxt in op.downstream:
-            upstream.setdefault(id(nxt), []).append(op)
-
-    def eligible(op: Operator) -> bool:
-        return (
-            id(op) not in source_ids
-            and id(op) not in sink_ids
-            and not isinstance(op, FusedBatchSegment)
-            and isinstance(node_of.get(id(op)), PipeNode)
-            and op.supports_batch
-            and len(op.downstream) == 1
-            and len(upstream.get(id(op), ())) == 1
-        )
-
-    runs: List[List[Operator]] = []
-    for op, _ in operator_tags:
-        if not eligible(op):
-            continue
-        parent = upstream[id(op)][0]
-        if eligible(parent):
-            continue  # not the head of its run
-        run = [op]
-        cur = op.downstream[0]
-        while eligible(cur):
-            run.append(cur)
-            cur = cur.downstream[0]
-        if len(run) >= 2:
-            runs.append(run)
-
-    if not runs:
-        return operator_tags
-
-    removed: set = set()
-    new_tags = list(operator_tags)
-    for run in runs:
-        parent = upstream[id(run[0])][0]
-        successor = run[-1].downstream[0]
-        segment = FusedBatchSegment(run)
-        parent.disconnect(run[0])
-        for member in run:
-            for nxt in list(member.downstream):
-                member.disconnect(nxt)
-        parent.connect(segment)
-        segment.connect(successor)
-        removed.update(id(member) for member in run)
-        tail_node = node_of[id(run[-1])]
-        index = next(i for i, (op, _) in enumerate(new_tags) if id(op) == id(run[-1]))
-        new_tags.insert(index + 1, (segment, tail_node))
-    return [(op, node) for op, node in new_tags if id(op) not in removed]
 
 
 def compile_streams(

@@ -31,7 +31,7 @@ from repro.core import (
 )
 from repro.distributions import Distribution, Gaussian
 from repro.distributions.gaussian import gaussian_cdf
-from repro.streams import Filter, StreamTuple, TumblingTimeWindow, WindowBuffer
+from repro.streams import Filter, StreamTuple, TumblingTimeWindow, TupleBatch, WindowBuffer
 from repro.streams.operators.base import Operator, OperatorError
 
 __all__ = [
@@ -231,9 +231,9 @@ class FireCodeMonitor(Operator):
                 lineage=frozenset().union(*(items[k].lineage for k in members)),
             )
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        for close in self._buffer.add(item):
-            yield from self._window_results(close)
+    def process_batch(self, batch: TupleBatch) -> TupleBatch:
+        add, results = self._buffer.add, self._window_results
+        return TupleBatch([out for item in batch for close in add(item) for out in results(close)])
 
     def flush(self) -> Iterable[StreamTuple]:
         for close in self._buffer.flush():

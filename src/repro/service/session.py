@@ -127,22 +127,7 @@ class _QuerySink(CollectSink):
         self.last_trace = trace
         self.last_delivered_at = now
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        if self.paused:
-            self.dropped += 1
-            return ()
-        self.results.append(item)
-        self._record_delivery(1)
-        self._accept(item)
-        return ()
-
-    @property
-    def supports_batch(self) -> bool:  # type: ignore[override]
-        return self._keeps_process_of(_QuerySink)
-
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        if not self.supports_batch:
-            return super().process_batch(batch)
         if self.paused:
             self.dropped += len(batch)
             return TupleBatch()

@@ -27,21 +27,24 @@ class OperatorError(Exception):
 class Operator:
     """A query-plan box that transforms an input stream into an output stream.
 
-    Subclasses implement :meth:`process` (per tuple), which the default
-    :meth:`process_batch` loops over, or :meth:`process_batch` itself,
-    and optionally :meth:`flush` (end of stream).  An operator may declare an
-    ``input_schema`` against which incoming tuples are validated.
+    Subclasses implement :meth:`process_batch` -- the only processing
+    method, a pushed tuple being a batch of one -- and optionally
+    :meth:`flush` (end of stream).  An operator that applies a per-row
+    function loops over the batch itself (:class:`FunctionOperator`
+    wraps a plain function that way).  Defining a per-tuple ``process``
+    method raises :class:`TypeError` at class creation, so an override
+    the engine would never call cannot pass silently.  An operator may
+    declare an ``input_schema`` against which incoming tuples are
+    validated.
     """
 
-    #: Honest batch-support advertisement: True only when
-    #: :meth:`process_batch` runs a vectorised / bulk kernel rather than
-    #: the per-tuple fallback loop.  ``CompiledQuery.explain()`` and the
-    #: planner's cost model read this to report (and predict) which
-    #: boxes actually benefit from batch execution.  Subclasses with a
-    #: real kernel override it (usually as a property that re-checks the
-    #: fallback condition, so a subclass overriding ``process`` is
-    #: automatically honest again).
-    supports_batch: bool = False
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "process" in cls.__dict__:
+            raise TypeError(
+                f"{cls.__qualname__} defines process(); operators implement "
+                "process_batch(batch) -> TupleBatch instead"
+            )
 
     def __init__(self, name: Optional[str] = None, input_schema: Optional[Schema] = None):
         self.name = name or type(self).__name__
@@ -89,35 +92,9 @@ class Operator:
     # ------------------------------------------------------------------
     # Processing
     # ------------------------------------------------------------------
-    def _keeps_process_of(self, cls: type) -> bool:
-        """True when this instance still runs ``cls``'s ``process``.
-
-        Classes with a vectorised ``process_batch`` pair it with a
-        specific ``process`` implementation; a subclass overriding
-        ``process`` alone invalidates the kernel.  Such classes express
-        both their ``supports_batch`` property and their kernel gate
-        through this single check so the two can never disagree.
-        """
-        return type(self).process is cls.process
-
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        """Consume one input tuple and yield zero or more output tuples."""
-        raise NotImplementedError(f"{type(self).__name__} does not implement process")
-
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Consume a batch and return the output batch.
-
-        The default implementation is a per-tuple fallback loop over
-        :meth:`process`, so every existing operator participates in
-        batch execution unchanged.  Operators with a vectorisable hot
-        path (filtering, probabilistic selection, moment-based
-        aggregation) override this with a columnar kernel.
-        """
-        outputs: List[StreamTuple] = []
-        process = self.process
-        for item in batch:
-            outputs.extend(process(item))
-        return TupleBatch(outputs)
+        """Consume a batch and return the output batch."""
+        raise NotImplementedError(f"{type(self).__name__} does not implement process_batch")
 
     def flush(self) -> Iterable[StreamTuple]:
         """Emit any buffered state at end of stream (default: nothing)."""
@@ -136,8 +113,6 @@ class Operator:
         started = perf_counter()
         outputs = self.process_batch(batch)
         self.processing_seconds += perf_counter() - started
-        if not isinstance(outputs, TupleBatch):
-            outputs = TupleBatch(outputs)
         self.tuples_out += len(outputs)
         return outputs
 
@@ -196,27 +171,16 @@ class FunctionOperator(Operator):
         super().__init__(name=name or getattr(fn, "__name__", "FunctionOperator"), input_schema=input_schema)
         self._fn = fn
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        return self._fn(item)
+    def process_batch(self, batch: TupleBatch) -> TupleBatch:
+        fn = self._fn
+        return TupleBatch([out for item in batch for out in fn(item)])
 
 
 class PassThroughOperator(Operator):
-    """An operator that forwards every tuple unchanged.
+    """An operator that forwards every batch unchanged.
 
     Useful as a named junction point in a plan and in tests.
     """
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        yield item
-
-    @property
-    def supports_batch(self) -> bool:  # type: ignore[override]
-        return self._keeps_process_of(PassThroughOperator)
-
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        # Forward the batch object untouched -- but only when ``process``
-        # is the identity above; a subclass overriding ``process`` alone
-        # must keep per-tuple semantics on the batch path too.
-        if self.supports_batch:
-            return batch
-        return super().process_batch(batch)
+        return batch

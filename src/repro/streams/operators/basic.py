@@ -7,7 +7,7 @@ uncertainty-aware selection, aggregation and join operators live in
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -31,11 +31,12 @@ class Filter(Operator):
     Parameters
     ----------
     predicate:
-        Per-tuple predicate; used by both execution paths.
+        Per-tuple predicate, called on every row when no
+        ``batch_predicate`` is given.
     batch_predicate:
-        Optional columnar kernel ``TupleBatch -> boolean mask`` used by
-        the batch path instead of calling ``predicate`` per tuple.  It
-        must be semantically equivalent to the per-tuple predicate.
+        Optional columnar kernel ``TupleBatch -> boolean mask`` used
+        instead of calling ``predicate`` per tuple.  It must be
+        semantically equivalent to the per-tuple predicate.
     """
 
     def __init__(
@@ -49,17 +50,7 @@ class Filter(Operator):
         self._predicate = predicate
         self._batch_predicate = batch_predicate
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        if self._predicate(item):
-            yield item
-
-    @property
-    def supports_batch(self) -> bool:  # type: ignore[override]
-        return self._keeps_process_of(Filter)
-
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        if not self.supports_batch:
-            return super().process_batch(batch)
         if self._batch_predicate is not None:
             mask = np.asarray(self._batch_predicate(batch), dtype=bool)
             return batch.select(mask)
@@ -79,11 +70,15 @@ class Map(Operator):
         super().__init__(name=name, input_schema=input_schema)
         self._fn = fn
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        result = self._fn(item)
-        if not isinstance(result, StreamTuple):
-            raise OperatorError("Map function must return a StreamTuple")
-        yield result
+    def process_batch(self, batch: TupleBatch) -> TupleBatch:
+        fn = self._fn
+        outputs = []
+        for item in batch:
+            result = fn(item)
+            if not isinstance(result, StreamTuple):
+                raise OperatorError("Map function must return a StreamTuple")
+            outputs.append(result)
+        return TupleBatch(outputs)
 
 
 class AttributeDeriver(Operator):
@@ -118,7 +113,7 @@ class AttributeDeriver(Operator):
         if not self._value_functions and not self._uncertain_functions:
             raise OperatorError("AttributeDeriver needs at least one derivation function")
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
+    def _derive(self, item: StreamTuple) -> StreamTuple:
         new_values = {name: fn(item) for name, fn in self._value_functions.items()}
         new_uncertain = {}
         for name, fn in self._uncertain_functions.items():
@@ -128,28 +123,22 @@ class AttributeDeriver(Operator):
                     f"uncertain derivation {name!r} must return a Distribution, got {type(dist).__name__}"
                 )
             new_uncertain[name] = dist
-        yield item.derive(values=new_values, uncertain=new_uncertain)
+        return item.derive(values=new_values, uncertain=new_uncertain)
+
+    def process_batch(self, batch: TupleBatch) -> TupleBatch:
+        return TupleBatch([self._derive(item) for item in batch])
 
 
 class Union(Operator):
-    """Merge several upstream streams into one (identity per tuple).
+    """Merge several upstream streams into one (identity per batch).
 
-    Because the engine pushes tuples from any upstream operator into
+    Because the engine pushes batches from any upstream operator into
     this box, Union simply forwards whatever it receives; it exists to
     give the merge point a name and statistics.
     """
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        yield item
-
-    @property
-    def supports_batch(self) -> bool:  # type: ignore[override]
-        return self._keeps_process_of(Union)
-
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        if self.supports_batch:
-            return batch
-        return super().process_batch(batch)
+        return batch
 
 
 class CollectSink(Operator):
@@ -159,17 +148,7 @@ class CollectSink(Operator):
         super().__init__(name=name)
         self.results: List[StreamTuple] = []
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        self.results.append(item)
-        return ()
-
-    @property
-    def supports_batch(self) -> bool:  # type: ignore[override]
-        return self._keeps_process_of(CollectSink)
-
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        if not self.supports_batch:
-            return super().process_batch(batch)
         self.results.extend(batch)
         return TupleBatch()
 
@@ -192,17 +171,7 @@ class CallbackSink(Operator):
         super().__init__(name=name)
         self._callback = callback
 
-    def process(self, item: StreamTuple) -> Iterable[StreamTuple]:
-        self._callback(item)
-        return ()
-
-    @property
-    def supports_batch(self) -> bool:  # type: ignore[override]
-        return self._keeps_process_of(CallbackSink)
-
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        if not self.supports_batch:
-            return super().process_batch(batch)
         callback = self._callback
         for item in batch:
             callback(item)

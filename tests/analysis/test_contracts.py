@@ -2,8 +2,8 @@
 
 The self-lint test is the load-bearing one: it runs the full linter
 over ``src/repro`` and asserts zero errors, which keeps every future
-PR honest about ``supports_batch``, the snapshot protocol, wire magics
-and the worker verb tables.
+PR honest about the snapshot protocol, wire magics and the worker verb
+tables.
 """
 
 import textwrap
@@ -17,20 +17,8 @@ from repro.analysis.contracts import (
     lint_verb_tables,
 )
 from repro.analysis.diagnostics import errors
+from repro.streams.batch import TupleBatch
 from repro.streams.operators.base import Operator
-
-
-class DishonestBatchOperator(Operator):
-    """Scratch offender: advertises a kernel it does not have."""
-
-    supports_batch = True
-
-
-class HonestBatchOperator(Operator):
-    supports_batch = True
-
-    def process_batch(self, batch):
-        return batch
 
 
 class ForgetfulStatefulOperator(Operator):
@@ -40,9 +28,9 @@ class ForgetfulStatefulOperator(Operator):
         super().__init__()
         self.seen = []
 
-    def process(self, item):
-        self.seen.append(item)
-        return ()
+    def process_batch(self, batch):
+        self.seen.extend(batch)
+        return TupleBatch()
 
 
 class RememberingStatefulOperator(Operator):
@@ -50,9 +38,9 @@ class RememberingStatefulOperator(Operator):
         super().__init__()
         self.seen = []
 
-    def process(self, item):
-        self.seen.append(item)
-        return ()
+    def process_batch(self, batch):
+        self.seen.extend(batch)
+        return TupleBatch()
 
     def state_snapshot(self):
         return {"seen": list(self.seen)}
@@ -62,23 +50,17 @@ class RememberingStatefulOperator(Operator):
 
 
 class TestOperatorContracts:
-    def test_dishonest_supports_batch_is_caught(self):
-        diagnostics = lint_operator_classes([DishonestBatchOperator])
-        assert [d.rule for d in errors(diagnostics)] == ["batch-honesty"]
-        (diag,) = errors(diagnostics)
-        assert "DishonestBatchOperator" in diag.message
-        assert diag.file and diag.file.endswith("test_contracts.py")
-        assert diag.line > 0
-
-    def test_honest_supports_batch_passes(self):
-        assert errors(lint_operator_classes([HonestBatchOperator])) == []
-
     def test_stateful_without_snapshot_is_caught(self):
         diagnostics = lint_operator_classes([ForgetfulStatefulOperator])
         assert [d.rule for d in errors(diagnostics)] == ["stateful-snapshot"]
         (diag,) = errors(diagnostics)
         assert "seen" in diag.message
         assert "state_snapshot" in diag.message
+
+    def test_diagnostic_points_at_the_offending_source(self):
+        (diag,) = errors(lint_operator_classes([ForgetfulStatefulOperator]))
+        assert diag.file and diag.file.endswith("test_contracts.py")
+        assert diag.line > 0
 
     def test_stateful_with_snapshot_passes(self):
         assert errors(lint_operator_classes([RememberingStatefulOperator])) == []
@@ -196,7 +178,7 @@ class TestSelfLint:
             d.render() for d in errors(diagnostics)
         )
 
-    @pytest.mark.parametrize("rule", ["batch-honesty", "stateful-snapshot"])
+    @pytest.mark.parametrize("rule", ["stateful-snapshot"])
     def test_repo_operators_pass_rule(self, rule):
         diagnostics = [d for d in lint_contracts() if d.rule == rule]
         assert errors(diagnostics) == []

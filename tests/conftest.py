@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.streams import TupleBatch
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -20,3 +22,14 @@ def rng_factory():
         return np.random.default_rng(1000 + seed)
 
     return make
+
+
+def _process_one(op, item):
+    """Run ``item`` through ``op`` as a one-row batch and return the outputs."""
+    return list(op.process_batch(TupleBatch([item])))
+
+
+@pytest.fixture
+def process_one():
+    """``process_one(op, item) -> list``: one tuple through an operator."""
+    return _process_one

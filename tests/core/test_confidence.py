@@ -31,24 +31,24 @@ class TestSummarizeResultsOperator:
             uncertain={"total_weight": Gaussian(250.0, 10.0)},
         )
 
-    def test_replaces_distribution_with_statistics(self):
+    def test_replaces_distribution_with_statistics(self, process_one):
         op = SummarizeResults("total_weight", confidence=0.9)
-        out = list(op.process(self.make_tuple()))[0]
+        out = process_one(op, self.make_tuple())[0]
         assert out.value("total_weight_mean") == pytest.approx(250.0)
         assert out.value("total_weight_variance") == pytest.approx(100.0)
         assert out.value("total_weight_lo") < 250.0 < out.value("total_weight_hi")
         assert not out.has_uncertain("total_weight")
         assert out.value("area") == (3, 4)
 
-    def test_can_keep_distribution(self):
+    def test_can_keep_distribution(self, process_one):
         op = SummarizeResults("total_weight", keep_distribution=True)
-        out = list(op.process(self.make_tuple()))[0]
+        out = process_one(op, self.make_tuple())[0]
         assert out.has_uncertain("total_weight")
 
-    def test_missing_attribute_raises(self):
+    def test_missing_attribute_raises(self, process_one):
         op = SummarizeResults("nope")
         with pytest.raises(OperatorError):
-            list(op.process(self.make_tuple()))
+            process_one(op, self.make_tuple())
 
     def test_invalid_confidence(self):
         with pytest.raises(OperatorError):

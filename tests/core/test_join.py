@@ -67,50 +67,50 @@ class TestProbabilisticJoin:
             min_probability=min_probability,
         )
 
-    def test_matching_pair_is_emitted_with_probability(self):
+    def test_matching_pair_is_emitted_with_probability(self, process_one):
         join = self.make_join()
         left_port, right_port = join.left_port(), join.right_port()
-        list(right_port.process(located_tuple(0.0, 10.0, 10.0, sensor="T1")))
-        outputs = list(left_port.process(located_tuple(0.5, 10.2, 9.9, tag_id="O1")))
+        process_one(right_port, located_tuple(0.0, 10.0, 10.0, sensor="T1"))
+        outputs = process_one(left_port, located_tuple(0.5, 10.2, 9.9, tag_id="O1"))
         assert len(outputs) == 1
         out = outputs[0]
         assert out.value("match_probability") > 0.5
         assert out.value("left_tag_id") == "O1"
         assert out.value("right_sensor") == "T1"
 
-    def test_non_matching_pair_suppressed(self):
+    def test_non_matching_pair_suppressed(self, process_one):
         join = self.make_join()
-        list(join.right_port().process(located_tuple(0.0, 50.0, 50.0)))
-        assert list(join.left_port().process(located_tuple(0.1, 0.0, 0.0))) == []
+        process_one(join.right_port(), located_tuple(0.0, 50.0, 50.0))
+        assert process_one(join.left_port(), located_tuple(0.1, 0.0, 0.0)) == []
 
-    def test_window_expiry(self):
+    def test_window_expiry(self, process_one):
         join = self.make_join(window_length=1.0)
-        list(join.right_port().process(located_tuple(0.0, 0.0, 0.0)))
+        process_one(join.right_port(), located_tuple(0.0, 0.0, 0.0))
         # Too late: the right tuple is outside the 1 s window.
-        assert list(join.left_port().process(located_tuple(5.0, 0.0, 0.0))) == []
+        assert process_one(join.left_port(), located_tuple(5.0, 0.0, 0.0)) == []
         # The stale right tuple has been expired from its window.
         assert join.window_sizes() == (1, 0)
 
-    def test_symmetric_matching_from_either_side(self):
+    def test_symmetric_matching_from_either_side(self, process_one):
         join = self.make_join()
-        list(join.left_port().process(located_tuple(0.0, 1.0, 1.0, tag_id="O1")))
-        outputs = list(join.right_port().process(located_tuple(0.2, 1.0, 1.0, sensor="T9")))
+        process_one(join.left_port(), located_tuple(0.0, 1.0, 1.0, tag_id="O1"))
+        outputs = process_one(join.right_port(), located_tuple(0.2, 1.0, 1.0, sensor="T9"))
         assert len(outputs) == 1
         assert outputs[0].value("left_tag_id") == "O1"
 
-    def test_one_to_many_matches(self):
+    def test_one_to_many_matches(self, process_one):
         join = self.make_join()
         for i in range(3):
-            list(join.right_port().process(located_tuple(0.1 * i, 0.0, 0.0, sensor=f"T{i}")))
-        outputs = list(join.left_port().process(located_tuple(0.5, 0.0, 0.0, tag_id="O1")))
+            process_one(join.right_port(), located_tuple(0.1 * i, 0.0, 0.0, sensor=f"T{i}"))
+        outputs = process_one(join.left_port(), located_tuple(0.5, 0.0, 0.0, tag_id="O1"))
         assert len(outputs) == 3
 
-    def test_lineage_union_in_outputs(self):
+    def test_lineage_union_in_outputs(self, process_one):
         join = self.make_join()
         right = located_tuple(0.0, 0.0, 0.0, sensor="T1")
         left = located_tuple(0.1, 0.0, 0.0, tag_id="O1")
-        list(join.right_port().process(right))
-        out = list(join.left_port().process(left))[0]
+        process_one(join.right_port(), right)
+        out = process_one(join.left_port(), left)[0]
         assert right.lineage <= out.lineage
         assert left.lineage <= out.lineage
 

@@ -38,35 +38,35 @@ class TestUncertainPredicate:
 
 
 class TestProbabilisticSelect:
-    def test_keeps_tuples_above_threshold(self):
+    def test_keeps_tuples_above_threshold(self, process_one):
         select = ProbabilisticSelect(
             UncertainPredicate("temp", Comparison.GREATER, 60.0), min_probability=0.5
         )
-        assert list(select.process(temp_tuple(70.0))) != []
-        assert list(select.process(temp_tuple(50.0))) == []
+        assert process_one(select, temp_tuple(70.0)) != []
+        assert process_one(select, temp_tuple(50.0)) == []
 
-    def test_annotates_probability(self):
+    def test_annotates_probability(self, process_one):
         select = ProbabilisticSelect(
             UncertainPredicate("temp", Comparison.GREATER, 60.0), min_probability=0.0
         )
-        out = list(select.process(temp_tuple(62.0)))[0]
+        out = process_one(select, temp_tuple(62.0))[0]
         prob = out.value("selection_probability")
         assert 0.5 < prob < 1.0
 
-    def test_annotation_can_be_disabled(self):
+    def test_annotation_can_be_disabled(self, process_one):
         select = ProbabilisticSelect(
             UncertainPredicate("temp", Comparison.GREATER, 60.0),
             min_probability=0.0,
             probability_attribute=None,
         )
-        out = list(select.process(temp_tuple(80.0)))[0]
+        out = process_one(select, temp_tuple(80.0))[0]
         assert not out.has_value("selection_probability")
 
-    def test_zero_threshold_keeps_everything(self):
+    def test_zero_threshold_keeps_everything(self, process_one):
         select = ProbabilisticSelect(
             UncertainPredicate("temp", Comparison.GREATER, 1000.0), min_probability=0.0
         )
-        assert list(select.process(temp_tuple(0.0))) != []
+        assert process_one(select, temp_tuple(0.0)) != []
 
     def test_invalid_threshold(self):
         with pytest.raises(OperatorError):

@@ -93,8 +93,8 @@ class TestTransformOperator:
         assert outputs[0].distribution("value").mu == pytest.approx(6.0)
         assert op.tuples_out == 1
 
-    def test_process_unwraps_raw_attribute(self):
+    def test_process_unwraps_raw_attribute(self, process_one):
         op = DoublingTransform()
         wrapped = StreamTuple(timestamp=2.0, values={"raw": 5.0})
-        outputs = list(op.process(wrapped))
+        outputs = process_one(op, wrapped)
         assert outputs[0].distribution("value").mu == pytest.approx(10.0)

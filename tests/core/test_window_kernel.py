@@ -341,13 +341,15 @@ def planar_rows(n):
     ]
 
 
-@pytest.mark.parametrize("path", ["tuple", "batch", "fused"])
+@pytest.mark.parametrize("path", ["window-loop", "batch", "fused"])
 def test_multivariate_summands_are_refused(path):
     agg = UncertainAggregate(TumblingCountWindow(4), "loc", CFApproximationSum())
     with pytest.raises(OperatorError, match="'loc'.*MultivariateGaussian"):
-        if path == "tuple":
+        if path == "window-loop":
+            # The per-row reference: each row added alone, and every close
+            # emitted through the per-window loop that also serves flush().
             for item in planar_rows(4):
-                list(agg.process(item))
+                list(agg._emit(agg._buffer.add(item)))
         elif path == "batch":
             agg.process_batch(TupleBatch(planar_rows(4)))
         else:

@@ -8,6 +8,7 @@ import pytest
 from repro.distributions import (
     DistributionError,
     Gaussian,
+    GaussianMixture,
     HistogramDistribution,
     ParticleDistribution,
     normalize_weights,
@@ -135,6 +136,22 @@ class TestHistogramDistribution:
     def test_bin_probabilities_sum_to_one(self):
         h = HistogramDistribution([0.0, 0.5, 1.5, 2.0], [0.5, 1.0, 2.0])
         assert h.bin_probabilities().sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GaussianMixture([math.nan, 1.0], [0.0, 1.0], [1.0, 1.0]),
+            lambda: ParticleDistribution([1.0, 2.0], [math.nan, 1.0]),
+            lambda: ParticleDistribution([1.0, 2.0], [math.inf, 1.0]),
+            lambda: HistogramDistribution([0.0, math.nan, 2.0], [1.0, 1.0]),
+            lambda: HistogramDistribution([0.0, 1.0, math.inf], [1.0, 1.0]),
+        ],
+        ids=["mixture-nan-weight", "particle-nan-weight", "particle-inf-weight",
+             "histogram-nan-edge", "histogram-inf-edge"],
+    )
+    def test_rejects_non_finite_weights_and_edges(self, build):
+        with pytest.raises(DistributionError, match="finite"):
+            build()
 
     def test_rejects_bad_edges_and_densities(self):
         with pytest.raises(DistributionError):

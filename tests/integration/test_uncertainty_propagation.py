@@ -59,7 +59,7 @@ class TestUncertaintyPropagation:
         coverage = np.mean((draws >= lo) & (draws <= hi))
         assert coverage == pytest.approx(0.9, abs=0.02)
 
-    def test_selection_probability_scales_with_threshold(self):
+    def test_selection_probability_scales_with_threshold(self, process_one):
         select_strict = ProbabilisticSelect(
             UncertainPredicate("value", Comparison.GREATER, 5.0), min_probability=0.9
         )
@@ -69,8 +69,8 @@ class TestUncertaintyPropagation:
         borderline = StreamTuple(
             timestamp=0.0, values={}, uncertain={"value": Gaussian(5.5, 1.0)}
         )
-        assert list(select_lenient.process(borderline)) != []
-        assert list(select_strict.process(borderline)) == []
+        assert process_one(select_lenient, borderline) != []
+        assert process_one(select_strict, borderline) == []
 
     def test_window_count_preserved_through_pipeline(self):
         engine, sink = build_pipeline(window=10)

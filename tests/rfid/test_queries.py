@@ -45,11 +45,11 @@ class TestFireCodeMonitor(object):
         defaults.update(kwargs)
         return FireCodeMonitor(weight_of=lambda tag: weights[tag], **defaults)
 
-    def test_overloaded_area_reported(self):
+    def test_overloaded_area_reported(self, process_one):
         weights = {"A": 150.0, "B": 120.0}
         monitor = self.make_monitor(weights)
-        list(monitor.process(location_tuple(0.5, "A", 2.5, 2.5, sigma=0.05)))
-        list(monitor.process(location_tuple(1.0, "B", 2.5, 2.5, sigma=0.05)))
+        process_one(monitor, location_tuple(0.5, "A", 2.5, 2.5, sigma=0.05))
+        process_one(monitor, location_tuple(1.0, "B", 2.5, 2.5, sigma=0.05))
         results = list(monitor.flush())
         assert len(results) == 1
         out = results[0]
@@ -57,40 +57,40 @@ class TestFireCodeMonitor(object):
         assert out.value("violation_probability") > 0.95
         assert out.distribution("total_weight").mean() == pytest.approx(270.0, rel=0.02)
 
-    def test_underloaded_area_not_reported(self):
+    def test_underloaded_area_not_reported(self, process_one):
         weights = {"A": 50.0}
         monitor = self.make_monitor(weights)
-        list(monitor.process(location_tuple(0.5, "A", 2.5, 2.5, sigma=0.05)))
+        process_one(monitor, location_tuple(0.5, "A", 2.5, 2.5, sigma=0.05))
         assert list(monitor.flush()) == []
 
-    def test_uncertain_location_spreads_weight_over_cells(self):
+    def test_uncertain_location_spreads_weight_over_cells(self, process_one):
         # Weight 210 with a location straddling two cells: neither cell is a
         # confident violation at the 0.5 probability bar.
         weights = {"A": 210.0}
         monitor = self.make_monitor(weights, min_violation_probability=0.5)
-        list(monitor.process(location_tuple(0.5, "A", 3.0, 2.5, sigma=0.4)))
+        process_one(monitor, location_tuple(0.5, "A", 3.0, 2.5, sigma=0.4))
         assert list(monitor.flush()) == []
         # But with a lower reporting bar both candidate cells appear.
         lenient = self.make_monitor(weights, min_violation_probability=0.1)
-        list(lenient.process(location_tuple(0.5, "A", 3.0, 2.5, sigma=0.4)))
+        process_one(lenient, location_tuple(0.5, "A", 3.0, 2.5, sigma=0.4))
         results = list(lenient.flush())
         assert len(results) >= 1
 
-    def test_windows_are_independent(self):
+    def test_windows_are_independent(self, process_one):
         weights = {"A": 300.0}
         monitor = self.make_monitor(weights)
-        list(monitor.process(location_tuple(0.5, "A", 1.5, 1.5, sigma=0.05)))
-        outputs_mid = list(monitor.process(location_tuple(6.0, "A", 1.5, 1.5, sigma=0.05)))
+        process_one(monitor, location_tuple(0.5, "A", 1.5, 1.5, sigma=0.05))
+        outputs_mid = process_one(monitor, location_tuple(6.0, "A", 1.5, 1.5, sigma=0.05))
         # Closing the first window emits its violation.
         assert len(list(outputs_mid)) == 1
         assert len(list(monitor.flush())) == 1
 
-    def test_duplicate_reports_deduplicated_within_window(self):
+    def test_duplicate_reports_deduplicated_within_window(self, process_one):
         weights = {"A": 150.0}
         monitor = self.make_monitor(weights, min_violation_probability=0.5)
         # The same object reported twice must not double its weight.
-        list(monitor.process(location_tuple(0.5, "A", 2.5, 2.5, sigma=0.05)))
-        list(monitor.process(location_tuple(1.0, "A", 2.5, 2.5, sigma=0.05)))
+        process_one(monitor, location_tuple(0.5, "A", 2.5, 2.5, sigma=0.05))
+        process_one(monitor, location_tuple(1.0, "A", 2.5, 2.5, sigma=0.05))
         assert list(monitor.flush()) == []
 
     def test_invalid_configuration(self):

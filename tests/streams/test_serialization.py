@@ -186,6 +186,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="high > low"):
             decode_batch(swapped)
 
+    @pytest.mark.parametrize(
+        "dist, field",
+        [
+            (ParticleDistribution([1.0, 2.0], [0.25, 0.75]), "weights"),
+            (HistogramDistribution([0.0, 1.0, 2.5], [0.5, 0.5]), "edges"),
+        ],
+    )
+    def test_non_finite_particle_weights_and_histogram_edges_rejected(self, dist, field):
+        block = getattr(dist, field).tobytes()
+        poisoned = getattr(dist, field).copy()
+        poisoned[-1] = float("inf") if field == "edges" else float("nan")
+        payload = encoded(d=dist).replace(block, poisoned.tobytes())
+        with pytest.raises(ValueError, match="must be finite"):
+            decode_batch(payload)
+
 
 class TestTruncation:
     """Every strict prefix of a valid payload is malformed and says so."""
