@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.inference import CompressionConfig, FactorizedParticleFilter, JointParticleFilter
-from repro.rfid import DetectionObservation, MobileReaderSimulator, build_object_model
+from repro.rfid import DetectionObservation, build_object_model
 from repro.workloads import build_rfid_workload, noisy_detection_model
 
 N_OBJECTS = 150

@@ -176,10 +176,9 @@ def _result_tuple_from_parts(
 class _WindowAggregate(Operator):
     """Buffering, emission and checkpoint state shared by the windowed aggregates.
 
-    ``process_batch`` emits the windows a batch closes with
+    ``process_batch`` and ``flush`` emit the windows they close with
     :meth:`_moment_kernel` whenever a SUM/AVG strategy works from
-    moments alone, and with the per-window loop otherwise; ``flush``
-    always uses the loop.
+    moments alone, and with the per-window loop otherwise.
     """
 
     #: Group key of a row; ``None`` aggregates each window as one group.
@@ -316,7 +315,7 @@ class _WindowAggregate(Operator):
         return TupleBatch(self._emit_batch(self._buffer.add_many(batch)))
 
     def flush(self) -> Iterable[StreamTuple]:
-        yield from self._emit(self._buffer.flush())
+        return self._emit_batch(self._buffer.flush())
 
     def state_snapshot(self) -> dict:
         # Moments are computed at window close, so the only mutable

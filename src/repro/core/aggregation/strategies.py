@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from repro.distributions import (
     Distribution,
     DistributionError,
     Gaussian,
-    GaussianMixture,
     HistogramDistribution,
     SumCharacteristicFunction,
     as_rng,

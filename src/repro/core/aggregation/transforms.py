@@ -8,8 +8,6 @@ histograms and particle sets are transformed by moving their support.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.distributions import (
     Distribution,
     Gaussian,

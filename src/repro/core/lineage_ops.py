@@ -22,14 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.distributions import (
-    Distribution,
-    DistributionError,
-    Gaussian,
-    HistogramDistribution,
-    as_rng,
-    fit_gaussian,
-)
+from repro.distributions import Distribution, DistributionError, Gaussian, as_rng, fit_gaussian
 from repro.streams.lineage import TupleArchive, correlation_groups
 from repro.streams.tuples import StreamTuple
 

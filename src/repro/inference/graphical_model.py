@@ -19,9 +19,8 @@ This module provides:
 from __future__ import annotations
 
 import abc
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 

@@ -10,7 +10,7 @@ correctness oracle for the particle filter on linear-Gaussian problems
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributions import DistributionError, normalize_weights
+from repro.distributions import normalize_weights
 
 __all__ = [
     "effective_sample_size",

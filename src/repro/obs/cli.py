@@ -24,7 +24,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from .history import HistoryRing, flatten_snapshot
+from .history import HistoryRing
 from .render import render_prometheus, render_table
 from .spans import export_chrome_trace
 

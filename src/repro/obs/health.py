@@ -24,8 +24,8 @@ The :class:`HealthEngine` owns a rule set, evaluates it against a
 :class:`~repro.obs.history.HistoryRing` on demand (each METRICS/HEALTH
 poll or recorder tick), tracks per-rule ``ok → pending → firing``
 state, and invokes registered alert callbacks exactly once per
-transition into ``firing`` — the actuation point the adaptive
-repartitioner and future re-planner subscribe to via
+transition into ``firing`` — the actuation point a reaction (shedding
+a subscriber, re-planning a stale query) subscribes to via
 ``QuerySession.on_alert``.
 """
 

@@ -9,11 +9,11 @@ sound and builds both halves:
   summaries, unions, per-tuple ``[Now]`` aggregates) shard trivially:
   every tuple's output depends on that tuple alone, so the whole plan
   replicates and the coordinator only has to restore the global input
-  order (which round-robin *chunk* partitioning preserves).
+  order (which the runtime's global chunk ids preserve).
 * **Time-window aggregates** split into a shard-local *partial*
   aggregate plus a coordinator *merge*: tumbling time windows assign
   tuples to windows by timestamp, so every shard closes the same window
-  boundaries regardless of partitioning, and the moment-closed SUM
+  boundaries whichever shard a chunk lands on, and the moment-closed SUM
   strategies make the partials merge exactly
   (:mod:`repro.core.aggregation.merge`).  A probabilistic HAVING moves
   to the coordinator — it must see the merged result.  Row-wise nodes
@@ -87,10 +87,7 @@ class ShardingDecision:
     shard; ``merge`` is set for aggregate splits (with an optional
     row-wise ``suffix`` plan the coordinator runs on merged results)
     and ``None`` for row-wise plans, whose outputs are recombined by
-    ordered chunk merge instead.  ``partitioning`` is ``"any"`` when
-    the merge is order-insensitive (hash or round-robin both work) and
-    ``"chunked"`` when only order-preserving round-robin chunking keeps
-    sharded output identical to the single engine.
+    ordered chunk merge instead.
     """
 
     shardable: bool
@@ -98,7 +95,6 @@ class ShardingDecision:
     local: Optional[LogicalPlan] = None
     merge: Optional[MergeSpec] = None
     suffix: Optional[LogicalPlan] = None
-    partitioning: str = "chunked"
 
     @property
     def ordered(self) -> bool:
@@ -111,7 +107,7 @@ def _unshardable(reason: str) -> ShardingDecision:
 
 
 def _is_row_local(node: LogicalNode) -> bool:
-    """Output of ``node`` depends only on single tuples (any partitioning)."""
+    """Output of ``node`` depends only on single tuples (any chunk placement)."""
     if isinstance(node, _ROW_WISE):
         return True
     if isinstance(node, AggregateNode):
@@ -192,7 +188,6 @@ def split_for_sharding(
         local=plan,
         merge=None,
         suffix=None,
-        partitioning="chunked",
     )
 
 
@@ -290,7 +285,6 @@ def _split_at_aggregate(
         local=local,
         merge=merge,
         suffix=suffix,
-        partitioning="any",
     )
 
 
@@ -322,7 +316,6 @@ def explain_sharding(decision: ShardingDecision, workers: Optional[int] = None) 
         lines.append(f"reason: {decision.reason}")
         return "\n".join(lines)
     lines.append("sharded: yes")
-    lines.append(f"partitioning: {decision.partitioning}")
     lines.append(f"reason: {decision.reason}")
     lines.append("")
     lines.append("Shard-local segment (replicated per worker)")

@@ -10,9 +10,8 @@ whose uneven data density is itself a source of uncertainty.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
 from repro.distributions import as_rng
 
-from .geometry import RadarSite, beam_positions, polar_to_cartesian
+from .geometry import RadarSite, polar_to_cartesian
 from .scene import WeatherScene
 
 __all__ = ["SectorScan", "PulseBlock", "PulseGenerator", "RAW_BYTES_PER_GATE"]

@@ -23,7 +23,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.core.transform import CompressionPolicy, TransformOperator
-from repro.distributions import Gaussian
 from repro.streams.tuples import StreamTuple
 
 from .clt import mean_distribution_from_series

@@ -12,8 +12,8 @@ inference error exactly (Figure 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 

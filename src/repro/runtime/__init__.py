@@ -1,9 +1,9 @@
-"""Sharded parallel runtime: partitioned multi-process query execution.
+"""Sharded parallel runtime: multi-process query execution.
 
 The paper targets stream rates a single Python process cannot sustain;
 this package adds the horizontal half of that story.  A
-:class:`ShardedEngine` partitions source tuples across worker processes
-— each running a full :class:`~repro.streams.engine.StreamEngine` on
+:class:`ShardedEngine` rotates chunks of source tuples across worker
+processes — each running a full :class:`~repro.streams.engine.StreamEngine` on
 the shard-local plan segment chosen by
 :func:`repro.plan.sharding.split_for_sharding` — and recombines the
 outputs through uncertainty-aware merge operators: exact moment/mixture
@@ -22,13 +22,6 @@ The service layer exposes the same capability as
 
 from .engine import ShardBackpressure, ShardedEngine, ShardedStatistics, ShardError
 from .merge import MergeProtocolError, OrderedChunkMerger, WindowPartialMerger
-from .partition import (
-    HashPartitioner,
-    Partitioner,
-    RoundRobinPartitioner,
-    compute_adaptive_weights,
-    resolve_partitioner,
-)
 from .shm import RingFullError, ShardShmTransport, ShmRing
 from .transport import SocketShardChannel
 from .worker import ShardRunner
@@ -42,11 +35,6 @@ __all__ = [
     "ShardShmTransport",
     "RingFullError",
     "SocketShardChannel",
-    "Partitioner",
-    "RoundRobinPartitioner",
-    "HashPartitioner",
-    "resolve_partitioner",
-    "compute_adaptive_weights",
     "OrderedChunkMerger",
     "WindowPartialMerger",
     "MergeProtocolError",

@@ -1,7 +1,8 @@
 """`ShardedEngine`: partitioned multi-process execution of one query.
 
-The parent process partitions source tuples into chunks, ships them to
-N worker processes (each running a full
+The parent process cuts source tuples into chunks, ships chunk ``c``
+(one global sequence across sources) to shard ``c % N`` of N worker
+processes (each running a full
 :class:`~repro.streams.engine.StreamEngine` on the shard-local plan
 segment), and recombines the workers' outputs through the
 uncertainty-aware merge operators of :mod:`repro.runtime.merge`:
@@ -38,11 +39,9 @@ single-threaded listener contract of the service layer.
 Backpressure is structural: each inbound ring bounds both its bytes
 and its records (``queue_capacity``), the reply rings bound the other
 direction, and a send that cannot proceed counts a stall and sleeps
-while the reader threads keep draining.  The stall/queue-depth signal
-closes an adaptive loop: every ``_REBALANCE_INTERVAL`` chunks the
-coordinator recomputes round-robin weights from observed per-shard
-completion rates (:func:`repro.runtime.partition.compute_adaptive_weights`),
-so a slow or remote shard is automatically deweighted mid-stream.
+while the reader threads keep draining.  Placement never reacts to it:
+the rotation is fixed, so a slow shard slows the stream down rather
+than being routed around.
 
 Workers are forked, not spawned: logical plans carry closures
 (predicates, derive functions, group keys) that never pickle, but fork
@@ -81,12 +80,6 @@ from repro.streams.serialization import decode_batch, encode_batch_wire
 from repro.streams.tuples import StreamTuple
 
 from .merge import OrderedChunkMerger, WindowPartialMerger
-from .partition import (
-    Partitioner,
-    RoundRobinPartitioner,
-    compute_adaptive_weights,
-    resolve_partitioner,
-)
 from .shm import ShardShmTransport
 from .transport import InlineShardChannel, SocketShardChannel
 from .worker import ShardRunner, plan_signature, worker_main
@@ -96,9 +89,6 @@ __all__ = ["ShardedEngine", "ShardError", "ShardedStatistics", "ShardBackpressur
 #: How long finish()/statistics() wait for worker replies before
 #: declaring a shard dead.
 _REPLY_TIMEOUT = 60.0
-
-#: Chunks between adaptive weight recomputations.
-_REBALANCE_INTERVAL = 32
 
 #: Distinct obs scopes for concurrently-live coordinators.
 _sharded_scopes = itertools.count(1)
@@ -165,31 +155,21 @@ class ShardedEngine:
         :class:`~repro.plan.LogicalPlan`.
     workers:
         Shard count.  ``0`` forces the single-engine fallback.
-    partitioner:
-        ``"round_robin"`` (default), ``"hash:<attribute>"`` or a
-        :class:`~repro.runtime.partition.Partitioner`.  Hash
-        partitioning is only accepted for aggregate-split plans, whose
-        merge is order-insensitive.  An *unweighted* round-robin
-        partitioner on the process backend is adaptively reweighted at
-        runtime from per-shard completion rates; explicit weights pin
-        the rotation.
     backend:
         ``"process"`` (forked workers, the real runtime) or
         ``"inline"`` (shards run synchronously in-process through the
         same protocol — deterministic, for tests and platforms without
         ``fork``).
     chunk_size:
-        Tuples per shipped chunk.
+        Tuples per shipped chunk.  Chunk ``c`` (one global sequence
+        across sources) goes to shard ``c % workers``.
     queue_capacity:
         Bound on the chunk frames a shard's inbound ring may hold; the
         ring's byte capacity bounds it further.  This is the
         backpressure knob: in-flight chunks per shard stay within
-        about ``queue_capacity`` each way.
-    ring_bytes:
-        Data bytes of each shared-memory ring (one pair per local
-        shard).  Defaults to a size comfortably holding
-        ``queue_capacity`` chunks; raise it for very large chunks (a
-        single frame may use at most half a ring).
+        about ``queue_capacity`` each way.  Each shared-memory ring is
+        sized to hold that many chunks comfortably (a single frame may
+        use at most half a ring).
     batch_size:
         Batch size of the single-engine fallback (as in
         ``Planner.compile``); shard workers run each shipped chunk as
@@ -214,11 +194,9 @@ class ShardedEngine:
         self,
         query: Union[Stream, LogicalPlan],
         workers: int = 2,
-        partitioner: Union[str, Partitioner] = "round_robin",
         backend: str = "process",
         chunk_size: int = 1024,
         queue_capacity: int = 8,
-        ring_bytes: Optional[int] = None,
         batch_size: Optional[int] = None,
         planner: Optional[Planner] = None,
         optimize: bool = True,
@@ -233,14 +211,10 @@ class ShardedEngine:
             raise PlanError(f"queue_capacity must be at least 1, got {queue_capacity}")
         if backend not in ("process", "inline"):
             raise PlanError(f"unknown backend {backend!r}; use 'process' or 'inline'")
-        if ring_bytes is None:
-            # Room for a queue_capacity of chunks at a generous bytes/tuple
-            # estimate; tmpfs pages are allocated lazily, so an oversized
-            # ring costs address space, not memory.
-            ring_bytes = min(64 << 20, max(1 << 22, queue_capacity * chunk_size * 256))
-        if ring_bytes < (1 << 12):
-            raise PlanError(f"ring_bytes must be at least 4096, got {ring_bytes}")
-        self._ring_bytes = int(ring_bytes)
+        # Room for a queue_capacity of chunks at a generous bytes/tuple
+        # estimate; tmpfs pages are allocated lazily, so an oversized
+        # ring costs address space, not memory.
+        self._ring_bytes = min(64 << 20, max(1 << 22, queue_capacity * chunk_size * 256))
         self.remote_shards = tuple(remote_shards)
         if self.remote_shards:
             if backend != "process":
@@ -287,26 +261,6 @@ class ShardedEngine:
             )
         else:
             self.decision = split_for_sharding(optimized, self._planner.cost_model)
-
-        self.partitioner = resolve_partitioner(partitioner)
-        weights = getattr(self.partitioner, "weights", ())
-        if weights and len(weights) != workers:
-            # Fail before any worker forks; split_chunk would only
-            # notice at the first full chunk, mid-stream.
-            raise PlanError(
-                f"round-robin weights cover {len(weights)} shards "
-                f"but workers={workers}"
-            )
-        if (
-            self.decision.shardable
-            and self.decision.partitioning == "chunked"
-            and not self.partitioner.preserves_order
-        ):
-            raise PlanError(
-                f"{self.partitioner!r} does not preserve the global input order, "
-                "which this row-wise plan's ordered merge requires; use the "
-                "round-robin partitioner (or an aggregate-split plan)"
-            )
 
         if not self.decision.shardable:
             # Single-engine fallback behind the sharded interface.
@@ -406,17 +360,6 @@ class ShardedEngine:
             )
             for stage in ("encode", "transport", "decode", "merge")
         }
-        # Adaptive repartitioning: only meaningful with real worker
-        # processes and only allowed to act when the user did not pin
-        # explicit weights.
-        self._adaptive = (
-            self.backend == "process"
-            and self.workers >= 2
-            and isinstance(self.partitioner, RoundRobinPartitioner)
-            and not self.partitioner.weights
-        )
-        self._rebalance_sent_mark = 0
-        self._rebalance_done_mark = [0] * self.workers
 
         # Deferred: repro.net imports repro.runtime.worker, so pulling
         # the net package in at module load would close an import cycle.
@@ -545,7 +488,7 @@ class ShardedEngine:
             self._ship_buffer(source)
 
     def push_many(self, source: str, items: Iterable[StreamTuple]) -> None:
-        """Push a sequence of tuples (chunked and partitioned across shards)."""
+        """Push a sequence of tuples (chunked and rotated across shards)."""
         self._ensure_open()
         if not self.sharded:
             self._compiled.push_many(source, items)
@@ -579,23 +522,18 @@ class ShardedEngine:
         # flush falls back to the context captured when it started
         # filling.
         trace = obs.active() or self._pending_trace.pop(source, None)
-        split = self.partitioner.split_chunk(self._next_chunk, items, self.workers)
-        shipments = []
-        for shard in sorted(split):
-            tuples = split[shard]
-            if not tuples:
-                continue
-            chunk_id = self._next_chunk
-            self._next_chunk += 1
-            batch = TupleBatch(tuples)
-            if trace is not None:
-                batch.trace_id = trace.trace_id
-                batch.t_ingest = trace.t_ingest
-            shipments.append((shard, chunk_id, encode_batch_wire(batch)))
+        chunk_id = self._next_chunk
+        self._next_chunk += 1
+        shard = chunk_id % self.workers
+        batch = TupleBatch(items)
+        if trace is not None:
+            batch.trace_id = trace.trace_id
+            batch.t_ingest = trace.t_ingest
+        payload = encode_batch_wire(batch)
         encode_seconds = time.perf_counter() - encode_start
         self._stage["encode"].inc(encode_seconds)
         traced = trace is not None and obs.sampled_trace(trace)
-        if traced and shipments:
+        if traced:
             now = obs.trace_clock()
             obs.record_span(
                 "shard.encode",
@@ -605,61 +543,28 @@ class ShardedEngine:
                 now,
                 parent_id=obs.root_span_id(trace.trace_id),
             )
-        window_merger = isinstance(self._merger, WindowPartialMerger)
-        for shard, chunk_id, payload in shipments:
-            with self._reply_cv:
-                self._outstanding += 1
-                self._outstanding_gauge.set(self._outstanding)
-                if window_merger:
-                    self._merger.mark_fed(shard)
-            self._chunks_sent[shard].inc()
-            if traced:
-                # The ship span's id is the deterministic hand-off key:
-                # the worker parents its exec span to this exact string
-                # without any id crossing the wire.
-                t0 = obs.trace_clock()
-                self._send(shard, ("chunk", source, chunk_id, payload))
-                obs.record_span(
-                    "shard.ship",
-                    "shard",
-                    trace.trace_id,
-                    t0,
-                    obs.trace_clock(),
-                    span_id=obs.chunk_span_id(trace.trace_id, shard, chunk_id),
-                    parent_id=obs.root_span_id(trace.trace_id),
-                )
-            else:
-                self._send(shard, ("chunk", source, chunk_id, payload))
-        if shipments:
-            self._flush_ready()
-            self._maybe_rebalance()
-
-    def _maybe_rebalance(self) -> None:
-        """Recompute round-robin weights from per-shard completion rates.
-
-        The adaptive loop of the sharded runtime: every
-        ``_REBALANCE_INTERVAL`` chunks, the chunks each shard completed
-        since the last checkpoint (its observed service rate) and its
-        current in-flight backlog feed
-        :func:`~repro.runtime.partition.compute_adaptive_weights`; a
-        shard that falls behind — a remote link, a loaded host — gets
-        proportionally fewer future chunks.  Chunk ids stay one global
-        sequence, so the ordered merge is unaffected.
-        """
-        if not self._adaptive:
-            return
-        sent = sum(int(c.value) for c in self._chunks_sent)
-        if sent - self._rebalance_sent_mark < _REBALANCE_INTERVAL:
-            return
-        self._rebalance_sent_mark = sent
         with self._reply_cv:
-            done = [int(c.value) for c in self._chunks_done]
-        deltas = [d - mark for d, mark in zip(done, self._rebalance_done_mark)]
-        self._rebalance_done_mark = done
-        in_flight = [int(self._chunks_sent[s].value) - done[s] for s in range(self.workers)]
-        weights = compute_adaptive_weights(deltas, in_flight)
-        if tuple(weights) != self.partitioner.weights:
-            self.partitioner.set_weights(weights)
+            self._outstanding += 1
+            self._outstanding_gauge.set(self._outstanding)
+            if isinstance(self._merger, WindowPartialMerger):
+                self._merger.mark_fed(shard)
+        self._chunks_sent[shard].inc()
+        t0 = obs.trace_clock() if traced else 0.0
+        self._send(shard, ("chunk", source, chunk_id, payload))
+        if traced:
+            # The ship span's id is the deterministic hand-off key: the
+            # worker parents its exec span to this exact string without
+            # any id crossing the wire.
+            obs.record_span(
+                "shard.ship",
+                "shard",
+                trace.trace_id,
+                t0,
+                obs.trace_clock(),
+                span_id=obs.chunk_span_id(trace.trace_id, shard, chunk_id),
+                parent_id=obs.root_span_id(trace.trace_id),
+            )
+        self._flush_ready()
 
     # ------------------------------------------------------------------
     # Worker I/O
@@ -978,7 +883,7 @@ class ShardedEngine:
         Sharded engines fan a snapshot request out to every shard over
         the shm/socket transports (workers serialize their own operator
         state via the wire format) and combine it with the coordinator's
-        merger, suffix-plan and partitioner state.  The single-engine
+        merger and suffix-plan state.  The single-engine
         fallback snapshots its compiled engine directly.
         """
         from repro.recovery.state import decode_state, snapshot_engine_ops
@@ -1007,11 +912,9 @@ class ShardedEngine:
             rows = dict(self._snapshot_rows)
         for shard, payload in rows.items():
             shard_states[str(shard)] = decode_state(payload)
-        weights = getattr(self.partitioner, "weights", None)
         return {
             "mode": "sharded",
             "next_chunk": self._next_chunk,
-            "weights": list(weights) if weights else None,
             "merger": self._merger.state_snapshot(),
             "suffix": (
                 snapshot_engine_ops(self._suffix.engine)
@@ -1026,7 +929,10 @@ class ShardedEngine:
 
         Must run before any pushes; requires the same query, worker
         count and sharding decision as the engine that took the
-        snapshot.
+        snapshot.  A ``weights`` entry (written by engines that had
+        weighted chunk rotation) is ignored: placement cannot change
+        merged results, since window partials merge order-insensitively
+        and the ordered merge keys on global chunk ids.
         """
         from repro.recovery.state import encode_state, restore_engine_ops
 
@@ -1052,13 +958,6 @@ class ShardedEngine:
                 f"engine has workers={self.workers}"
             )
         self._next_chunk = int(state["next_chunk"])
-        weights = state.get("weights")
-        if (
-            weights
-            and isinstance(self.partitioner, RoundRobinPartitioner)
-            and len(weights) == self.workers
-        ):
-            self.partitioner.set_weights([int(w) for w in weights])
         self._merger.state_restore(state["merger"])
         if state.get("suffix") is not None:
             if self._suffix is None:
@@ -1182,7 +1081,7 @@ class ShardedEngine:
     def stage_timings(self) -> Dict[str, float]:
         """Cumulative coordinator-side seconds per pipeline stage.
 
-        ``encode`` — partition + columnar wire encoding of outbound
+        ``encode`` — columnar wire encoding of outbound
         chunks; ``transport`` — time spent handing frames to shard
         transports, including backpressure stalls; ``decode`` — reply
         payloads back into tuples (reader threads, overlapped);
@@ -1205,17 +1104,12 @@ class ShardedEngine:
             lines.append(
                 f"shard transport: shared-memory rings, ring_bytes={self._ring_bytes}"
             )
-            lines.append(
-                "adaptive repartitioning: "
-                + ("on" if getattr(self, "_adaptive", False) else "off")
-            )
         if self.remote_shards:
             local = self.workers - len(self.remote_shards)
             lines.append(
                 f"remote shards: {local}..{self.workers - 1} over TCP "
                 f"({', '.join(self.remote_shards)})"
             )
-        lines.append(f"partitioner: {self.partitioner!r}")
         lines.append(
             f"chunk_size: {self.chunk_size}, queue_capacity: {self._queue_capacity}"
         )

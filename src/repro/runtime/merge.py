@@ -118,10 +118,10 @@ class WindowPartialMerger:
     def mark_fed(self, shard: int) -> None:
         """Note that ``shard`` has been sent data.
 
-        Only fed shards gate emission: under hash partitioning a skewed
-        key set can starve a shard entirely, and waiting on a shard
-        that will never reply would stop streaming emission (and grow
-        the pending table) until the final drain.  A fed shard whose
+        Only fed shards gate emission: a stream shorter than
+        ``n_shards`` chunks leaves some shards without any data, and
+        waiting on a shard that will never reply would stop streaming
+        emission (and grow the pending table) until the final drain.  A fed shard whose
         reply is still in flight stays at ``-inf`` and gates correctly.
         """
         self._fed.add(shard)

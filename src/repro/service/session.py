@@ -828,9 +828,8 @@ class QuerySession:
         """Invoke ``callback(rule)`` whenever a health rule starts firing.
 
         This is the actuation hook telemetry-driven management plugs
-        into (the adaptive repartitioner reads backpressure directly;
-        coarser reactions — shedding a subscriber, re-planning a stale
-        query — subscribe here).
+        into: reactions such as shedding a subscriber or re-planning a
+        stale query subscribe here.
         """
         self.health.on_alert(callback)
 

@@ -1,6 +1,5 @@
 """Tests for the windowed uncertain aggregation operators."""
 
-import numpy as np
 import pytest
 
 from repro.core import (

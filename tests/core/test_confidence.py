@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ResultSummary, SummarizeResults, summarize
+from repro.core import SummarizeResults, summarize
 from repro.distributions import Gaussian
 from repro.streams import StreamTuple
 from repro.streams.operators.base import OperatorError

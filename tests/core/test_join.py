@@ -1,6 +1,5 @@
 """Tests for the probabilistic sliding-window join (query Q2 style)."""
 
-import numpy as np
 import pytest
 
 from repro.core import (

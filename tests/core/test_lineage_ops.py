@@ -1,6 +1,5 @@
 """Tests for lineage-aware aggregation over correlated intermediate tuples."""
 
-import numpy as np
 import pytest
 
 from repro.core import CFApproximationSum, lineage_aware_sum

@@ -341,17 +341,72 @@ def planar_rows(n):
     ]
 
 
-@pytest.mark.parametrize("path", ["window-loop", "batch", "fused"])
+@pytest.mark.parametrize("path", ["window-loop", "batch", "fused", "flush"])
 def test_multivariate_summands_are_refused(path):
     agg = UncertainAggregate(TumblingCountWindow(4), "loc", CFApproximationSum())
     with pytest.raises(OperatorError, match="'loc'.*MultivariateGaussian"):
         if path == "window-loop":
             # The per-row reference: each row added alone, and every close
-            # emitted through the per-window loop that also serves flush().
+            # emitted through the per-window loop.
             for item in planar_rows(4):
                 list(agg._emit(agg._buffer.add(item)))
         elif path == "batch":
             agg.process_batch(TupleBatch(planar_rows(4)))
+        elif path == "flush":
+            agg.process_batch(TupleBatch(planar_rows(3)))
+            list(agg.flush())
         else:
             predicate = UncertainPredicate("score", Comparison.GREATER, 0.0)
             FusedSelectAggregate(predicate, 0.5, agg).process_batch(TupleBatch(planar_rows(4)))
+
+
+def flush_rows():
+    """40 rows in one 10 s window: Gaussians and 2-component mixtures."""
+    rng = np.random.default_rng(3)
+    rows = []
+    for i in range(40):
+        if i % 2:
+            value = GaussianMixture(
+                rng.dirichlet(np.ones(2)), rng.uniform(0, 50, 2), rng.uniform(0.5, 5, 2)
+            )
+        else:
+            value = Gaussian(rng.uniform(0, 50), rng.uniform(0.5, 5))
+        rows.append(
+            StreamTuple(
+                timestamp=0.2 * i, values={"key": i % 3}, uncertain={"value": value}
+            )
+        )
+    return rows
+
+
+@pytest.mark.parametrize("grouped", [False, True], ids=["plain", "grouped"])
+@pytest.mark.parametrize("strategy", [CLTSum(), CFApproximationSum()], ids=["clt", "cf"])
+@pytest.mark.parametrize("function", ["sum", "avg"])
+def test_flush_close_equals_close_by_a_later_row(function, strategy, grouped):
+    """A window closed by ``flush()`` is bit for bit the one a later row closes."""
+    rows = flush_rows()
+    late = StreamTuple(
+        timestamp=100.0, values={"key": 0}, uncertain={"value": Gaussian(1.0, 1.0)}
+    )
+    # Row means average about 25: the plain window passes HAVING, and of
+    # the three groups only key 0 (the heaviest) does.
+    threshold = 25.0 if function == "avg" else (333.0 if grouped else 1000.0)
+    results = []
+    for closer in ("row", "flush"):
+        agg = build_operator(
+            grouped, False, TumblingTimeWindow(10.0), function, strategy,
+            HavingClause(threshold, 0.5),
+        )
+        assert len(agg.process_batch(TupleBatch(rows))) == 0
+        if closer == "row":
+            results.append(list(agg.process_batch(TupleBatch([late]))))
+        else:
+            results.append(list(agg.flush()))
+    by_row, by_flush = results
+    assert len(by_row) == 1
+    assert len(by_row) == len(by_flush)
+    for a, b in zip(by_row, by_flush):
+        assert a.values == b.values
+        assert a.lineage == b.lineage
+        da, db = a.distribution(agg.output_attribute), b.distribution(agg.output_attribute)
+        assert (da.mu, da.sigma) == (db.mu, db.sigma)

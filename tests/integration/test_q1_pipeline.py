@@ -5,7 +5,6 @@ T operator, location tuples with pdfs flow into the Q1 monitoring query,
 and violation alerts with quantified uncertainty come out.
 """
 
-import numpy as np
 import pytest
 
 from repro.rfid import (

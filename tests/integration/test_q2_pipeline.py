@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.distributions import Gaussian
 from repro.rfid import (
     DetectionModel,
     MobileReaderSimulator,

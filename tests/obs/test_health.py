@@ -11,14 +11,7 @@ import pytest
 
 from repro import QuerySession, obs
 from repro.net import StreamClient, serve_in_thread
-from repro.obs import (
-    HealthEngine,
-    HealthRule,
-    HistoryRing,
-    Registry,
-    default_rules,
-    parse_rule,
-)
+from repro.obs import HealthEngine, HistoryRing, Registry, default_rules, parse_rule
 
 HOT = "SELECT * FROM rfid WHERE w > 40 WITH PROBABILITY 0.5"
 

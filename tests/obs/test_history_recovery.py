@@ -13,7 +13,6 @@ import signal
 import subprocess
 import sys
 import textwrap
-import time
 
 import numpy as np
 

@@ -10,8 +10,6 @@ validated — parseable JSON, monotonic timestamps, and every worker-side
 
 import json
 
-import pytest
-
 from repro import QuerySession, obs
 from repro.net import StreamClient, serve_in_thread
 from repro.obs import export_chrome_trace

@@ -39,7 +39,6 @@ class TestAggregateSplit:
         plan, cost_model = optimized(q1_like())
         decision = split_for_sharding(plan, cost_model)
         assert decision.shardable
-        assert decision.partitioning == "any"
         assert not decision.ordered
         spec = decision.merge
         assert spec.function == "sum"
@@ -105,7 +104,6 @@ class TestRowWisePlans:
         decision = split_for_sharding(stream.plan())
         assert decision.shardable
         assert decision.ordered
-        assert decision.partitioning == "chunked"
         assert decision.merge is None
 
     def test_now_window_aggregate_is_row_wise(self):

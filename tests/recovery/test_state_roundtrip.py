@@ -14,6 +14,7 @@ from repro.recovery import (
     restore_engine_ops,
     snapshot_engine_ops,
 )
+from repro.runtime import ShardedEngine
 from repro.streams import StreamTuple, TumblingTimeWindow
 
 
@@ -150,3 +151,56 @@ class TestEngineSnapshot:
         )
         with pytest.raises(StateError):
             restore_engine_ops(other.engine, entries)
+
+
+def sharded_aggregate():
+    return (
+        Stream.source("s", values=("tag",), uncertain=("v",), family="gaussian")
+        .window(TumblingTimeWindow(5.0))
+        .group_by(lambda t: t.value("tag"))
+        .aggregate("v")
+    )
+
+
+def sharded_rowwise():
+    return Stream.source("s", values=("tag",), uncertain=("v",)).where_probably(
+        "v", Comparison.GREATER, 20.0, min_probability=0.5
+    )
+
+
+class TestShardedCheckpointCompatibility:
+    """Checkpoints that carry a ``weights`` entry (weighted chunk rotation)
+    restore into the plain-rotation engine, which ignores the entry."""
+
+    @pytest.mark.parametrize("weights", [[3, 1], None])
+    @pytest.mark.parametrize(
+        "query, backend",
+        [
+            (sharded_aggregate, "inline"),
+            (sharded_aggregate, "process"),
+            (sharded_rowwise, "inline"),
+        ],
+    )
+    def test_weights_entry_is_ignored(
+        self, query, backend, weights, assert_tuples_equivalent
+    ):
+        tuples = make_tuples(60)
+        options = dict(workers=2, backend=backend, chunk_size=4)
+        with ShardedEngine(query(), **options) as uninterrupted:
+            uninterrupted.push_many("s", tuples)
+            expected = uninterrupted.finish()
+
+        with ShardedEngine(query(), **options) as first:
+            first.push_many("s", tuples[:26])
+            state = first.state_snapshot()
+            delivered = first.results
+        state["weights"] = weights
+        state = decode_state(encode_state(state))
+
+        with ShardedEngine(query(), **options) as second:
+            second.state_restore(state)
+            second.push_many("s", tuples[26:])
+            recovered = second.finish()
+
+        assert delivered and recovered
+        assert_tuples_equivalent(expected, delivered + recovered)

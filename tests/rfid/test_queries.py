@@ -1,6 +1,5 @@
 """Tests for the paper's example queries Q1 (fire code) and Q2 (flammable alert)."""
 
-import numpy as np
 import pytest
 
 from repro.distributions import Gaussian

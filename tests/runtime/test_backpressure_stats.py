@@ -6,7 +6,6 @@ import pytest
 from repro import QuerySession
 from repro.distributions import Gaussian
 from repro.plan import Stream
-from repro.plan.nodes import PlanError
 from repro.runtime import ShardBackpressure, ShardedEngine
 from repro.streams import StreamTuple, TumblingTimeWindow
 
@@ -87,23 +86,27 @@ class TestShardedEngineBackpressure:
         assert engine.shard_statistics() == {}
         assert engine.statistics().backpressure == {}
 
-    def test_weight_mismatch_fails_before_forking(self):
-        with pytest.raises(PlanError, match="weights cover 2 shards"):
-            ShardedEngine(
-                build_query(), workers=3, backend="inline",
-                partitioner="round_robin:2,1",
-            )
-
-    def test_weighted_partitioner_skews_chunk_counts(self):
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_chunks_rotate_across_shards(self, backend):
+        """Chunk ``c`` goes to shard ``c % workers``; counts split evenly."""
         with ShardedEngine(
-            build_query(), workers=2, backend="inline", chunk_size=64,
-            partitioner="round_robin:3,1",
+            build_query(), workers=2, backend=backend, chunk_size=16
         ) as engine:
-            engine.push_many("s", make_tuples(64 * 8))
+            placed = []
+            send = engine._send
+
+            def record(shard, message):
+                if message[0] == "chunk":
+                    placed.append((message[2], shard))
+                send(shard, message)
+
+            engine._send = record
+            engine.push_many("s", make_tuples(16 * 64))
             engine.finish()
             report = engine.shard_statistics()
-            assert report[0].chunks_sent == 6
-            assert report[1].chunks_sent == 2
+        assert [chunk for chunk, _ in placed] == list(range(64))
+        assert all(shard == chunk % 2 for chunk, shard in placed)
+        assert report[0].chunks_sent == report[1].chunks_sent == 32
 
 
 class TestSessionBackpressure:

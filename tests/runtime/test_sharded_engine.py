@@ -4,7 +4,7 @@ import pytest
 
 from repro.distributions import Gaussian
 from repro.plan import PlanError, Stream
-from repro.runtime import HashPartitioner, ShardedEngine, ShardError
+from repro.runtime import ShardedEngine, ShardError
 from repro.streams import StreamTuple, TumblingCountWindow, TumblingTimeWindow
 
 
@@ -42,9 +42,12 @@ class TestConstruction:
         with pytest.raises(PlanError, match="chunk_size"):
             ShardedEngine(agg_query(), chunk_size=0)
 
-    def test_hash_partitioner_rejected_for_ordered_plans(self):
-        with pytest.raises(PlanError, match="does not preserve the global input order"):
-            ShardedEngine(rowwise_query(), workers=2, partitioner=HashPartitioner("k"))
+    @pytest.mark.parametrize(
+        "option", [{"partitioner": "round_robin"}, {"ring_bytes": 1 << 22}]
+    )
+    def test_placement_and_ring_size_are_not_options(self, option):
+        with pytest.raises(TypeError):
+            ShardedEngine(rowwise_query(), workers=2, backend="inline", **option)
 
     def test_workers_zero_pins_fallback(self):
         with ShardedEngine(agg_query(), workers=0) as engine:

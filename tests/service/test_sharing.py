@@ -11,7 +11,6 @@ standalone run.
 import pytest
 
 from repro.distributions import Gaussian
-from repro.plan import Stream
 from repro.service import QuerySession
 from repro.streams import StreamTuple
 from repro.streams.operators.base import PassThroughOperator
