@@ -13,7 +13,7 @@ of emitted alerts — then:
   state restore + worker respawn for the sharded config).
 
 Reported for the single-process engine and for workers=4 over forked
-shm-ring shards.  Asserted: recovery is lossless (the recovered
+shards on socketpairs.  Asserted: recovery is lossless (the recovered
 session continues to the same results) and completes within a loose
 wall-clock bound.
 """

@@ -1,18 +1,18 @@
 """Durable monitoring: checkpoint every N batches, crash, resume losslessly.
 
 The monitoring session of the other examples, made restartable.  A
-child process serves the query session (two forked shard workers, shm
-ring transports); the parent drives it over the wire protocol:
+child process serves the query session (two forked shard workers, each
+on its end of a socketpair); the parent drives it over the wire
+protocol:
 
 * ingest arrives in batches, and every second batch the client issues
   a ``CHECKPOINT`` — the server quiesces its shards and commits a
   versioned checkpoint file (full first, deltas after) atomically;
 * a subscriber consumes results, remembering ``last_seq``;
-* the server is then killed with ``SIGKILL`` — no cleanup, shard
-  workers and all, leaving its shm segments behind;
+* the server alone is then killed with ``SIGKILL`` — no cleanup; its
+  shard workers read EOF on their sockets and exit with it;
 * ``QuerySession.recover`` rebuilds the session from the newest
-  checkpoint in a fresh process (reaping the leaked segments), the
-  client re-pushes everything after the checkpoint cut, and the
+  checkpoint in a fresh process, the client re-pushes everything after the checkpoint cut, and the
   subscriber reconnects with ``resume_from=last_seq`` — receiving
   every result it missed exactly once.
 
@@ -24,7 +24,7 @@ Run with:  python examples/durable_monitoring.py
 
 from __future__ import annotations
 
-import glob
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -75,12 +75,24 @@ def build_session() -> QuerySession:
 def serve_child() -> None:
     """Child mode: host the session until the parent kills us."""
     handle = serve_in_thread(build_session())
-    print(f"ADDRESS {handle.address}", flush=True)
+    workers = " ".join(str(p.pid) for p in multiprocessing.active_children())
+    print(f"ADDRESS {handle.address} WORKERS {workers}", flush=True)
     time.sleep(300)  # the parent's SIGKILL arrives long before this
 
 
-def leaked_segments(pid: int):
-    return glob.glob(f"/dev/shm/repro-ring-{pid}-*")
+def running(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie nobody reaped has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: ask the kernel
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
 
 
 def main() -> None:
@@ -99,8 +111,9 @@ def main() -> None:
         [sys.executable, os.path.abspath(__file__), "--serve"],
         stdout=subprocess.PIPE, text=True, start_new_session=True,
     )
-    address = child.stdout.readline().split()[1]
-    print(f"serving from pid {child.pid} at {address}")
+    _, address, _, *workers = child.stdout.readline().split()
+    workers = [int(pid) for pid in workers]
+    print(f"serving from pid {child.pid} at {address}, shard workers {workers}")
 
     client = StreamClient(address, timeout=15.0)
     sub = client.subscribe("overloaded")
@@ -115,20 +128,23 @@ def main() -> None:
     seen = sub.last_seq
     print(f"subscriber has {len(received)} results, last_seq={seen}")
 
-    # --- SIGKILL: coordinator, shard workers, no cleanup ----------------
-    os.killpg(child.pid, signal.SIGKILL)
+    # --- SIGKILL the coordinator alone: no cleanup ---------------------
+    os.kill(child.pid, signal.SIGKILL)
     child.wait()
     child.stdout.close()
     sub.close()
     client.close()
-    time.sleep(0.2)
-    print(f"\nSIGKILL'd the server; {len(leaked_segments(child.pid))} shm "
-          "segments leaked")
+    deadline = time.monotonic() + 2.0
+    while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    survivors = [pid for pid in workers if running(pid)]
+    print(f"\nSIGKILL'd the server; {len(workers) - len(survivors)} of "
+          f"{len(workers)} shard workers died with it")
+    assert not survivors, f"shard workers {survivors} outlived their coordinator"
 
     # --- recover, re-push past the checkpoint cut, resume ---------------
     recovered = QuerySession.recover(checkpoint_dir)
-    print(f"recovered from checkpoint; {len(leaked_segments(child.pid))} "
-          "leaked segments left after reaping")
+    print("recovered from checkpoint")
     handle = serve_in_thread(recovered)
     with StreamClient(handle.address, timeout=15.0) as client:
         with client.subscribe("overloaded", resume_from=seen) as sub:

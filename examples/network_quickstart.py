@@ -113,11 +113,15 @@ def part_two_remote_shard():
     ) as engine:
         engine.push_many("pulses", pulses)
         results = engine.finish()
+        # One channel kind for both: the forked shard speaks the same
+        # frames over a socketpair that the remote one speaks over TCP.
         transports = {
             shard: report.transport
             for shard, report in engine.shard_statistics().items()
         }
         print(f"shard transports: {transports}")
+        print("  shard 0: forked worker on a socketpair; shard 1: TCP to "
+              f"{shard_server.address}")
         for result in results[:3]:
             dist = result.distribution("sum_energy")
             print(

@@ -11,11 +11,11 @@ Three analyzers under one roof (see :mod:`repro.analysis.cli` for the
   discipline lint over :mod:`repro.runtime`.
 
 Plus :mod:`repro.analysis.sanitize`, the ``REPRO_SANITIZE=1`` runtime
-switch armed by the shm ring and replay log.
+switch armed by the replay log.
 
-This module is imported by hot paths (``repro.runtime.shm``,
-``repro.recovery.replay``), so only the tiny leaf modules load eagerly;
-the analyzers themselves resolve lazily on first attribute access.
+This module is imported by a hot path (``repro.recovery.replay``), so
+only the tiny leaf modules load eagerly; the analyzers themselves
+resolve lazily on first attribute access.
 """
 
 from __future__ import annotations

@@ -21,11 +21,6 @@ nothing enforced until now:
     reader-thread target through the class's own method call graph.
     Delivery must stay on the caller's thread so user callbacks never
     race engine internals.
-``shm-finalize`` (error)
-    A module creates ``SharedMemory(create=True)`` outside a class that
-    owns cleanup (``close``/``unlink``), or constructs an shm-owning
-    class without a ``weakref.finalize`` safety net anywhere in the
-    module — leaked ``/dev/shm`` segments survive interpreter death.
 ``shared-dict-slot`` (error)
     A method reachable from a reader-thread target (``Thread(target=
     self.X)``) augments a shared container slot in place
@@ -335,96 +330,10 @@ def _unlocked_slot_augassigns(
     return diagnostics
 
 
-def _owner_classes(tree: ast.Module) -> Set[str]:
-    """Classes that create SharedMemory *and* own cleanup (close+unlink)."""
-    owners: Set[str] = set()
-    for cls in ast.walk(tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        methods = {
-            node.name
-            for node in cls.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        if "close" in methods and "unlink" in methods:
-            owners.add(cls.name)
-    return owners
-
-
-def _creates_shm(node: ast.Call) -> bool:
-    if _call_name(node) != "SharedMemory":
-        return False
-    return any(
-        kw.arg == "create"
-        and isinstance(kw.value, ast.Constant)
-        and kw.value.value is True
-        for kw in node.keywords
-    )
-
-
-def _check_shm_finalize(
-    tree: ast.Module, file: str, owner_names: Set[str]
-) -> List[Diagnostic]:
-    diagnostics: List[Diagnostic] = []
-    source_has_finalize = any(
-        isinstance(node, ast.Attribute) and node.attr == "finalize"
-        for node in ast.walk(tree)
-    )
-
-    # SharedMemory(create=True) outside an owner class.
-    local_owners = _owner_classes(tree)
-    owner_spans: List[Tuple[int, int]] = []
-    for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and cls.name in local_owners:
-            owner_spans.append((cls.lineno, cls.end_lineno or cls.lineno))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _creates_shm(node):
-            inside_owner = any(
-                start <= node.lineno <= end for start, end in owner_spans
-            )
-            if not inside_owner:
-                diagnostics.append(
-                    _diag(
-                        "shm-finalize",
-                        "SharedMemory(create=True) outside a class owning "
-                        "cleanup (close + unlink); a leaked segment outlives "
-                        "the interpreter in /dev/shm",
-                        file,
-                        node.lineno,
-                    )
-                )
-
-    # Constructing an shm-owning class requires a finalize net in-module.
-    known_owners = owner_names | local_owners
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and _call_name(node) in known_owners
-            and _call_name(node) not in local_owners
-            and not source_has_finalize
-        ):
-            diagnostics.append(
-                _diag(
-                    "shm-finalize",
-                    f"module constructs shm owner {_call_name(node)} but never "
-                    "registers a weakref.finalize safety net; an abandoned "
-                    "object would leak its /dev/shm segment",
-                    file,
-                    node.lineno,
-                )
-            )
-            break
-    return diagnostics
-
-
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-def lint_source(
-    source: str,
-    filename: str = "<source>",
-    owner_names: Optional[Set[str]] = None,
-) -> List[Diagnostic]:
+def lint_source(source: str, filename: str = "<source>") -> List[Diagnostic]:
     """Run every concurrency check against one source text."""
     try:
         tree = ast.parse(source, filename=filename)
@@ -443,7 +352,6 @@ def lint_source(
     diagnostics.extend(_check_fork_under_lock(tree, filename))
     diagnostics.extend(_check_sink_delivery(tree, filename))
     diagnostics.extend(_check_shared_dict_slots(tree, filename))
-    diagnostics.extend(_check_shm_finalize(tree, filename, owner_names or set()))
     return diagnostics
 
 
@@ -456,29 +364,14 @@ def _runtime_files(root: Optional[Path]) -> Sequence[Path]:
 
 
 def lint_concurrency(root: Optional[Path] = None) -> List[Diagnostic]:
-    """Run the concurrency lint over every ``repro.runtime`` module.
+    """Run the concurrency lint over every ``repro.runtime`` module."""
+    from .contracts import _relpath
 
-    Pass 1 collects the names of shm-owner classes across all runtime
-    files so pass 2 can flag owner construction in *other* modules that
-    lack a ``weakref.finalize`` net.
-    """
-    files = _runtime_files(root)
-    sources: List[Tuple[Path, str]] = []
-    owner_names: Set[str] = set()
-    for file in files:
+    diagnostics: List[Diagnostic] = []
+    for file in _runtime_files(root):
         try:
             text = file.read_text()
         except OSError:
             continue
-        sources.append((file, text))
-        try:
-            owner_names |= _owner_classes(ast.parse(text))
-        except SyntaxError:
-            pass
-
-    from .contracts import _relpath
-
-    diagnostics: List[Diagnostic] = []
-    for file, text in sources:
-        diagnostics.extend(lint_source(text, _relpath(file), owner_names))
+        diagnostics.extend(lint_source(text, _relpath(file)))
     return diagnostics

@@ -1,19 +1,15 @@
 """Opt-in runtime sanitizer switch (``REPRO_SANITIZE=1``).
 
 TSAN-style wiring: production builds pay nothing, but setting
-``REPRO_SANITIZE=1`` in the environment arms invariant assertions at
-the two places silent corruption is cheapest to catch —
-
-* the SPSC shared-memory ring (:mod:`repro.runtime.shm`): head/tail
-  monotonicity, record-length bounds, end-of-buffer pad discipline;
-* the replay log (:mod:`repro.recovery.replay`): seq monotonicity of
-  appends and replays.
+``REPRO_SANITIZE=1`` in the environment arms invariant assertions in
+the replay log (:mod:`repro.recovery.replay`): seq monotonicity of
+appends and replays.
 
 Violations raise :class:`SanitizerError` (an ``AssertionError``
 subclass, so ``pytest`` and plain ``assert``-aware tooling treat it as
 an invariant failure, not an operational error).  Instrumented objects
 latch the switch at construction — flipping the env var mid-flight
-never changes the behaviour of live rings.
+never changes the behaviour of a live log.
 
 CI runs the runtime and recovery suites with the switch on (see
 ``.github/workflows/ci.yml``).

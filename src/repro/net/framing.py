@@ -74,11 +74,10 @@ def encode_frame(kind: int, header: Optional[Dict[str, Any]] = None, payload: by
 def parse_frame(buffer, max_payload: int = DEFAULT_MAX_PAYLOAD) -> Frame:
     """Parse one complete frame from an in-memory buffer, copy-free.
 
-    ``buffer`` is bytes or a memoryview holding *exactly* one frame
-    (the shared-memory shard transport stores whole frames as ring
-    records).  The payload is returned as a zero-copy slice of
-    ``buffer`` — for a memoryview input it aliases the caller's memory
-    and follows its lifetime rules.
+    ``buffer`` is any bytes-like object holding *exactly* one frame (a
+    shard worker reads its requests whole with :func:`recv_frame_bytes`).
+    The payload is returned as a zero-copy memoryview slice of
+    ``buffer``: it aliases the caller's memory.
     """
     view = buffer if isinstance(buffer, memoryview) else memoryview(buffer)
     if len(view) < _PRELUDE.size:
@@ -179,11 +178,26 @@ def recv_frame(sock: socket.socket, max_payload: int = DEFAULT_MAX_PAYLOAD) -> F
     return kind, header, payload
 
 
-def recv_frame_bytes(sock: socket.socket, max_payload: int = DEFAULT_MAX_PAYLOAD) -> bytes:
-    """Blocking read of one whole frame, unparsed (for :func:`parse_frame`)."""
+def recv_frame_bytes(
+    sock: socket.socket, max_payload: int = DEFAULT_MAX_PAYLOAD
+) -> bytearray:
+    """Blocking read of one whole frame, unparsed (for :func:`parse_frame`).
+
+    The frame is received straight into one buffer of its final size,
+    so a large chunk costs no copy beyond the kernel's.
+    """
     prelude = _recv_exact(sock, _PRELUDE.size, mid_frame=False)
     _, hlen, plen = _parse_prelude(prelude, max_payload)
-    return prelude + _recv_exact(sock, hlen + plen, mid_frame=True)
+    frame = bytearray(_PRELUDE.size + hlen + plen)
+    frame[: _PRELUDE.size] = prelude
+    view = memoryview(frame)
+    got = _PRELUDE.size
+    while got < len(frame):
+        received = sock.recv_into(view[got:])
+        if not received:
+            raise ProtocolError("connection closed in the middle of a frame")
+        got += received
+    return frame
 
 
 def send_frame(

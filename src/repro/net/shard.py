@@ -4,12 +4,12 @@ This is the multi-machine half of :class:`~repro.runtime.ShardedEngine`.
 A shard server owns a :class:`~repro.runtime.worker.ShardRunner` — a
 full stream engine compiled on the shard-local plan segment — and
 serves it with the same :func:`~repro.runtime.worker.serve_shard` loop
-and :func:`repro.net.protocol.encode_worker_message` frames a forked
-worker runs over its shared-memory rings, with the socket as the
-channel.  A coordinator started with
-``ShardedEngine(remote_shards=["host:port", ...])`` connects here, sends
-a ``SHARD_ATTACH`` announcing which shard slot this runner fills, and
-then streams chunk/flush/stats messages as it would to a local worker.
+over the same :class:`~repro.runtime.worker.ConnectionChannel` a forked
+worker runs over its end of a socketpair; only the socket differs.  A
+coordinator started with ``ShardedEngine(remote_shards=["host:port",
+...])`` connects here, sends a ``SHARD_ATTACH`` announcing which shard
+slot this runner fills, and then streams the same
+chunk/flush/stats frames it sends a forked worker.
 
 **Plan distribution.**  Logical plans carry closures (predicates,
 derive functions, group keys) that do not serialize, so the plan
@@ -40,11 +40,16 @@ from repro.plan.builder import Stream
 from repro.plan.nodes import LogicalPlan, PlanError
 from repro.plan.planner import Planner
 from repro.plan.sharding import split_for_sharding
-from repro.runtime.worker import ShardRunner, plan_signature, serve_shard
+from repro.runtime.worker import (
+    ConnectionChannel,
+    ShardRunner,
+    plan_signature,
+    serve_shard,
+)
 
 from . import protocol
 from .errors import ConnectionClosed, ProtocolError
-from .framing import DEFAULT_MAX_PAYLOAD, recv_frame, recv_frame_bytes, send_frame
+from .framing import DEFAULT_MAX_PAYLOAD, recv_frame, send_frame
 
 __all__ = ["ShardServer", "spawn_shard_server"]
 
@@ -190,7 +195,7 @@ class ShardServer:
             return
         send_frame(conn, protocol.OK, {"shard": shard_id})
         try:
-            serve_shard(runner, _ConnectionChannel(conn, self._max_payload))
+            serve_shard(runner, ConnectionChannel(conn, self._max_payload))
         except (ConnectionClosed, ConnectionError):
             raise
         except BaseException:
@@ -233,24 +238,6 @@ class ShardServer:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class _ConnectionChannel:
-    """A coordinator connection in the worker-side shape of :func:`serve_shard`."""
-
-    def __init__(self, conn: socket.socket, max_payload: int):
-        self._conn = conn
-        self._max_payload = max_payload
-
-    def recv_request(self, timeout: float) -> bytes:
-        """Block for the next request (no idle tick) and return its frame."""
-        return recv_frame_bytes(self._conn, self._max_payload)
-
-    def release_request(self) -> None:
-        """The frame is a private copy; there is nothing to hand back."""
-
-    def reply(self, frame: bytes) -> None:
-        self._conn.sendall(frame)
 
 
 def spawn_shard_server(

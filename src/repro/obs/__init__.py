@@ -1,7 +1,7 @@
 """Unified observability: metrics registry, trace propagation, exposition.
 
 Six layers of the stack (batch engine, planner, session, sharded
-shm/socket runtime, TCP service, recovery) each grew their own ad-hoc
+socket runtime, TCP service, recovery) each grew their own ad-hoc
 telemetry dict.  This package replaces them with one process-local
 :class:`~repro.obs.registry.Registry` of typed instruments — counters,
 gauges and fixed-bucket latency histograms backed by per-instrument

@@ -8,9 +8,7 @@ Makes the stream service restartable:
 * versioned checkpoint files with full + incremental modes and atomic
   rename-on-commit (:mod:`repro.recovery.checkpoint`);
 * a bounded per-query replay log feeding ``SUBSCRIBE ... RESUME <seq>``
-  (:mod:`repro.recovery.replay`);
-* crash hygiene for leaked shared-memory segments
-  (:mod:`repro.recovery.segments`).
+  (:mod:`repro.recovery.replay`).
 
 The session-level entry points are
 :meth:`repro.service.QuerySession.checkpoint` and
@@ -19,7 +17,6 @@ The session-level entry points are
 
 from .checkpoint import CheckpointError, CheckpointInfo, CheckpointStore
 from .replay import ReplayGapError, ReplayLog
-from .segments import reap_stale_segments
 from .state import (
     StateError,
     decode_state,
@@ -39,5 +36,4 @@ __all__ = [
     "encode_state",
     "snapshot_engine_ops",
     "restore_engine_ops",
-    "reap_stale_segments",
 ]

@@ -22,7 +22,6 @@ The service layer exposes the same capability as
 
 from .engine import ShardBackpressure, ShardedEngine, ShardedStatistics, ShardError
 from .merge import MergeProtocolError, OrderedChunkMerger, WindowPartialMerger
-from .shm import RingFullError, ShardShmTransport, ShmRing
 from .transport import SocketShardChannel
 from .worker import ShardRunner
 
@@ -31,9 +30,6 @@ __all__ = [
     "ShardedStatistics",
     "ShardBackpressure",
     "ShardError",
-    "ShmRing",
-    "ShardShmTransport",
-    "RingFullError",
     "SocketShardChannel",
     "OrderedChunkMerger",
     "WindowPartialMerger",

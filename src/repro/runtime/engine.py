@@ -19,13 +19,14 @@ identically.
 
 Transport: every shard sits behind one *channel* shape
 (:mod:`repro.runtime.transport`) — send a frame, poll replies, report
-flow control, liveness, close.  Local shards exchange frames with the
-coordinator over shared-memory ring buffers (:mod:`repro.runtime.shm`)
-— the columnar wire encoding of a chunk is written once into the
-mapped segment and the worker decodes columns straight out of it; no
-pickle, no pipe copy.  Remote shards (``remote_shards=["host:port",
-...]``) speak the *same* frames over TCP, so the highest shard slots
-can live on other machines; the inline backend runs each shard's
+flow control, liveness, close.  Every out-of-process shard is a
+:class:`~repro.runtime.transport.SocketShardChannel`: a forked worker
+on its end of a ``socket.socketpair()``, or a remote shard server
+(``remote_shards=["host:port", ...]``) over TCP, so the highest shard
+slots can live on other machines.  Both run the same
+:func:`~repro.runtime.worker.serve_shard` loop over the same frames
+(the columnar wire encoding of each chunk, no pickle).  The inline
+backend runs each shard's
 :meth:`~repro.runtime.worker.ShardRunner.handle` in the caller's
 thread.  The engine never asks which kind of channel it holds.
 
@@ -36,28 +37,29 @@ serializing behind the send loop.  Delivery to the user-visible sink
 stays on the caller's thread (``_flush_ready``), preserving the
 single-threaded listener contract of the service layer.
 
-Backpressure is structural: each inbound ring bounds both its bytes
-and its records (``queue_capacity``), the reply rings bound the other
-direction, and a send that cannot proceed counts a stall and sleeps
+Backpressure is structural: the coordinator keeps at most
+``queue_capacity`` chunks in flight (shipped, not yet answered) per
+shard, whatever the channel, and the socket buffers bound the bytes in
+both directions.  A ship that cannot proceed counts a stall and waits
 while the reader threads keep draining.  Placement never reacts to it:
 the rotation is fixed, so a slow shard slows the stream down rather
 than being routed around.
 
 Workers are forked, not spawned: logical plans carry closures
 (predicates, derive functions, group keys) that never pickle, but fork
-inherits them — and the ring mappings — by address space.  Tuples
-cross processes only through :mod:`repro.streams.serialization`.
+inherits them by address space.  Tuples cross processes only through
+:mod:`repro.streams.serialization`.  A worker's socket has two
+holders, the worker and its coordinator, so either one dying is EOF to
+the other: no worker outlives its coordinator, and a killed worker
+surfaces as a :class:`ShardError` naming its shard.
 """
 
 from __future__ import annotations
 
-import gc
 import itertools
 import math
-import multiprocessing
 import threading
 import time
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Union
@@ -80,9 +82,8 @@ from repro.streams.serialization import decode_batch, encode_batch_wire
 from repro.streams.tuples import StreamTuple
 
 from .merge import OrderedChunkMerger, WindowPartialMerger
-from .shm import ShardShmTransport
-from .transport import InlineShardChannel, SocketShardChannel
-from .worker import ShardRunner, plan_signature, worker_main
+from .transport import InlineShardChannel, SocketShardChannel, fork_shards
+from .worker import ShardRunner, plan_signature
 
 __all__ = ["ShardedEngine", "ShardError", "ShardedStatistics", "ShardBackpressure"]
 
@@ -102,21 +103,18 @@ class ShardError(RuntimeError):
 class ShardBackpressure:
     """Flow-control state of one shard, as seen by the coordinator.
 
-    ``transport`` names the shard's channel — ``"shm"`` (forked worker,
-    shared-memory ring pair), ``"socket"`` (remote shard server) or
-    ``"inline"``.  ``stalls`` counts the send passes to this shard that
-    could not proceed (inbound ring at its record or byte bound, or
-    socket send buffer full) — the cumulative backpressure signal.
-    ``queue_depth`` is the chunk frames sitting unread in a forked
-    shard's inbound ring; ``in_flight_chunks`` the chunks shipped but
-    not yet answered (meaningful for every channel);
+    ``transport`` names the shard's channel — ``"socket"`` (a forked
+    worker or a remote shard server) or ``"inline"``.  ``stalls`` counts
+    the wait passes of ships to this shard that could not proceed
+    (``queue_capacity`` chunks already in flight, or the socket send
+    buffer full) — the cumulative backpressure signal.
+    ``in_flight_chunks`` is the chunks shipped but not yet answered;
     ``send_backlog_bytes`` the bytes a socket channel has buffered but
     not yet written.
     """
 
     shard: int
     transport: str
-    queue_depth: int
     in_flight_chunks: int
     stalls: int
     chunks_sent: int
@@ -130,19 +128,6 @@ class ShardedStatistics:
     shards: Dict[int, List[OperatorStats]]
     coordinator: List[OperatorStats]
     backpressure: Dict[int, ShardBackpressure] = field(default_factory=dict)
-
-
-def _release_transports(transports) -> None:
-    """Unmap and unlink every shard segment (close() and GC safety net)."""
-    for transport in transports:
-        try:
-            transport.close()
-        except BaseException:
-            pass
-        try:
-            transport.unlink()
-        except BaseException:
-            pass
 
 
 class ShardedEngine:
@@ -164,12 +149,9 @@ class ShardedEngine:
         Tuples per shipped chunk.  Chunk ``c`` (one global sequence
         across sources) goes to shard ``c % workers``.
     queue_capacity:
-        Bound on the chunk frames a shard's inbound ring may hold; the
-        ring's byte capacity bounds it further.  This is the
-        backpressure knob: in-flight chunks per shard stay within
-        about ``queue_capacity`` each way.  Each shared-memory ring is
-        sized to hold that many chunks comfortably (a single frame may
-        use at most half a ring).
+        Bound on the chunks in flight (shipped but not yet answered)
+        per shard, for every channel.  This is the backpressure knob:
+        a ship to a shard at the bound waits for one of its replies.
     batch_size:
         Batch size of the single-engine fallback (as in
         ``Planner.compile``); shard workers run each shipped chunk as
@@ -211,10 +193,6 @@ class ShardedEngine:
             raise PlanError(f"queue_capacity must be at least 1, got {queue_capacity}")
         if backend not in ("process", "inline"):
             raise PlanError(f"unknown backend {backend!r}; use 'process' or 'inline'")
-        # Room for a queue_capacity of chunks at a generous bytes/tuple
-        # estimate; tmpfs pages are allocated lazily, so an oversized
-        # ring costs address space, not memory.
-        self._ring_bytes = min(64 << 20, max(1 << 22, queue_capacity * chunk_size * 256))
         self.remote_shards = tuple(remote_shards)
         if self.remote_shards:
             if backend != "process":
@@ -333,12 +311,11 @@ class ShardedEngine:
             )
             for s in range(self.workers)
         ]
-        #: Ring/queue occupancy proxy: chunks shipped but not yet merged,
-        #: published as a gauge so health rules can watch backpressure.
+        #: Chunks shipped but not yet merged, published as a gauge so
+        #: health rules can watch backpressure.
         self._outstanding_gauge = registry.gauge(
             "repro_shard_outstanding", engine=self.obs_scope
         )
-        self._finalizer = None
         # Reply plumbing: reader threads decode and merge under the
         # condition's lock; merged output queues in _ready for delivery
         # on the caller's thread (_flush_ready).
@@ -379,70 +356,30 @@ class ShardedEngine:
 
         local_count = self.workers - len(self.remote_shards)
         # Connect the remote shards first: a bad address then fails
-        # before any segment exists or worker forks, leaving nothing to
-        # clean up.  The attach carries a structural signature of the
-        # shard-local plan so a server hosting a *different* query
-        # rejects loudly instead of merging mismatched partials silently.
+        # before any worker forks, leaving nothing to clean up.  The
+        # attach carries a structural signature of the shard-local plan
+        # so a server hosting a *different* query rejects loudly instead
+        # of merging mismatched partials silently.
         signature = plan_signature(decision.local)
         remote: List[SocketShardChannel] = []
         try:
             for offset, address in enumerate(self.remote_shards):
                 remote.append(
-                    SocketShardChannel(
+                    SocketShardChannel.attach(
                         local_count + offset, address, plan_signature=signature
                     )
                 )
+            # Workers fork before any reader thread starts.
+            local = fork_shards(decision.local, range(local_count))
         except BaseException:
-            # A later address failing must not leak the shard servers
-            # already attached (each serves one coordinator at a time).
-            for channel in remote:
-                channel.close()
-            raise
-        local: List[ShardShmTransport] = []
-        try:
-            for shard in range(local_count):
-                local.append(
-                    ShardShmTransport(shard, self._ring_bytes, self._queue_capacity)
-                )
-        except BaseException:
-            _release_transports(local)
+            # A later address (or a fork) failing must not leak the shard
+            # servers already attached (each serves one coordinator at a
+            # time).
             for channel in remote:
                 channel.close()
             raise
         #: One channel per shard slot, indexed by shard id.
         self._channels = [*local, *remote]
-        if local:
-            # GC safety net: if the engine is dropped without close(),
-            # the segment names must still leave /dev/shm.
-            self._finalizer = weakref.finalize(self, _release_transports, local)
-            context = multiprocessing.get_context("fork")
-            # Pre-fork GC hygiene (the classic pre-fork-server pattern):
-            # move every object the parent has allocated so far into the
-            # permanent generation.  The forked workers inherit that heap
-            # and would otherwise re-traverse all of it on every one of
-            # *their* gen-2 collections while they churn through tuples —
-            # measured at 3x worker throughput when the parent heap is
-            # large.  The parent unfreezes afterwards; the workers keep
-            # the frozen heap.
-            gc.collect()
-            gc.freeze()
-            processes = []
-            try:
-                for transport in local:
-                    process = context.Process(
-                        target=worker_main,
-                        args=(transport.shard, decision.local, transport),
-                        daemon=True,
-                        name=f"repro-shard-{transport.shard}",
-                    )
-                    process.start()
-                    processes.append(process)
-            finally:
-                gc.unfreeze()
-                # Handed over only after every fork, so no worker
-                # inherits a sibling's process handle.
-                for transport, process in zip(local, processes):
-                    transport.process = process
         for channel in self._channels:
             thread = threading.Thread(
                 target=self._reader_loop,
@@ -543,13 +480,20 @@ class ShardedEngine:
                 now,
                 parent_id=obs.root_span_id(trace.trace_id),
             )
+        t0 = obs.trace_clock() if traced else 0.0
+        send_start = time.perf_counter()
         with self._reply_cv:
+            # At most queue_capacity chunks in flight per shard: wait
+            # for this shard's replies, one stall per wait pass.
+            while self._in_flight(shard) >= self._queue_capacity:
+                self._on_send_stall(shard)
+                self._reply_cv.wait(0.05)
             self._outstanding += 1
             self._outstanding_gauge.set(self._outstanding)
             if isinstance(self._merger, WindowPartialMerger):
                 self._merger.mark_fed(shard)
-        self._chunks_sent[shard].inc()
-        t0 = obs.trace_clock() if traced else 0.0
+            self._chunks_sent[shard].inc()
+        self._stage["transport"].inc(time.perf_counter() - send_start)
         self._send(shard, ("chunk", source, chunk_id, payload))
         if traced:
             # The ship span's id is the deterministic hand-off key: the
@@ -576,6 +520,10 @@ class ShardedEngine:
             on_stall=lambda: self._on_send_stall(shard),
         )
         self._stage["transport"].inc(time.perf_counter() - send_start)
+
+    def _in_flight(self, shard: int) -> int:
+        """Chunks shipped to ``shard`` and not yet answered."""
+        return int(self._chunks_sent[shard].value) - int(self._chunks_done[shard].value)
 
     def _on_send_stall(self, shard: int) -> None:
         """One failed send pass: count it and fail fast on a dead shard."""
@@ -643,8 +591,8 @@ class ShardedEngine:
             rows = decode_batch(payload).to_tuples()
             return ("flushed", shard, token, rows), time.perf_counter() - decode_start
         if kind == "snapshot":
-            # State payloads may be views into a reply ring about to be
-            # released; copy the bytes out here, off the merge lock.
+            # Copy the state bytes out of the reply frame here, off the
+            # merge lock.
             _, shard, token, payload = message
             return ("snapshot", shard, token, bytes(payload)), 0.0
         return message, 0.0
@@ -881,7 +829,7 @@ class ShardedEngine:
         """Quiesce and capture the engine's complete mutable state.
 
         Sharded engines fan a snapshot request out to every shard over
-        the shm/socket transports (workers serialize their own operator
+        its channel (workers serialize their own operator
         state via the wire format) and combine it with the coordinator's
         merger and suffix-plan state.  The single-engine
         fallback snapshots its compiled engine directly.
@@ -980,7 +928,7 @@ class ShardedEngine:
         )
 
     def close(self) -> None:
-        """Stop the shards, close their channels, unlink the rings (idempotent)."""
+        """Stop the shards and close their channels (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -991,14 +939,8 @@ class ShardedEngine:
         self._stop_readers.set()
         for thread in self._reader_threads:
             thread.join(timeout=2.0)
-        try:
-            for channel in self._channels:
-                channel.close()
-        finally:
-            # Unlink every ring segment: after this no /dev/shm entry
-            # of this engine remains.
-            if self._finalizer is not None:
-                self._finalizer()
+        for channel in self._channels:
+            channel.close()
 
     def __enter__(self) -> ShardedEngine:
         return self
@@ -1057,7 +999,7 @@ class ShardedEngine:
         )
 
     def shard_statistics(self) -> Dict[int, ShardBackpressure]:
-        """Per-shard backpressure state: queue depth, in-flight, stalls.
+        """Per-shard backpressure state: in-flight chunks, stalls, send backlog.
 
         Cheap (no worker round trip), so it is safe to sample in a hot
         monitoring loop; the single-engine fallback returns ``{}``.
@@ -1069,9 +1011,7 @@ class ShardedEngine:
             report[shard] = ShardBackpressure(
                 shard=shard,
                 transport=channel.transport,
-                queue_depth=channel.queue_depth,
-                in_flight_chunks=int(self._chunks_sent[shard].value)
-                - int(self._chunks_done[shard].value),
+                in_flight_chunks=self._in_flight(shard),
                 stalls=int(self._stalls[shard].value),
                 chunks_sent=int(self._chunks_sent[shard].value),
                 send_backlog_bytes=channel.send_backlog_bytes,
@@ -1083,7 +1023,8 @@ class ShardedEngine:
 
         ``encode`` — columnar wire encoding of outbound
         chunks; ``transport`` — time spent handing frames to shard
-        transports, including backpressure stalls; ``decode`` — reply
+        channels, including backpressure stalls (waits for in-flight
+        chunks and for room in a socket buffer); ``decode`` — reply
         payloads back into tuples (reader threads, overlapped);
         ``merge`` — merge-operator ingest plus suffix/sink delivery.
         The single-engine fallback reports zeros.
@@ -1101,9 +1042,7 @@ class ShardedEngine:
         lines.append("-------")
         lines.append(f"backend: {self.backend}")
         if self.backend == "process":
-            lines.append(
-                f"shard transport: shared-memory rings, ring_bytes={self._ring_bytes}"
-            )
+            lines.append("shard transport: socket (forked workers on socketpairs)")
         if self.remote_shards:
             local = self.workers - len(self.remote_shards)
             lines.append(

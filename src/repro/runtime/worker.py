@@ -33,12 +33,12 @@ them measurable.
 
 :meth:`ShardRunner.handle` is the one place a request verb is
 dispatched; every transport drives it.  :func:`serve_shard` runs it for
-out-of-process shards over any worker-side channel that yields whole
-request frames — the forked worker (:func:`worker_main`) over the
-shared-memory ring pair of a :class:`~repro.runtime.shm.ShardShmTransport`,
-the TCP shard server (:class:`repro.net.shard.ShardServer`) over its
-socket — so a shard's message stream is byte-identical over a ring or
-a TCP stream.  The inline backend's channel
+every out-of-process shard over a :class:`ConnectionChannel` — a
+forked worker (:func:`worker_main`) over its end of a
+``socket.socketpair()``, the TCP shard server
+(:class:`repro.net.shard.ShardServer`) over an accepted connection —
+so a forked and a remote shard run the same loop over the same channel
+and exchange byte-identical frames.  The inline backend's channel
 (:class:`~repro.runtime.transport.InlineShardChannel`) calls
 :meth:`ShardRunner.handle` in the coordinator's own thread.
 """
@@ -46,8 +46,9 @@ a TCP stream.  The inline backend's channel
 from __future__ import annotations
 
 import math
+import socket
 import traceback
-from typing import Callable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.obs import spans as tracing
@@ -56,14 +57,13 @@ from repro.plan.planner import Planner
 from repro.streams.batch import TupleBatch
 from repro.streams.serialization import decode_batch, encode_batch_wire
 
-__all__ = ["ShardRunner", "plan_signature", "serve_shard", "worker_main"]
-
-#: How long a ring worker sleeps on its doorbell before re-sweeping.
-_IDLE_TICK = 0.2
-
-
-def _no_release() -> None:
-    """Default ``release`` for requests whose payload the caller owns."""
+__all__ = [
+    "ConnectionChannel",
+    "ShardRunner",
+    "plan_signature",
+    "serve_shard",
+    "worker_main",
+]
 
 
 def plan_signature(plan: LogicalPlan) -> List[str]:
@@ -90,25 +90,19 @@ class ShardRunner:
         self._sink = self.query._sinks[plan.names[0]]
         self.watermark = -math.inf
 
-    def handle(
-        self, message: Tuple, release: Callable[[], None] = _no_release
-    ) -> Optional[Tuple]:
+    def handle(self, message: Tuple) -> Optional[Tuple]:
         """Serve one request message; return its reply (``None`` for ``stop``).
 
-        ``release`` is called exactly once, as soon as the request's
-        payload has been copied out — a ring transport hands the record
-        back to the coordinator there, *before* the chunk runs, so
-        transport space frees as early as possible.  A ``results``
-        reply carries no spans: a sampled chunk's ``shard.exec`` span
-        lands in this process's span buffer, and an out-of-process
-        server (:func:`serve_shard`) ships that buffer home.
+        A ``results`` reply carries no spans: a sampled chunk's
+        ``shard.exec`` span lands in this process's span buffer, and an
+        out-of-process server (:func:`serve_shard`) ships that buffer
+        home.
         """
         kind = message[0]
         shard = self.shard_id
         if kind == "chunk":
             _, source, chunk_id, raw = message
             batch = decode_batch(raw)
-            release()
             outputs, watermark = self._traced_chunk(source, batch, chunk_id)
             # The trace context survives the wire round trip, so the
             # coordinator can account ingest→delivery latency across
@@ -119,11 +113,8 @@ class ShardRunner:
             return ("results", shard, chunk_id, encode_batch_wire(out), watermark)
         if kind == "restore":
             _, token, raw = message
-            state = bytes(raw)
-            release()
-            self.restore_payload(state)
+            self.restore_payload(bytes(raw))
             return ("restored", shard, token)
-        release()
         if kind == "flush":
             return ("flushed", shard, message[1], encode_batch_wire(TupleBatch(self.flush())))
         if kind == "stats":
@@ -220,30 +211,48 @@ class ShardRunner:
         restore_engine_ops(self.query.engine, state["ops"])
 
 
-def serve_shard(runner: ShardRunner, channel) -> None:
+class ConnectionChannel:
+    """The worker side of one shard connection, in the shape :func:`serve_shard` drives.
+
+    ``sock`` is a connected, blocking stream socket: a forked worker's
+    end of its ``socketpair()`` or a shard server's accepted TCP
+    connection.  Each request arrives as one private buffer, so the
+    batch decoder may keep views into it.
+    """
+
+    def __init__(self, sock: socket.socket, max_payload: Optional[int] = None):
+        # Imported here, not at module top: repro.net imports this
+        # module for ShardRunner, and the coordinator must stay
+        # importable without the net package having loaded first.
+        from repro.net.framing import DEFAULT_MAX_PAYLOAD, recv_frame_bytes
+
+        self._recv_frame_bytes = recv_frame_bytes
+        self.sock = sock
+        self.max_payload = max_payload or DEFAULT_MAX_PAYLOAD
+
+    def recv_request(self):
+        """Block for the next request frame; EOF raises ``ConnectionClosed``."""
+        return self._recv_frame_bytes(self.sock, self.max_payload)
+
+    def reply(self, frame: bytes) -> None:
+        self.sock.sendall(frame)
+
+
+def serve_shard(runner: ShardRunner, channel: ConnectionChannel) -> None:
     """Serve the shard protocol over a worker-side channel until ``stop``.
 
-    ``channel.recv_request(timeout)`` returns the next request as one
-    whole frame (a memoryview into a ring record, or bytes) or ``None``
-    after an idle tick; ``channel.release_request()`` hands the
-    request's bytes back to the sender; ``channel.reply(frame)`` ships
-    one reply frame.  Requests are parsed in place — the batch decoder
-    copies columns straight out of the frame — and the spans a sampled
-    chunk recorded ride its ``results`` reply home.
+    Requests are parsed in place — the batch decoder copies columns
+    straight out of the frame — and the spans a sampled chunk recorded
+    ride its ``results`` reply home.  A coordinator that goes away ends
+    the loop with ``ConnectionClosed`` from ``recv_request``.
     """
-    # Imported here, not at module top: repro.net imports this module
-    # for ShardRunner, and the coordinator must stay importable without
-    # the net package having loaded first.
-    from repro.net.framing import parse_frame
+    from repro.net.framing import parse_frame  # deferred: see ConnectionChannel
     from repro.net.protocol import decode_worker_message, encode_worker_message
 
     spans = tracing.local_spans()
     while True:
-        frame = channel.recv_request(_IDLE_TICK)
-        if frame is None:
-            continue
-        message = decode_worker_message(*parse_frame(frame))
-        reply = runner.handle(message, channel.release_request)
+        message = decode_worker_message(*parse_frame(channel.recv_request()))
+        reply = runner.handle(message)
         if reply is None:
             return
         if reply[0] == "results":
@@ -254,33 +263,38 @@ def serve_shard(runner: ShardRunner, channel) -> None:
 def worker_main(
     shard_id: int,
     plan: LogicalPlan,
-    transport,
+    sock: socket.socket,
+    inherited: Iterable[socket.socket] = (),
 ) -> None:
-    """Process entry point: serve the shard protocol until ``stop``.
+    """Process entry point: serve the shard protocol until ``stop`` or EOF.
 
     Runs under the ``fork`` start method, so the logical plan — with
-    all its closures — and the shared-memory ring mappings arrive by
-    address-space inheritance, and each worker compiles its own private
-    operator instances from the plan.  The worker never unlinks the
-    segments (the parent owns the names); it only unmaps on exit.
+    all its closures — arrives by address-space inheritance, and each
+    worker compiles its own private operator instances from the plan.
+    ``sock`` is this worker's end of its socketpair; ``inherited`` are
+    the other shard sockets the fork copied, closed first so that the
+    only holders of a worker's connection are that worker and its
+    coordinator: either one dying is then seen by the other as EOF.
     """
+    from repro.net.errors import ConnectionClosed
+    from repro.net.protocol import encode_worker_message
+
+    for other in inherited:
+        other.close()
     # Spans the parent had buffered before the fork are the parent's
     # to export; shipping them back would duplicate them.
     tracing.local_spans().clear()
+    channel = ConnectionChannel(sock)
     try:
-        runner = ShardRunner(shard_id, plan)
-        serve_shard(runner, transport)
-    except BaseException:
-        from repro.net.protocol import encode_worker_message
-
+        serve_shard(ShardRunner(shard_id, plan), channel)
+    except (ConnectionClosed, ConnectionError):
+        pass  # the coordinator is gone; nobody is left to tell
+    except Exception:
         try:
-            transport.reply(
+            channel.reply(
                 encode_worker_message(("error", shard_id, traceback.format_exc()))
             )
-        except BaseException:
+        except OSError:
             pass
     finally:
-        try:
-            transport.close()
-        except BaseException:
-            pass
+        sock.close()

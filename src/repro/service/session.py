@@ -56,7 +56,7 @@ from repro.plan.nodes import (
 from repro.plan.planner import NodeLowering, Planner
 from repro.plan.rewrites import RewriteTrace
 from repro.plan.sharding import split_for_sharding
-from repro.recovery import CheckpointInfo, CheckpointStore, ReplayLog, reap_stale_segments
+from repro.recovery import CheckpointInfo, CheckpointStore, ReplayLog
 from repro.recovery.state import decode_state, encode_state
 from repro.runtime.engine import ShardedEngine, ShardedStatistics
 from repro.streams.batch import TupleBatch
@@ -1156,9 +1156,7 @@ class QuerySession:
         so new tuples never collide with restored lineage.  Tuples
         pushed into the recovered session continue exactly where the
         checkpoint left off.  UDFs are code, not state — pass them in
-        ``functions`` under the names the query texts use.  Stale
-        shared-memory ring segments left by crashed worker processes
-        are reaped as a side effect.
+        ``functions`` under the names the query texts use.
 
         The worker count is part of the checkpoint; overriding
         ``workers`` is only valid when it does not change whether (and
@@ -1171,7 +1169,6 @@ class QuerySession:
         # workers inherit it, and every tuple created from here on must
         # outrank the ids the checkpoint carries.
         advance_tuple_counter(int(meta["tuple_counter"]))
-        reap_stale_segments()
         session = cls.restore(
             meta["session"],
             planner=planner,

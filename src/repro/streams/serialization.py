@@ -277,7 +277,7 @@ def decode_batch(payload) -> TupleBatch:
     Raises ``ValueError`` on a wrong magic, flag or tag, a truncated
     payload, trailing bytes, or a parameter a constructor would reject.
     The batch owns its memory (kept arrays are copies), so the caller
-    may release a ring record or receive buffer at once.  The wire's
+    may reuse or release the receive buffer at once.  The wire's
     timestamps and, in a one-run batch, all-Gaussian ``mu``/``sigma``
     arrays prime the batch's columnar caches.
     """

@@ -10,12 +10,12 @@ from repro.analysis.concurrency import lint_concurrency, lint_source
 from repro.analysis.diagnostics import errors
 
 
-def _lint(source, owner_names=None):
-    return lint_source(textwrap.dedent(source), "synthetic.py", owner_names)
+def _lint(source):
+    return lint_source(textwrap.dedent(source), "synthetic.py")
 
 
-def _rules(source, owner_names=None):
-    return [d.rule for d in _lint(source, owner_names)]
+def _rules(source):
+    return [d.rule for d in _lint(source)]
 
 
 class TestImportTimeThread:
@@ -249,59 +249,6 @@ class TestSharedDictSlot:
                     def _loop(self):
                         self._count += 1
                 """
-            )
-            == []
-        )
-
-
-class TestShmFinalize:
-    def test_bare_shared_memory_creation_is_caught(self):
-        assert "shm-finalize" in _rules(
-            """
-            def scratch():
-                return SharedMemory(create=True, size=4096)
-            """
-        )
-
-    def test_owner_class_creation_is_fine(self):
-        assert (
-            _rules(
-                """
-                class Ring:
-                    def __init__(self):
-                        self._shm = SharedMemory(create=True, size=4096)
-
-                    def close(self):
-                        self._shm.close()
-
-                    def unlink(self):
-                        self._shm.unlink()
-                """
-            )
-            == []
-        )
-
-    def test_owner_construction_without_finalize_net_is_caught(self):
-        assert "shm-finalize" in _rules(
-            """
-            def build():
-                return ShmRing(1 << 20)
-            """,
-            owner_names={"ShmRing"},
-        )
-
-    def test_owner_construction_with_finalize_net_is_fine(self):
-        assert (
-            _rules(
-                """
-                import weakref
-
-                def build(engine):
-                    ring = ShmRing(1 << 20)
-                    weakref.finalize(engine, ring.unlink)
-                    return ring
-                """,
-                owner_names={"ShmRing"},
             )
             == []
         )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -33,3 +36,33 @@ def _process_one(op, item):
 def process_one():
     """``process_one(op, item) -> list``: one tuple through an operator."""
     return _process_one
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` runs; a zombie nobody reaped has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    except OSError:  # pragma: no cover - no procfs
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    return state not in ("Z", "X")
+
+
+def _still_running_after(pids, timeout: float):
+    """Wait up to ``timeout`` s for every pid to exit; return those still running."""
+    deadline = time.monotonic() + timeout
+    while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return [pid for pid in pids if _running(pid)]
+
+
+@pytest.fixture
+def still_running_after():
+    """``still_running_after(pids, timeout) -> list`` of the pids that outlived it."""
+    return _still_running_after

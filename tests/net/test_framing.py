@@ -13,7 +13,9 @@ from repro.net.framing import (
     BufferedFrameSocket,
     FrameReader,
     encode_frame,
+    parse_frame,
     recv_frame,
+    recv_frame_bytes,
     send_frame,
 )
 from repro.net.protocol import (
@@ -114,6 +116,38 @@ class TestSocketHelpers:
             assert (kind, header, payload) == (INGEST, {"seq": 3}, b"abc")
         finally:
             server.close()
+            client.close()
+
+    def test_whole_frame_read_reassembles_a_trickled_frame(self):
+        server, client = socket.socketpair()
+        try:
+            payload = bytes(range(256)) * 1024  # 256 KiB: many reads
+            frame = encode_frame(INGEST, {"seq": 5}, payload)
+
+            def trickle():
+                for start in range(0, len(frame), 10_000):
+                    server.sendall(frame[start : start + 10_000])
+
+            thread = threading.Thread(target=trickle)
+            thread.start()
+            whole = recv_frame_bytes(client)
+            thread.join()
+            assert bytes(whole) == frame
+            kind, header, body = parse_frame(whole)
+            assert (kind, header, bytes(body)) == (INGEST, {"seq": 5}, payload)
+        finally:
+            server.close()
+            client.close()
+
+    def test_whole_frame_read_rejects_eof_inside_a_frame(self):
+        server, client = socket.socketpair()
+        try:
+            frame = encode_frame(INGEST, {"seq": 5}, b"payload-bytes")
+            server.sendall(frame[:-3])
+            server.close()
+            with pytest.raises(ProtocolError, match="middle of a frame"):
+                recv_frame_bytes(client)
+        finally:
             client.close()
 
     def test_buffered_reader_survives_a_mid_frame_timeout(self):

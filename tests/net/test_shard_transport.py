@@ -89,11 +89,65 @@ class TestRemoteShardEquivalence:
                     shard: report.transport
                     for shard, report in engine.shard_statistics().items()
                 }
-                assert transports == {0: "shm", 1: "socket"}
+                assert transports == {0: "socket", 1: "socket"}
         finally:
             process.terminate()
             process.join(timeout=5)
         assert_tuples_equivalent(expected, got)
+
+    def test_queue_capacity_bounds_remote_in_flight_chunks(self):
+        tuples = make_tuples(2000)
+        process, address = spawn_shard_server(aggregate_query())
+        try:
+            with ShardedEngine(
+                aggregate_query(),
+                workers=1,
+                backend="process",
+                chunk_size=8,
+                queue_capacity=1,
+                remote_shards=[address],
+            ) as engine:
+                in_flight = []
+                send = engine._send
+
+                def record(shard, message):
+                    if message[0] == "chunk":
+                        in_flight.append(engine.shard_statistics()[0].in_flight_chunks)
+                    send(shard, message)
+
+                engine._send = record
+                engine.push_many("s", tuples)
+                engine.finish()
+                report = engine.shard_statistics()[0]
+        finally:
+            process.terminate()
+            process.join(timeout=5)
+        assert len(in_flight) == 250
+        assert max(in_flight) == 1
+        assert report.transport == "socket"
+        assert report.stalls > 0
+
+    def test_killed_remote_shard_surfaces_as_shard_error_naming_it(self):
+        process, address = spawn_shard_server(aggregate_query())
+        try:
+            with ShardedEngine(
+                aggregate_query(),
+                workers=2,
+                backend="process",
+                chunk_size=64,
+                remote_shards=[address],
+            ) as engine:
+                engine.push_many("s", make_tuples(1000))
+                engine.quiesce()
+                process.kill()
+                process.join(timeout=5)
+                with pytest.raises(ShardError, match="shard 1 "):
+                    for seed in range(50):
+                        engine.push_many("s", make_tuples(1000, seed=seed))
+                    engine.finish()
+        finally:
+            process.kill()
+            process.join(timeout=5)
 
     def test_remote_shard_serves_statistics(self):
         tuples = make_tuples(1000)

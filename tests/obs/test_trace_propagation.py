@@ -45,7 +45,7 @@ class TestWireTraceFlag:
 
 class TestEndToEnd:
     def test_tcp_ingest_to_sharded_sink_keeps_trace(self, rfid_tuples):
-        """TCP -> INGEST -> 4-shard shm workers -> merge -> sink."""
+        """TCP -> INGEST -> 4 forked shard workers -> merge -> sink."""
         handle = serve_in_thread(QuerySession(workers=4, shard_backend="process"))
         try:
             with StreamClient(handle.address, timeout=30.0) as client:

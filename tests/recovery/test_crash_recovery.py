@@ -1,28 +1,25 @@
 """SIGKILL a serving process mid-ingest; recover from its checkpoint.
 
-The child process runs a sharded session (forked workers, shm ring
-transports), checkpoints, keeps ingesting, then is killed — process
-group and all — without any chance to clean up.  The parent recovers
-from the checkpoint into a fresh process, re-pushes everything after
-the checkpoint cut, and must match an uninterrupted run to 1e-9.
-Recovery also reaps the shm segments the dead coordinator leaked.
+The child process runs a sharded session (forked workers, each on its
+end of a socketpair), checkpoints, keeps ingesting, then is killed —
+process group and all — without any chance to clean up.  No worker may
+outlive the killed group.  The parent recovers from the checkpoint into
+a fresh process, re-pushes everything after the checkpoint cut, and
+must match an uninterrupted run to 1e-9.
 """
 
-import glob
 import os
 import pathlib
 import signal
 import subprocess
 import sys
 import textwrap
-import time
 
 import numpy as np
 import pytest
 
 from repro import QuerySession
 from repro.distributions import Gaussian
-from repro.recovery import reap_stale_segments
 from repro.streams import StreamTuple
 
 SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
@@ -31,13 +28,13 @@ TOTALS = "SELECT SUM(w) AS total FROM rfid [RANGE 5 SECONDS SLIDE 5 SECONDS]"
 
 CHILD_SCRIPT = textwrap.dedent(
     """
-    import sys, time
+    import multiprocessing, sys, time
     import numpy as np
     from repro import QuerySession
     from repro.distributions import Gaussian
     from repro.streams import StreamTuple
 
-    directory = sys.argv[1]
+    directory, workers = sys.argv[1], int(sys.argv[2])
     rng = np.random.default_rng(41)
     tuples = [
         StreamTuple(
@@ -47,7 +44,7 @@ CHILD_SCRIPT = textwrap.dedent(
         )
         for i in range(400)
     ]
-    session = QuerySession(workers=2, shard_backend="process")
+    session = QuerySession(workers=workers, shard_backend="process")
     session.create_stream(
         "rfid", values=("tag_id",), uncertain=("w",), family="gaussian",
         rate_hint=5.0,
@@ -57,7 +54,8 @@ CHILD_SCRIPT = textwrap.dedent(
     session.checkpoint(directory)
     # Ingest past the checkpoint: everything from here dies with us.
     session.push_many("rfid", tuples[150:250])
-    print("CHECKPOINTED", flush=True)
+    pids = [child.pid for child in multiprocessing.active_children()]
+    print("CHECKPOINTED", *pids, flush=True)
     time.sleep(120)  # killed long before this expires
     """
 ).replace("@TOTALS@", repr(TOTALS))
@@ -75,22 +73,16 @@ def make_tuples():
     ]
 
 
-def child_segments(pid):
-    return glob.glob(f"/dev/shm/repro-ring-{pid}-*")
-
-
-@pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="needs a /dev/shm tmpfs"
-)
 class TestCrashRecovery:
+    @pytest.mark.parametrize("workers", [2, 4])
     def test_sigkill_recover_matches_uninterrupted(
-        self, tmp_path, assert_tuples_equivalent
+        self, tmp_path, assert_tuples_equivalent, still_running_after, workers
     ):
         directory = str(tmp_path / "ckpts")
         tuples = make_tuples()
 
         # The reference: the same workload, never interrupted.
-        with QuerySession(workers=2, shard_backend="process") as reference:
+        with QuerySession(workers=workers, shard_backend="process") as reference:
             reference.create_stream(
                 "rfid", values=("tag_id",), uncertain=("w",), family="gaussian",
                 rate_hint=5.0,
@@ -105,7 +97,7 @@ class TestCrashRecovery:
         # takes the forked shard workers down with the coordinator).
         env = dict(os.environ, PYTHONPATH=SRC)
         child = subprocess.Popen(
-            [sys.executable, "-c", CHILD_SCRIPT, directory],
+            [sys.executable, "-c", CHILD_SCRIPT, directory, str(workers)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
@@ -113,10 +105,10 @@ class TestCrashRecovery:
             text=True,
         )
         try:
-            marker = child.stdout.readline().strip()
+            marker, *pids = child.stdout.readline().split()
             assert marker == "CHECKPOINTED", child.stderr.read()
-            leaked = child_segments(child.pid)
-            assert leaked, "the forked backend must be using shm ring segments"
+            worker_pids = [int(pid) for pid in pids]
+            assert len(worker_pids) == workers
             os.killpg(child.pid, signal.SIGKILL)
             child.wait(timeout=30)
         finally:
@@ -124,18 +116,11 @@ class TestCrashRecovery:
                 os.killpg(child.pid, signal.SIGKILL)
             child.stdout.close()
             child.stderr.close()
+        assert still_running_after(worker_pids, 5.0) == []
 
-        # SIGKILL skipped every unlink path: the segments are leaked ...
-        deadline = time.monotonic() + 5.0
-        while child_segments(child.pid) != leaked and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert child_segments(child.pid) == leaked
-
-        # ... until recovery reaps them as part of coming back up.
-        recovered = QuerySession.recover(directory, workers=2,
+        recovered = QuerySession.recover(directory, workers=workers,
                                          shard_backend="process")
         try:
-            assert child_segments(child.pid) == []
             # The post-checkpoint ingest died with the child; re-push
             # everything after the checkpoint cut, then the rest.
             recovered.push_many("rfid", tuples[150:])
@@ -144,18 +129,3 @@ class TestCrashRecovery:
         finally:
             recovered.close()
         assert_tuples_equivalent(expected, got)
-
-        # Our own teardown leaks nothing either.
-        assert child_segments(os.getpid()) == []
-
-    def test_reap_ignores_live_owners(self):
-        """reap_stale_segments never touches a living process's rings."""
-        with QuerySession(workers=2, shard_backend="process") as session:
-            session.create_stream("rfid", values=("tag_id",), uncertain=("w",),
-                                  family="gaussian", rate_hint=5.0)
-            session.register("totals", TOTALS)
-            mine = child_segments(os.getpid())
-            assert mine, "a forked sharded session must create ring segments"
-            reap_stale_segments()
-            assert child_segments(os.getpid()) == mine
-        assert child_segments(os.getpid()) == []

@@ -3,7 +3,7 @@
 The acceptance bar of the subsystem: for Q1 (sharded aggregate) and Q2
 (probabilistic join, engine-hosted), ``checkpoint → recover → push the
 rest`` must equal an uninterrupted run to 1e-9 — on the single-process
-engine and on workers=4 with both the inline and forked (shm ring)
+engine and on workers=4 with both the inline and forked (socketpair)
 backends.
 """
 
@@ -80,9 +80,9 @@ class TestRecoverEqualsUninterrupted:
         assert_tuples_equivalent(q1, r1)
         assert_tuples_equivalent(q2, r2)
 
-    def test_workers_4_forked_shm(self, warehouse, paper_session_factory,
-                                  paper_udfs, assert_tuples_equivalent, tmp_path):
-        """The real thing: forked shard workers over shm ring transports."""
+    def test_workers_4_forked(self, warehouse, paper_session_factory,
+                              paper_udfs, assert_tuples_equivalent, tmp_path):
+        """The real thing: forked shard workers, each on its end of a socketpair."""
         _, objects, sensors = warehouse
         kwargs = dict(workers=4, shard_backend="process")
         q1, q2 = run_uninterrupted(paper_session_factory, objects, sensors, **kwargs)

@@ -1,4 +1,4 @@
-"""Backpressure observability: queue depth, in-flight chunks, stall counts."""
+"""Backpressure: the in-flight chunk bound, stall counts and their reporting."""
 
 import numpy as np
 import pytest
@@ -27,6 +27,20 @@ def make_tuples(n):
     ]
 
 
+def record_in_flight(engine):
+    """In-flight chunks of the target shard at every chunk send."""
+    seen = []
+    send = engine._send
+
+    def record(shard, message):
+        if message[0] == "chunk":
+            seen.append(engine.shard_statistics()[shard].in_flight_chunks)
+        send(shard, message)
+
+    engine._send = record
+    return seen
+
+
 class TestShardedEngineBackpressure:
     def test_process_backend_reports_per_shard_state(self):
         with ShardedEngine(
@@ -39,11 +53,11 @@ class TestShardedEngineBackpressure:
             for shard, state in report.items():
                 assert isinstance(state, ShardBackpressure)
                 assert state.shard == shard
-                assert state.transport == "shm"
+                assert state.transport == "socket"
                 assert state.chunks_sent > 0
                 # After finish() everything shipped has been answered.
                 assert state.in_flight_chunks == 0
-                assert state.queue_depth == 0
+                assert state.send_backlog_bytes == 0
                 assert state.stalls >= 0
 
     def test_stalls_accumulate_when_workers_lag(self):
@@ -60,6 +74,23 @@ class TestShardedEngineBackpressure:
             report = engine.shard_statistics()
             assert report[0].chunks_sent == 500
             assert report[0].stalls > 0
+
+    @pytest.mark.parametrize(
+        "backend, capacity", [("process", 1), ("process", 3), ("inline", 1)]
+    )
+    def test_in_flight_chunks_never_exceed_queue_capacity(self, backend, capacity):
+        with ShardedEngine(
+            build_query(),
+            workers=2,
+            backend=backend,
+            chunk_size=8,
+            queue_capacity=capacity,
+        ) as engine:
+            in_flight = record_in_flight(engine)
+            engine.push_many("s", make_tuples(2000))
+            engine.finish()
+        assert len(in_flight) == 250
+        assert max(in_flight) <= capacity
 
     def test_inline_backend_reports_inline_transport(self):
         with ShardedEngine(

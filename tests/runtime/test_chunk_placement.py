@@ -150,15 +150,16 @@ def test_checkpoint_records_no_placement_state():
     assert set(state) == {"mode", "next_chunk", "merger", "suffix", "shards"}
 
 
-def test_explain_prints_the_ring_size_and_no_placement_policy():
+def test_explain_names_the_socket_transport_and_no_placement_policy():
     with ShardedEngine(
         aggregate_query(), workers=2, backend="process", chunk_size=CHUNK_SIZE,
         queue_capacity=8,
     ) as engine:
         text = engine.explain()
-    # The one ring size: 4 MiB floor for a small queue_capacity * chunk_size.
-    assert f"ring_bytes={1 << 22}" in text
+    assert "shard transport: socket" in text
+    assert "chunk_size: 16, queue_capacity: 8" in text
     lowered = text.lower()
+    assert "ring" not in lowered
     assert "partitioner" not in lowered
     assert "adaptive" not in lowered
     assert "weights" not in lowered

@@ -2,15 +2,13 @@
 
 The same request sequence — traced chunks, flush, stats, snapshot,
 restore, more chunks, flush — is driven through ``ShardRunner.handle``
-directly, the inline channel, a forked worker on a shared-memory ring
-pair and a TCP ``ShardServer``.  Every transport must answer with the
+directly, the inline channel, a worker forked the way the engine forks
+its shards (its end of a socketpair) and a TCP ``ShardServer``.  Every transport must answer with the
 same verbs, tokens, watermarks and decoded rows, and every sampled
 chunk must leave exactly one ``shard.exec`` span: in this process's
 buffer for the in-process transports, on the ``results`` reply for the
 out-of-process ones.
 """
-
-import multiprocessing
 
 import pytest
 
@@ -19,9 +17,9 @@ from repro.distributions import Gaussian
 from repro.net import ShardServer
 from repro.net.protocol import encode_worker_message
 from repro.plan import Stream
-from repro.runtime import ShardRunner, ShardShmTransport, SocketShardChannel
-from repro.runtime.transport import InlineShardChannel
-from repro.runtime.worker import plan_signature, worker_main
+from repro.runtime import ShardRunner, SocketShardChannel
+from repro.runtime.transport import InlineShardChannel, fork_shards
+from repro.runtime.worker import plan_signature
 from repro.streams import StreamTuple, TumblingTimeWindow
 from repro.streams.batch import TupleBatch
 from repro.streams.serialization import decode_batch, encode_batch_wire
@@ -154,25 +152,18 @@ def run_inline(plan):
 
 
 def run_forked(plan):
-    transport = ShardShmTransport(SHARD, 1 << 20, queue_capacity=4)
-    process = multiprocessing.get_context("fork").Process(
-        target=worker_main, args=(SHARD, plan, transport), daemon=True
-    )
-    process.start()
-    transport.process = process
+    (channel,) = fork_shards(plan, [SHARD])
     try:
         return run_script(
-            lambda message: polled(transport, encode_worker_message(message))
+            lambda message: polled(channel, encode_worker_message(message))
         )
     finally:
-        transport.close()
-        transport.unlink()
-        process.join(timeout=5)
-        assert not process.is_alive()
+        channel.close()
+        assert not channel.process.is_alive()
 
 
 def run_socket(server):
-    channel = SocketShardChannel(
+    channel = SocketShardChannel.attach(
         SHARD, server.address, plan_signature=plan_signature(server.local_plan)
     )
     try:
