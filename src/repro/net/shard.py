@@ -4,12 +4,12 @@ This is the multi-machine half of :class:`~repro.runtime.ShardedEngine`.
 A shard server owns a :class:`~repro.runtime.worker.ShardRunner` — a
 full stream engine compiled on the shard-local plan segment — and
 serves it with the same :func:`~repro.runtime.worker.serve_shard` loop
-over the same :class:`~repro.runtime.worker.ConnectionChannel` a forked
-worker runs over its end of a socketpair; only the socket differs.  A
-coordinator started with ``ShardedEngine(remote_shards=["host:port",
-...])`` connects here, sends a ``SHARD_ATTACH`` announcing which shard
-slot this runner fills, and then streams the same
-chunk/flush/stats frames it sends a forked worker.
+a forked worker runs over its end of a socketpair; only the socket
+differs.  A coordinator started with
+``ShardedEngine(remote_shards=["host:port", ...])`` connects here,
+sends a ``SHARD_ATTACH`` announcing which shard slot this runner fills,
+and then streams the same chunk/flush/stats frames it sends a forked
+worker.
 
 **Plan distribution.**  Logical plans carry closures (predicates,
 derive functions, group keys) that do not serialize, so the plan
@@ -40,12 +40,7 @@ from repro.plan.builder import Stream
 from repro.plan.nodes import LogicalPlan, PlanError
 from repro.plan.planner import Planner
 from repro.plan.sharding import split_for_sharding
-from repro.runtime.worker import (
-    ConnectionChannel,
-    ShardRunner,
-    plan_signature,
-    serve_shard,
-)
+from repro.runtime.worker import ShardRunner, plan_signature, serve_shard
 
 from . import protocol
 from .errors import ConnectionClosed, ProtocolError
@@ -195,7 +190,7 @@ class ShardServer:
             return
         send_frame(conn, protocol.OK, {"shard": shard_id})
         try:
-            serve_shard(runner, ConnectionChannel(conn, self._max_payload))
+            serve_shard(runner, conn, self._max_payload)
         except (ConnectionClosed, ConnectionError):
             raise
         except BaseException:

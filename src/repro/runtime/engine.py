@@ -526,7 +526,7 @@ class ShardedEngine:
         return int(self._chunks_sent[shard].value) - int(self._chunks_done[shard].value)
 
     def _on_send_stall(self, shard: int) -> None:
-        """One failed send pass: count it and fail fast on a dead shard."""
+        """One pass that could not ship: count it and fail fast on a dead shard."""
         self._stalls[shard].inc()
         self._raise_if_failed()
         self._check_workers_alive()

@@ -33,11 +33,10 @@ them measurable.
 
 :meth:`ShardRunner.handle` is the one place a request verb is
 dispatched; every transport drives it.  :func:`serve_shard` runs it for
-every out-of-process shard over a :class:`ConnectionChannel` — a
-forked worker (:func:`worker_main`) over its end of a
-``socket.socketpair()``, the TCP shard server
-(:class:`repro.net.shard.ShardServer`) over an accepted connection —
-so a forked and a remote shard run the same loop over the same channel
+every out-of-process shard over a connected socket — a forked worker
+(:func:`worker_main`) over its end of a ``socket.socketpair()``, the
+TCP shard server (:class:`repro.net.shard.ShardServer`) over an
+accepted connection — so a forked and a remote shard run the same loop
 and exchange byte-identical frames.  The inline backend's channel
 (:class:`~repro.runtime.transport.InlineShardChannel`) calls
 :meth:`ShardRunner.handle` in the coordinator's own thread.
@@ -57,13 +56,7 @@ from repro.plan.planner import Planner
 from repro.streams.batch import TupleBatch
 from repro.streams.serialization import decode_batch, encode_batch_wire
 
-__all__ = [
-    "ConnectionChannel",
-    "ShardRunner",
-    "plan_signature",
-    "serve_shard",
-    "worker_main",
-]
+__all__ = ["ShardRunner", "plan_signature", "serve_shard", "worker_main"]
 
 
 def plan_signature(plan: LogicalPlan) -> List[str]:
@@ -211,53 +204,35 @@ class ShardRunner:
         restore_engine_ops(self.query.engine, state["ops"])
 
 
-class ConnectionChannel:
-    """The worker side of one shard connection, in the shape :func:`serve_shard` drives.
+def serve_shard(
+    runner: ShardRunner, sock: socket.socket, max_payload: Optional[int] = None
+) -> None:
+    """Serve the shard protocol over a connected socket until ``stop``.
 
     ``sock`` is a connected, blocking stream socket: a forked worker's
     end of its ``socketpair()`` or a shard server's accepted TCP
-    connection.  Each request arrives as one private buffer, so the
-    batch decoder may keep views into it.
+    connection.  Each request is read whole into a private buffer and
+    parsed in place — the batch decoder copies columns straight out of
+    the frame — and the spans a sampled chunk recorded ride its
+    ``results`` reply home.  A coordinator that goes away ends the loop
+    with ``ConnectionClosed``.
     """
-
-    def __init__(self, sock: socket.socket, max_payload: Optional[int] = None):
-        # Imported here, not at module top: repro.net imports this
-        # module for ShardRunner, and the coordinator must stay
-        # importable without the net package having loaded first.
-        from repro.net.framing import DEFAULT_MAX_PAYLOAD, recv_frame_bytes
-
-        self._recv_frame_bytes = recv_frame_bytes
-        self.sock = sock
-        self.max_payload = max_payload or DEFAULT_MAX_PAYLOAD
-
-    def recv_request(self):
-        """Block for the next request frame; EOF raises ``ConnectionClosed``."""
-        return self._recv_frame_bytes(self.sock, self.max_payload)
-
-    def reply(self, frame: bytes) -> None:
-        self.sock.sendall(frame)
-
-
-def serve_shard(runner: ShardRunner, channel: ConnectionChannel) -> None:
-    """Serve the shard protocol over a worker-side channel until ``stop``.
-
-    Requests are parsed in place — the batch decoder copies columns
-    straight out of the frame — and the spans a sampled chunk recorded
-    ride its ``results`` reply home.  A coordinator that goes away ends
-    the loop with ``ConnectionClosed`` from ``recv_request``.
-    """
-    from repro.net.framing import parse_frame  # deferred: see ConnectionChannel
+    # Imported here, not at module top: repro.net imports this module
+    # for ShardRunner, and the coordinator must stay importable without
+    # the net package having loaded first.
+    from repro.net.framing import DEFAULT_MAX_PAYLOAD, parse_frame, recv_frame_bytes
     from repro.net.protocol import decode_worker_message, encode_worker_message
 
+    max_payload = max_payload or DEFAULT_MAX_PAYLOAD
     spans = tracing.local_spans()
     while True:
-        message = decode_worker_message(*parse_frame(channel.recv_request()))
-        reply = runner.handle(message)
+        frame = recv_frame_bytes(sock, max_payload)
+        reply = runner.handle(decode_worker_message(*parse_frame(frame)))
         if reply is None:
             return
         if reply[0] == "results":
             reply += (spans.drain(),)
-        channel.reply(encode_worker_message(reply))
+        sock.sendall(encode_worker_message(reply))
 
 
 def worker_main(
@@ -284,14 +259,13 @@ def worker_main(
     # Spans the parent had buffered before the fork are the parent's
     # to export; shipping them back would duplicate them.
     tracing.local_spans().clear()
-    channel = ConnectionChannel(sock)
     try:
-        serve_shard(ShardRunner(shard_id, plan), channel)
+        serve_shard(ShardRunner(shard_id, plan), sock)
     except (ConnectionClosed, ConnectionError):
         pass  # the coordinator is gone; nobody is left to tell
     except Exception:
         try:
-            channel.reply(
+            sock.sendall(
                 encode_worker_message(("error", shard_id, traceback.format_exc()))
             )
         except OSError:

@@ -30,7 +30,7 @@ from repro.net.protocol import decode_worker_message, encode_worker_message
 from repro.plan import Stream
 from repro.runtime import ShardedEngine, ShardError, ShardRunner, SocketShardChannel
 from repro.runtime.transport import fork_shards
-from repro.runtime.worker import ConnectionChannel, serve_shard
+from repro.runtime.worker import serve_shard
 from repro.streams import StreamTuple, TumblingTimeWindow
 from repro.streams.batch import TupleBatch
 from repro.streams.serialization import decode_batch, encode_batch_wire
@@ -180,7 +180,7 @@ class TestWorkerLoop:
 
         def serve():
             try:
-                serve_shard(runner, ConnectionChannel(theirs))
+                serve_shard(runner, theirs)
             except ConnectionClosed:
                 outcome.append("eof")
 
