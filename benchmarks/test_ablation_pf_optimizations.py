@@ -38,7 +38,6 @@ def build_filter(configuration, world, detection, rng_seed=5):
         flt = FactorizedParticleFilter(
             n_particles=N_PARTICLES,
             use_spatial_index="index" in configuration,
-            index_cell_size=detection.effective_range(),
             compression=CompressionConfig() if "compression" in configuration else None,
             rng=rng_seed,
         )

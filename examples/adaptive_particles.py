@@ -4,7 +4,8 @@ The RFID T operator measures its own inference accuracy online using
 reference shelf tags (whose true locations are known) and adjusts the
 per-object particle count with a feedback controller: double until the
 accuracy requirement is met, then walk back down to the smallest
-sufficient count.
+sufficient count.  The count is a ceiling: a cloud that compression
+shrank (a stable object, Section 4.1) keeps its smaller size.
 
 Run with:  python examples/adaptive_particles.py
 """
@@ -43,13 +44,20 @@ def main() -> None:
 
     print("running the mobile-reader sweep with adaptive particle control ...")
     print(f"accuracy requirement: {controller.target_error:.1f} ft on reference shelf tags\n")
-    print(f"{'reading':>8} {'reference error (ft)':>21} {'particles/object':>17} {'phase':>11}")
+    print(
+        f"{'reading':>8} {'reference error (ft)':>21} {'particles/object':>17} "
+        f"{'compressed':>11} {'phase':>11}"
+    )
     for i, reading in enumerate(simulator.readings(400)):
         list(operator.ingest(reading, reading.timestamp))
         if i % 40 == 0:
             error = operator.accuracy_monitor.current_error()
             error_text = f"{error:.2f}" if error is not None else "n/a"
-            print(f"{i:>8d} {error_text:>21} {controller.count:>17d} {controller.phase:>11}")
+            compressed = sum(size < controller.count for size in operator.filter.sizes.tolist())
+            print(
+                f"{i:>8d} {error_text:>21} {controller.count:>17d} "
+                f"{compressed:>11d} {controller.phase:>11}"
+            )
 
     print(
         f"\ncontroller settled on {controller.count} particles per object "

@@ -18,12 +18,15 @@ nothing enforced until now:
     block; the child snapshots the held lock and any waiter deadlocks.
 ``sink-delivery-thread`` (error)
     Sink delivery (``_deliver`` / ``_flush_ready``) is reachable from a
-    reader-thread target through the class's own method call graph.
+    reader-thread target through the class's own method call graph.  A
+    target is ``Thread(target=self.X)``, or each method a module-level
+    ``Thread(target=f)`` loop calls (the form of a reader loop that holds
+    its engine through a weak reference).
     Delivery must stay on the caller's thread so user callbacks never
     race engine internals.
 ``shared-dict-slot`` (error)
-    A method reachable from a reader-thread target (``Thread(target=
-    self.X)``) augments a shared container slot in place
+    A method reachable from a reader-thread target (as above) augments a
+    shared container slot in place
     (``self.attr[key] += v``) without an enclosing lock-like ``with``
     block.  The read-modify-write races the main thread's reads and
     other writers; route such accumulation through a metrics-registry
@@ -221,7 +224,7 @@ def _check_sink_delivery(tree: ast.Module, file: str) -> List[Diagnostic]:
         if not isinstance(cls, ast.ClassDef):
             continue
         graph = _self_call_graph(cls)
-        for target, line in _thread_targets(cls):
+        for target, line in _thread_targets(cls, tree):
             hit = sorted(_reachable_methods(graph, target) & SINK_DELIVERY_METHODS)
             if hit:
                 diagnostics.append(
@@ -238,20 +241,36 @@ def _check_sink_delivery(tree: ast.Module, file: str) -> List[Diagnostic]:
     return diagnostics
 
 
-def _thread_targets(cls: ast.ClassDef) -> List[Tuple[str, int]]:
-    """``Thread(target=self.X)`` targets created inside a class's methods."""
+def _thread_targets(cls: ast.ClassDef, tree: ast.Module) -> List[Tuple[str, int]]:
+    """Reader-thread entry methods of the threads a class's methods create.
+
+    ``Thread(target=self.X)`` enters ``X``.  ``Thread(target=f)`` with a
+    module-level ``f`` (a loop that holds its object weakly) enters every
+    method name ``f`` calls on anything, which over-approximates.
+    """
+    loops = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     targets: List[Tuple[str, int]] = []
     for node in ast.walk(cls):
         if not (isinstance(node, ast.Call) and _is_thread_ctor(node)):
             continue
         for kw in node.keywords:
+            value = kw.value
+            if kw.arg != "target":
+                continue
             if (
-                kw.arg == "target"
-                and isinstance(kw.value, ast.Attribute)
-                and isinstance(kw.value.value, ast.Name)
-                and kw.value.value.id == "self"
+                isinstance(value, ast.Attribute)
+                and isinstance(value.value, ast.Name)
+                and value.value.id == "self"
             ):
-                targets.append((kw.value.attr, node.lineno))
+                targets.append((value.attr, node.lineno))
+            elif isinstance(value, ast.Name) and value.id in loops:
+                calls = ast.walk(loops[value.id])
+                methods = {
+                    call.func.attr
+                    for call in calls
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                }
+                targets.extend((method, node.lineno) for method in sorted(methods))
     return targets
 
 
@@ -273,7 +292,7 @@ def _check_shared_dict_slots(tree: ast.Module, file: str) -> List[Diagnostic]:
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
-        targets = _thread_targets(cls)
+        targets = _thread_targets(cls, tree)
         if not targets:
             continue
         graph = _self_call_graph(cls)

@@ -29,7 +29,6 @@ from .resampling import (
     stratified_resample,
     systematic_resample,
 )
-from .spatial_index import cells_in_range, grid_cells
 
 __all__ = [
     "TransitionModel",
@@ -41,8 +40,6 @@ __all__ = [
     "FactorizedParticleFilter",
     "JointParticleFilter",
     "CompressionConfig",
-    "grid_cells",
-    "cells_in_range",
     "effective_sample_size",
     "systematic_resample",
     "segmented_systematic_resample",

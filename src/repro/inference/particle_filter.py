@@ -10,8 +10,8 @@ objects to over 1000 readings/second for 20 000 objects:
   reader trajectory).  :class:`FactorizedParticleFilter`.
 * **Spatial indexing** -- only the objects near the reader can produce
   (or suppress) a reading, so only their filters need to be touched for
-  each event.  A grid-cell array (:mod:`repro.inference.spatial_index`)
-  in the factorised filter's arena.
+  each event.  A range query over the arena's estimates: the variables
+  whose estimate lies within the sensing disc.
 * **Compression** -- once an object's particle cloud has stabilised in
   a small region, fewer particles suffice; the filter shrinks the cloud.
 
@@ -35,7 +35,6 @@ from repro.distributions import (
 
 from .graphical_model import StateSpaceModel
 from .resampling import effective_sample_size, segmented_systematic_resample, systematic_resample
-from .spatial_index import cells_in_range, grid_cells
 
 __all__ = [
     "CompressionConfig",
@@ -201,7 +200,7 @@ def _arena_view(name: str, doc: str) -> property:
 
 
 class FactorizedParticleFilter:
-    """Per-variable particle clouds in one arena, with spatial indexing and compression.
+    """Per-variable particle clouds in one arena, with a range query and compression.
 
     Each tracked variable owns one row of the arena arrays below, in
     registration order; its cloud is the first ``sizes[i]`` entries of
@@ -211,9 +210,9 @@ class FactorizedParticleFilter:
     ----------
     n_particles:
         Particle budget per variable (before compression).
-    use_spatial_index / index_cell_size:
-        Enable the spatial-index optimisation; the cell size should be
-        on the order of the sensing range.
+    use_spatial_index:
+        Enable the spatial-index optimisation: an event around a region
+        touches only the variables whose estimate lies in its disc.
     compression:
         Optional :class:`CompressionConfig` enabling cloud compression.
     resample_fraction:
@@ -227,13 +226,11 @@ class FactorizedParticleFilter:
     sizes = _arena_view("_sizes", "``(n_vars,)`` cloud sizes: the used prefix of each row.")
     estimates = _arena_view("_estimates", "``(n_vars, d)`` weighted mean of each cloud.")
     variances = _arena_view("_variances", "``(n_vars, d)`` biased weighted variances.")
-    cells = _arena_view("_cells", "``(n_vars, 2)`` spatial index: each estimate's cell.")
 
     def __init__(
         self,
         n_particles: int = 100,
         use_spatial_index: bool = True,
-        index_cell_size: float = 10.0,
         compression: Optional[CompressionConfig] = None,
         resample_fraction: float = 0.5,
         rng: np.random.Generator | int | None = None,
@@ -242,13 +239,10 @@ class FactorizedParticleFilter:
             raise ValueError("n_particles must be at least 2")
         if not 0.0 < resample_fraction <= 1.0:
             raise ValueError("resample_fraction must lie in (0, 1]")
-        if use_spatial_index and index_cell_size <= 0:
-            raise ValueError("cell_size must be positive")
         self.n_particles = n_particles
         self.resample_fraction = resample_fraction
         self.compression = compression
-        #: Grid cell side of the spatial index (None: index disabled).
-        self.cell_size = float(index_cell_size) if use_spatial_index else None
+        self.use_spatial_index = use_spatial_index
         self._rng = as_rng(rng)
         self._ids: List[object] = []
         self._row: Dict[object, int] = {}
@@ -268,7 +262,6 @@ class FactorizedParticleFilter:
             ("_sizes", (capacity,), np.intp),
             ("_estimates", (capacity, dim), float),
             ("_variances", (capacity, dim), float),
-            ("_cells", (capacity, 2), np.int64),
         ):
             array = np.zeros(shape, dtype)
             if n:
@@ -299,8 +292,6 @@ class FactorizedParticleFilter:
         self._sizes[row] = n
         self._estimates[row] = estimate
         self._variances[row] = weights @ (particles - estimate) ** 2
-        if self.cell_size is not None:
-            self._cells[row] = grid_cells(estimate[None], self.cell_size)[0]
         self._row[var_id] = row
         self._ids.append(var_id)
 
@@ -360,15 +351,18 @@ class FactorizedParticleFilter:
     def _candidate_mask(self, region: Optional[Tuple[float, float, float]]) -> np.ndarray:
         """Mask the variables an event around ``region = (x, y, radius)`` must process.
 
-        A variable qualifies when its cell overlaps the bounding square of
-        the disc (:func:`cells_in_range`).  Without the spatial index (or
-        a region) every variable does, which is the work the index saves.
+        A variable qualifies when its estimate lies within ``radius`` of
+        ``(x, y)``.  Without the spatial index (or a region) every variable
+        does, which is the work the index saves.
         """
         n = len(self._ids)
-        if region is None or self.cell_size is None:
+        if region is None or not self.use_spatial_index or not n:
             return np.ones(n, dtype=bool)
         x, y, radius = region
-        return cells_in_range(self._cells[:n], x, y, radius, self.cell_size)
+        if radius < 0:
+            raise ValueError("radius must be non-negative")
+        estimates = self._estimates[:n]
+        return np.hypot(estimates[:, 0] - x, estimates[:, 1] - y) <= radius
 
     def candidates(self, region: Optional[Tuple[float, float, float]]) -> List[object]:
         """Return the variables :meth:`_candidate_mask` selects, in registration order."""
@@ -403,8 +397,8 @@ class FactorizedParticleFilter:
     ) -> np.ndarray:
         """:meth:`step` with Python work only per entry of ``observations``.
 
-        Every tracked key of ``observations`` is a candidate, even when the
-        index files it far from ``region`` (e.g. a detected object that
+        Every tracked key of ``observations`` is a candidate, even when its
+        estimate lies far from ``region`` (e.g. a detected object that
         just moved), and is reweighted with its value; the other
         candidates get ``default``.  Returns the candidates' rows in
         registration order.
@@ -482,8 +476,6 @@ class FactorizedParticleFilter:
         self._scatter(rows, sizes, particles, weights)
         self._estimates[rows] = estimates
         self._variances[rows] = variances
-        if self.cell_size is not None:
-            self._cells[rows] = grid_cells(estimates, self.cell_size)
         if self.compression is not None:
             config = self.compression
             spread = np.sqrt(np.maximum(variances, 0.0)).max(axis=1)
@@ -512,16 +504,19 @@ class FactorizedParticleFilter:
         )
 
     def set_particle_count(self, n: int) -> None:
-        """Make ``n`` the particle budget (and compression's expansion size); resample to it.
+        """Make ``n`` the particle budget (and compression's expansion size): a ceiling.
 
-        Clouds of another size are redrawn in registration order, one offset
-        each, as per-variable :meth:`ParticleFilter.set_particle_count` calls
-        would; the arena widens when ``n`` exceeds ``W``.
+        The clouds at the old budget, and any larger than ``n``, are redrawn
+        to ``n`` in registration order, one offset each, as per-variable
+        :meth:`ParticleFilter.set_particle_count` calls would; a cloud that
+        compression shrank below both keeps its size.  The arena widens when
+        ``n`` exceeds ``W``.
         """
         if n < 2:
             raise ValueError("particle count must be at least 2")
+        sizes = self.sizes
+        rows = np.flatnonzero(((sizes == self.n_particles) | (sizes > n)) & (sizes != n))
         self.n_particles = n
-        rows = np.flatnonzero(self.sizes != n)
         if rows.size:
             self._resample_rows(rows, np.full(rows.size, n))
 

@@ -98,11 +98,9 @@ class RFIDTransformOperator(TransformOperator):
         self._model = build_object_model(
             bounds, detection=self.detection, walk_sigma=walk_sigma, jump_rate=jump_rate
         )
-        sensing_range = self.detection.effective_range()
         self.filter = FactorizedParticleFilter(
             n_particles=n_particles,
             use_spatial_index=use_spatial_index,
-            index_cell_size=max(sensing_range, 1.0),
             compression=CompressionConfig() if use_compression else None,
             rng=self._rng,
         )
@@ -117,7 +115,7 @@ class RFIDTransformOperator(TransformOperator):
             self.accuracy_monitor = ReferenceAccuracyMonitor(
                 {shelf_id: world.shelves[shelf_id].position for shelf_id in self._reference_ids}
             )
-        self._sensing_range = sensing_range
+        self._sensing_range = self.detection.effective_range()
         self._last_timestamp: Optional[float] = None
         #: Cumulative number of readings processed (diagnostic).
         self.readings_processed = 0
@@ -137,8 +135,8 @@ class RFIDTransformOperator(TransformOperator):
         seen = DetectionObservation(reading.reader_x, reading.reader_y, detected=True)
         missed = DetectionObservation(reading.reader_x, reading.reader_y, detected=False)
         region = (reading.reader_x, reading.reader_y, self._sensing_range)
-        # Detected objects must be processed even if the index had them
-        # registered far away (e.g. they just moved).
+        # Detected objects must be processed even if their estimate lies
+        # outside the sensing disc (e.g. they just moved).
         rows = self.filter.step_observed(dt, dict.fromkeys(detected, seen), missed, region)
         self.readings_processed += 1
         self._update_reference_accuracy(reading)

@@ -60,6 +60,7 @@ import itertools
 import math
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Union
@@ -97,6 +98,86 @@ _sharded_scopes = itertools.count(1)
 
 class ShardError(RuntimeError):
     """A worker process failed (its traceback is in the message)."""
+
+
+def _read_replies(engine_ref, channel, stop: threading.Event) -> None:
+    """Drain one shard's replies: decode off the merge lock, then merge.
+
+    The loop holds its engine only while it applies a poll's replies, so
+    an engine nobody closed can still be collected; its finalizer
+    (:func:`_stop_shards`) then ends the loop.
+    """
+    try:
+        while not stop.is_set():
+            replies = channel.poll(0.1, _decode_reply)
+            engine = engine_ref()
+            if engine is None:
+                return
+            for reply in replies:
+                engine._apply_reply(*reply)
+            if not channel.alive:
+                if not stop.is_set():
+                    engine._check_workers_alive()
+                return
+            del engine
+    except BaseException as exc:
+        engine = engine_ref()
+        if engine is not None:
+            engine._note_reply_error(exc)
+
+
+def _stop_shards(stop: threading.Event, channels) -> None:
+    """Stop the reader threads and close the channels: each forked worker reads EOF and exits."""
+    stop.set()
+    for channel in channels:
+        channel.close()
+
+
+def _decode_reply(message):
+    """Normalize a worker reply: decode batch payloads into rows.
+
+    Runs *outside* the merge lock — payload decoding is the
+    expensive part of fan-in and must overlap across reader
+    threads.  Returns ``(reply, decode_seconds)``.
+    """
+    kind = message[0]
+    if kind == "results":
+        decode_start = time.perf_counter()
+        shard, chunk_id, payload, watermark = message[1:5]
+        spans = message[5] if len(message) > 5 else []
+        batch = decode_batch(payload)
+        rows = batch.to_tuples()
+        trace = (
+            obs.TraceContext(batch.trace_id, batch.t_ingest)
+            if batch.trace_id is not None
+            else None
+        )
+        decode_seconds = time.perf_counter() - decode_start
+        if trace is not None and obs.sampled_trace(trace):
+            now = obs.trace_clock()
+            obs.record_span(
+                "shard.decode",
+                "shard",
+                trace.trace_id,
+                now - decode_seconds,
+                now,
+                parent_id=obs.exec_span_id(trace.trace_id, shard, chunk_id),
+            )
+        return (
+            ("results", shard, chunk_id, rows, watermark, trace, spans),
+            decode_seconds,
+        )
+    if kind == "flushed":
+        decode_start = time.perf_counter()
+        _, shard, token, payload = message
+        rows = decode_batch(payload).to_tuples()
+        return ("flushed", shard, token, rows), time.perf_counter() - decode_start
+    if kind == "snapshot":
+        # Copy the state bytes out of the reply frame here, off the
+        # merge lock.
+        _, shard, token, payload = message
+        return ("snapshot", shard, token, bytes(payload)), 0.0
+    return message, 0.0
 
 
 @dataclass(frozen=True)
@@ -380,15 +461,18 @@ class ShardedEngine:
             raise
         #: One channel per shard slot, indexed by shard id.
         self._channels = [*local, *remote]
+        # The readers hold the engine weakly, so an engine nobody closed is
+        # still collected, and collecting it stops its shards.
         for channel in self._channels:
             thread = threading.Thread(
-                target=self._reader_loop,
-                args=(channel,),
+                target=_read_replies,
+                args=(weakref.ref(self), channel, self._stop_readers),
                 daemon=True,
                 name=f"repro-reader-{channel.shard}",
             )
             thread.start()
             self._reader_threads.append(thread)
+        weakref.finalize(self, _stop_shards, self._stop_readers, self._channels)
 
     # ------------------------------------------------------------------
     # Data flow
@@ -532,70 +616,11 @@ class ShardedEngine:
         self._check_workers_alive()
 
     # ------------------------------------------------------------------
-    # Reply fan-in (reader threads)
+    # Reply fan-in (reader threads: _read_replies)
     # ------------------------------------------------------------------
-    def _reader_loop(self, channel) -> None:
-        """Drain one shard's replies: decode off the merge lock, then merge."""
-        try:
-            while not self._stop_readers.is_set():
-                for reply in channel.poll(0.1, self._decode_reply):
-                    self._apply_reply(*reply)
-                if not channel.alive:
-                    if not self._stop_readers.is_set():
-                        self._check_workers_alive()
-                    return
-        except BaseException as exc:
-            self._note_reply_error(exc)
-
     def _on_reply(self, message) -> None:
         """Apply one reply an inline channel produced synchronously."""
-        self._apply_reply(*self._decode_reply(message))
-
-    def _decode_reply(self, message):
-        """Normalize a worker reply: decode batch payloads into rows.
-
-        Runs *outside* the merge lock — payload decoding is the
-        expensive part of fan-in and must overlap across reader
-        threads.  Returns ``(reply, decode_seconds)``.
-        """
-        kind = message[0]
-        if kind == "results":
-            decode_start = time.perf_counter()
-            shard, chunk_id, payload, watermark = message[1:5]
-            spans = message[5] if len(message) > 5 else []
-            batch = decode_batch(payload)
-            rows = batch.to_tuples()
-            trace = (
-                obs.TraceContext(batch.trace_id, batch.t_ingest)
-                if batch.trace_id is not None
-                else None
-            )
-            decode_seconds = time.perf_counter() - decode_start
-            if trace is not None and obs.sampled_trace(trace):
-                now = obs.trace_clock()
-                obs.record_span(
-                    "shard.decode",
-                    "shard",
-                    trace.trace_id,
-                    now - decode_seconds,
-                    now,
-                    parent_id=obs.exec_span_id(trace.trace_id, shard, chunk_id),
-                )
-            return (
-                ("results", shard, chunk_id, rows, watermark, trace, spans),
-                decode_seconds,
-            )
-        if kind == "flushed":
-            decode_start = time.perf_counter()
-            _, shard, token, payload = message
-            rows = decode_batch(payload).to_tuples()
-            return ("flushed", shard, token, rows), time.perf_counter() - decode_start
-        if kind == "snapshot":
-            # Copy the state bytes out of the reply frame here, off the
-            # merge lock.
-            _, shard, token, payload = message
-            return ("snapshot", shard, token, bytes(payload)), 0.0
-        return message, 0.0
+        self._apply_reply(*_decode_reply(message))
 
     def _apply_reply(self, reply, decode_seconds: float) -> None:
         """Account one normalized reply and feed the merge (thread-safe)."""
@@ -939,8 +964,7 @@ class ShardedEngine:
         self._stop_readers.set()
         for thread in self._reader_threads:
             thread.join(timeout=2.0)
-        for channel in self._channels:
-            channel.close()
+        _stop_shards(self._stop_readers, self._channels)
 
     def __enter__(self) -> ShardedEngine:
         return self

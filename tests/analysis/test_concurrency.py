@@ -146,6 +146,29 @@ class TestSinkDeliveryThread:
             """
         )
 
+    def test_weak_reference_loop_reaching_delivery_is_caught(self):
+        # A module-level loop (one that holds its engine weakly) enters
+        # every method it calls.
+        found = _lint(
+            """
+            def _read(engine_ref, channel):
+                engine = engine_ref()
+                engine._apply_reply(channel.poll())
+
+            class Engine:
+                def start(self):
+                    self._reader = Thread(target=_read, args=(weakref.ref(self), 0))
+
+                def _apply_reply(self, reply):
+                    self._flush_ready()
+
+                def _flush_ready(self):
+                    pass
+            """
+        )
+        assert [d.rule for d in found] == ["sink-delivery-thread"]
+        assert "Engine._apply_reply" in found[0].message
+
     def test_reader_thread_without_delivery_is_fine(self):
         assert (
             _rules(
@@ -230,6 +253,23 @@ class TestSharedDictSlot:
 
                 def _loop(self):
                     self._step()
+
+                def _step(self):
+                    self._done[0] += 1
+            """
+        )
+
+    def test_weak_reference_loop_is_followed(self):
+        assert "shared-dict-slot" in _rules(
+            """
+            def _read(engine_ref, channel):
+                while True:
+                    engine = engine_ref()
+                    engine._step()
+
+            class Engine:
+                def start(self):
+                    self._reader = Thread(target=_read, args=(weakref.ref(self), 0))
 
                 def _step(self):
                     self._done[0] += 1

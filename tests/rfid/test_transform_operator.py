@@ -1,16 +1,18 @@
 """Tests for the RFID data capture and transformation (T) operator."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.core import CompressionPolicy
 from repro.distributions import Gaussian, GaussianMixture, ParticleDistribution
 from repro.inference import (
     CompressionConfig,
+    FactorizedParticleFilter,
     ParticleCountController,
     ParticleFilter,
-    cells_in_range,
-    grid_cells,
 )
 from repro.rfid import (
     DetectionModel,
@@ -22,6 +24,7 @@ from repro.rfid import (
     build_object_model,
 )
 from repro.streams import StreamTuple
+from repro.workloads import noisy_detection_model
 
 
 def make_setup(
@@ -113,28 +116,49 @@ class TestRFIDTransformOperator:
         assert operator.accuracy_monitor is not None
         assert operator.accuracy_monitor.current_error() is not None
 
-    def test_adaptive_controller_sets_every_cloud_to_its_count(self):
+    def test_adaptive_controller_caps_clouds_and_keeps_compressed_ones(self):
+        # The controller's count is a ceiling: every cloud is at it, or one
+        # that compression shrank and the controller left alone.
         controller = ParticleCountController(target_error=1.0, initial_count=20, max_count=160)
         _, simulator, operator = make_setup(
             track_reference_tags=True,
             adaptive_controller=controller,
             n_particles=20,
         )
-        counts = []
+        compressed_count = operator.filter.compression.compressed_count
+        counts, compressed = [], 0
         for reading in simulator.readings(60):
             list(operator.ingest(reading, reading.timestamp))
-            assert set(operator.filter.sizes.tolist()) == {controller.count}
+            sizes = operator.filter.sizes
+            assert np.all((sizes == controller.count) | (sizes <= compressed_count))
+            compressed += int(np.count_nonzero(sizes < controller.count))
             counts.append(controller.count)
+        assert compressed > 0
         # The count grew past the initial budget, so the arena had to widen.
         assert max(counts) > 20
         assert operator.filter.particles.shape[1] >= max(counts)
+
+
+def grid_cells(points, cell_size):
+    """The ``(n, 2)`` grid cells ``floor(xy / cell_size)`` of ``(n, >=2)`` points."""
+    return np.floor(np.asarray(points, dtype=float)[:, :2] / cell_size).astype(np.int64)
+
+
+def cells_in_range(cells, x, y, radius, cell_size):
+    """Mask the cells overlapping the bounding square of the disc around ``(x, y)``."""
+    low_x, low_y = math.floor((x - radius) / cell_size), math.floor((y - radius) / cell_size)
+    high_x, high_y = math.floor((x + radius) / cell_size), math.floor((y + radius) / cell_size)
+    cx, cy = cells[:, 0], cells[:, 1]
+    return (cx >= low_x) & (cx <= high_x) & (cy >= low_y) & (cy <= high_y)
 
 
 def reference_location_error(world, readings, detection, n_particles, seed):
     """Mean location error of the per-object filter loop the batched kernel replaced.
 
     One :class:`ParticleFilter` per object, stepped one at a time in id
-    order: predict, update, re-index, then the compression decision.
+    order: predict, update, re-index, then the compression decision.  It
+    keeps the grid-cell candidate rule: every object whose estimate's cell
+    (side: the sensing range) overlaps the bounding square of the disc.
     """
     rng = np.random.default_rng(seed)
     model = build_object_model(world.bounds(), detection=detection)
@@ -248,3 +272,66 @@ def test_a_tag_read_twice_in_one_scan_is_emitted_once():
         timestamp=0.5, reader_x=5.0, reader_y=5.0, detected_object_ids=(b, a, b, c, a), detected_shelf_ids=()
     )
     assert [t.value("tag_id") for t in operator.ingest(reading, reading.timestamp)] == [b, a, c]
+
+
+class CellRuleFilter(FactorizedParticleFilter):
+    """The candidate rule the disc test replaced: every estimate whose grid cell
+    (side: the sensing range) overlaps the bounding square of the disc."""
+
+    def _candidate_mask(self, region):
+        if region is None:
+            return np.ones(len(self), dtype=bool)
+        x, y, radius = region
+        cell_size = max(radius, 1.0)
+        return cells_in_range(grid_cells(self.estimates, cell_size), x, y, radius, cell_size)
+
+
+def rfid_pf_location_error(seed, filter_class):
+    """Mean location error after one 150-scan trace in the ``rfid_pf`` configuration."""
+    world = WarehouseWorld(
+        width=100.0,
+        height=50.0,
+        shelf_grid=(10, 5),
+        n_objects=100,
+        move_rate=0.0,
+        flammable_fraction=0.3,
+        weight_range=(30.0, 70.0),
+        rng=1,
+    )
+    detection = noisy_detection_model()
+    simulator = MobileReaderSimulator(
+        world,
+        detection=detection,
+        lane_spacing=10.0,
+        speed=8.0,
+        scan_interval=0.5,
+        read_capacity=40,
+        rng=seed * 10 + 2,
+    )
+    # Gaussian emission draws no random numbers, so emitting nothing leaves
+    # the filter's random stream as the workload's.
+    operator = RFIDTransformOperator(
+        world, detection=detection, n_particles=60, emit_mode="none", rng=seed * 10 + 3
+    )
+    operator.filter.__class__ = filter_class
+    for scan in simulator.readings(150):
+        list(operator.ingest(scan, scan.timestamp))
+    return operator.mean_location_error()
+
+
+def test_disc_candidates_hold_location_error_over_seeds():
+    """The disc rule against the grid-cell rule, paired trace by trace.
+
+    The one-sided 95% upper bound of the mean paired difference (disc
+    minus cells) over traces 1-30 must stay within +0.25 ft, and every
+    trace within the workload's 7.5 ft cap.
+    """
+    disc, cells = [], []
+    for seed in range(1, 31):
+        disc.append(rfid_pf_location_error(seed, FactorizedParticleFilter))
+        cells.append(rfid_pf_location_error(seed, CellRuleFilter))
+    differences = np.array(disc) - np.array(cells)
+    n = differences.size
+    upper = differences.mean() + stats.t.ppf(0.95, n - 1) * differences.std(ddof=1) / math.sqrt(n)
+    assert upper <= 0.25, (differences.mean(), upper)
+    assert max(disc) <= 7.5

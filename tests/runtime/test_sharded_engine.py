@@ -1,5 +1,9 @@
 """ShardedEngine lifecycle: fallback, errors, statistics, backpressure."""
 
+import gc
+import threading
+import time
+
 import pytest
 
 from repro.distributions import Gaussian
@@ -95,6 +99,23 @@ class TestLifecycle:
             engine.finish()
         engine.close()
         engine.close()
+
+    def test_an_unclosed_engine_is_collected_and_its_shards_stop(self):
+        engine = ShardedEngine(agg_query(), workers=2, backend="process", chunk_size=16)
+        engine.push_many("s", tuples(100))
+        engine.finish()
+        workers = [channel.process for channel in engine._channels]
+        del engine
+        gc.collect()
+
+        def leftovers():
+            readers = [t for t in threading.enumerate() if t.name.startswith("repro-reader-")]
+            return readers + [p for p in workers if p.is_alive()]
+
+        deadline = time.monotonic() + 2.0
+        while leftovers() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert leftovers() == []
 
     def test_finish_then_more_pushes(self):
         with ShardedEngine(
