@@ -13,16 +13,25 @@ of probabilistic selections feeding a tumbling time-window SUM — through
   (batch kernels inside each worker, columnar wire format, round-robin
   chunks).
 
-Each configuration's rate is its best of ``REPEATS`` runs.  The sharded
-runs are interleaved: every round runs x1, x2 and x4 once, rotating
-which goes first, so a slow stretch of a shared host lands on every
-shard count alike instead of on whichever block of repeats it overlaps.
+Each single-process configuration's rate is its best of ``REPEATS``
+runs.  The sharded runs are interleaved probes: each of ``ROUNDS``
+rounds runs x1, x2 and x4 once, rotating which goes first, so a slow
+stretch of a shared host lands on every shard count alike.  A scaling
+claim is then a *paired* statistic: the median over rounds of the
+within-round ratio (x2/x1, x4/x2).  Pairing cancels the host's speed in
+that round, and the median drops the rounds a stall hit; the best of a
+few unpaired runs does neither (one run of a best-of-3 swung from 170k
+to 290k tuples/s on a 2-vCPU VM).
 
-Two properties are asserted:
+Three properties are asserted:
 
-* the 4-shard engine produces results identical (1e-9) to the single
-  engine, and
-* it sustains at least ``MIN_SPEEDUP`` times the one-row-batch baseline.
+* every sharded run produces results identical (1e-9) to the single
+  engine,
+* a doubling of shards does not cost throughput: the median paired
+  ratios x2/x1 and x4/x2 stay at or above ``SCALING_NOISE_TOLERANCE``,
+  and
+* the 4-shard engine's median rate is at least ``MIN_SPEEDUP`` times the
+  one-row-batch baseline.
   The speedup has two independent sources — each worker runs the
   vectorised batch kernels, and workers run on separate cores — so a
   reduced floor applies on single-core machines, where only the first
@@ -33,6 +42,7 @@ Two properties are asserted:
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import pytest
@@ -45,6 +55,7 @@ from repro.workloads import gaussian_tuple_stream
 N_TUPLES = 30_000
 CHUNK_SIZE = 4096
 REPEATS = 3
+ROUNDS = 15  # interleaved sharded rounds; a multiple of len(SHARD_COUNTS)
 SHARD_COUNTS = (1, 2, 4)
 MIN_SPEEDUP = 2.0  # 4 shards vs the single process fed one-row batches
 MIN_SPEEDUP_SINGLE_CORE = 1.4  # no parallel term, kernel term only (margin)
@@ -96,16 +107,19 @@ def run_sharded(stream, workers):
         return len(stream) / elapsed, results, stages
 
 
-def best_sharded_runs(stream):
-    """Best of ``REPEATS`` runs per shard count, one run of each per round."""
-    best = {}
-    for round_ in range(REPEATS):
+def sharded_rounds(stream):
+    """``ROUNDS`` rounds of one run per shard count, rotating which goes first."""
+    rounds = []
+    for round_ in range(ROUNDS):
         first = round_ % len(SHARD_COUNTS)
-        for workers in SHARD_COUNTS[first:] + SHARD_COUNTS[:first]:
-            run = run_sharded(stream, workers)
-            if workers not in best or run[0] > best[workers][0]:
-                best[workers] = run
-    return best
+        order = SHARD_COUNTS[first:] + SHARD_COUNTS[:first]
+        rounds.append({workers: run_sharded(stream, workers) for workers in order})
+    return rounds
+
+
+def quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
 
 
 def best_of(fn, *args):
@@ -148,17 +162,21 @@ def test_shard_scaling_and_equivalence(table):
         f"{'single (batches)':>22} {batch_rate:>12.0f} {batch_rate / base_rate:>13.2f}x"
     )
 
-    sharded_rates = {}
+    rounds = sharded_rounds(stream)
     stage_rows = []
-    sharded_runs = best_sharded_runs(stream)
+    median_rates = {}
     for workers in SHARD_COUNTS:
-        rate, results, stages = sharded_runs[workers]
-        assert_equivalent(reference, results)
-        sharded_rates[workers] = rate
+        rates = [round_[workers][0] for round_ in rounds]
+        for _, results, _ in (round_[workers] for round_ in rounds):
+            assert_equivalent(reference, results)
+        median_rates[workers] = statistics.median(rates)
         table.add_row(
-            f"{f'sharded x{workers} (process)':>22} {rate:>12.0f} "
-            f"{rate / base_rate:>13.2f}x"
+            f"{f'sharded x{workers} (process)':>22} {median_rates[workers]:>12.0f} "
+            f"{median_rates[workers] / base_rate:>13.2f}x"
+            f"   (median of {ROUNDS}, range {min(rates):.0f}-{max(rates):.0f})"
         )
+        # The stage split of the median run.
+        stages = rounds[rates.index(sorted(rates)[ROUNDS // 2])][workers][2]
         stage_rows.append(
             f"# stages x{workers}: " + " ".join(
                 f"{name}={stages.get(name, 0.0):.3f}s"
@@ -175,19 +193,23 @@ def test_shard_scaling_and_equivalence(table):
     tolerance = (
         SCALING_NOISE_TOLERANCE if cores >= 2 else SCALING_NOISE_TOLERANCE_SINGLE_CORE
     )
-    assert sharded_rates[2] >= tolerance * sharded_rates[1], (
-        f"sharded x2 ({sharded_rates[2]:.0f} tuples/s) fell more than "
-        f"{1 - tolerance:.0%} below x1 ({sharded_rates[1]:.0f}) on {cores} core(s)"
-    )
-    assert sharded_rates[4] >= tolerance * sharded_rates[2], (
-        f"sharded x4 ({sharded_rates[4]:.0f} tuples/s) fell more than "
-        f"{1 - tolerance:.0%} below x2 ({sharded_rates[2]:.0f}) on {cores} core(s)"
-    )
+    for more, fewer in ((2, 1), (4, 2)):
+        ratios = [round_[more][0] / round_[fewer][0] for round_ in rounds]
+        q1, median, q3 = quartiles(ratios)
+        table.add_row(
+            f"# paired x{more}/x{fewer}: median {median:.3f}, IQR {q1:.3f}-{q3:.3f} "
+            f"over {ROUNDS} rounds"
+        )
+        assert median >= tolerance, (
+            f"sharded x{more} fell more than {1 - tolerance:.0%} below x{fewer} on "
+            f"{cores} core(s): median paired ratio {median:.3f} (IQR {q1:.3f}-{q3:.3f}) "
+            f"over {ROUNDS} interleaved rounds"
+        )
 
-    speedup = sharded_rates[4] / base_rate
+    speedup = median_rates[4] / base_rate
     floor = MIN_SPEEDUP if cores >= 2 else MIN_SPEEDUP_SINGLE_CORE
     assert speedup >= floor, (
         f"4-shard engine reached only {speedup:.2f}x the single-process "
-        f"one-row-batch throughput ({sharded_rates[4]:.0f} vs {base_rate:.0f} "
+        f"one-row-batch throughput ({median_rates[4]:.0f} vs {base_rate:.0f} "
         f"tuples/s) on {cores} core(s); expected >= {floor}x"
     )

@@ -10,6 +10,7 @@ from .merge import (
 )
 from .operator import (
     AGGREGATE_FUNCTIONS,
+    ColumnKey,
     GroupByAggregate,
     HavingClause,
     UncertainAggregate,
@@ -40,6 +41,7 @@ __all__ = [
     "strategy_by_name",
     "UncertainAggregate",
     "GroupByAggregate",
+    "ColumnKey",
     "HavingClause",
     "AGGREGATE_FUNCTIONS",
     "max_distribution",

@@ -15,6 +15,7 @@ pounds`` behaves once weights and group membership become uncertain.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from numbers import Real
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
@@ -23,7 +24,7 @@ import numpy as np
 
 from repro.distributions import Distribution, Gaussian
 from repro.distributions.gaussian import gaussian_cdf
-from repro.streams.batch import TupleBatch, summand_moments
+from repro.streams.batch import TupleBatch, concat_lineage, ragged_take, summand_moments
 from repro.streams.lineage import lineage_union
 from repro.streams.operators.base import Operator, OperatorError
 from repro.streams.tuples import StreamTuple
@@ -33,10 +34,21 @@ from .order_statistics import max_distribution, min_distribution
 from .strategies import SumStrategy, _check_summands
 from .transforms import affine_distribution
 
-__all__ = ["HavingClause", "UncertainAggregate", "GroupByAggregate", "AGGREGATE_FUNCTIONS"]
+__all__ = [
+    "HavingClause",
+    "UncertainAggregate",
+    "GroupByAggregate",
+    "ColumnKey",
+    "AGGREGATE_FUNCTIONS",
+]
 
 #: Aggregate functions supported by the uncertain aggregation operators.
 AGGREGATE_FUNCTIONS = ("sum", "avg", "count", "max", "min")
+
+_OVERLAP_ERROR = (
+    "window contains tuples with overlapping lineage; use a lineage-aware "
+    "aggregation (see repro.core.lineage_ops) or disable check_independence"
+)
 
 #: Standard deviation assigned to deterministic numeric summands so they
 #: can participate in CF-based computations without special cases.
@@ -100,18 +112,78 @@ def _aggregate_window(
     raise OperatorError(f"unsupported aggregate function {function!r}")
 
 
-def _moment_columns(rows: Sequence[StreamTuple], attribute: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row summand means and variances, in row order.
+def _segment_moments(
+    batch: TupleBatch, begin: int, end: int, attribute: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Summand means and variances of ``batch``'s rows ``begin:end``.
 
-    Rows missing the uncertain attribute are promoted (or refused) by
-    :func:`_extract_summand`, and non-scalar summands are refused by
-    ``_check_summands``, exactly as on the per-window loop.
+    The batch's moment columns when every row carries a scalar
+    distribution; otherwise rows missing the uncertain attribute are
+    promoted (or refused) by :func:`_extract_summand`, and non-scalar
+    summands are refused by ``_check_summands``, exactly as on the
+    per-window loop.
     """
-    columns = TupleBatch(rows).moments(attribute)
-    if columns is None:
-        summands = [_extract_summand(item, attribute) for item in rows]
-        columns = summand_moments(_check_summands(summands, attribute))
-    return columns
+    columns = batch.moments(attribute)
+    if columns is not None:
+        return columns[0][begin:end], columns[1][begin:end]
+    summands = [_extract_summand(item, attribute) for item in batch._tuples[begin:end]]
+    return summand_moments(_check_summands(summands, attribute))
+
+
+def _segment_lineage(batch: TupleBatch, begin: int, end: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(ids, offsets)`` lineage column of ``batch``'s rows ``begin:end``."""
+    ids, offsets = batch.lineage_ids()
+    first, last = int(offsets[begin]), int(offsets[end])
+    return ids[first:last], offsets[begin : end + 1] - first
+
+
+def _join(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """One array of the per-segment parts (no copy when there is one)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _segments(closes: Sequence[WindowClose]):
+    """The non-empty closes, each one's row count, and their rows as segments.
+
+    Consecutive segments that continue each other in one batch are
+    merged, so a batch that closed many windows is sliced once.
+    """
+    kept, sizes, segments = [], [], []
+    for close in closes:
+        size = 0
+        for batch, begin, end in close.segments:
+            size += end - begin
+            if segments and segments[-1][0] is batch and segments[-1][2] == begin:
+                segments[-1][2] = end
+            else:
+                segments.append([batch, begin, end])
+        if size:
+            kept.append(close)
+            sizes.append(size)
+    return kept, np.array(sizes, dtype=np.int64), segments
+
+
+class ColumnKey:
+    """A group key that is one attribute of the row (``GROUP BY <attribute>``).
+
+    Called on a row it returns the attribute's deterministic value, else
+    its distribution, as a CQL expression reads an attribute.  The
+    moment kernel reads it as a column instead, ``value_column(column)``
+    once per batch; any other key callable fills that column row by row.
+    """
+
+    def __init__(self, column: str):
+        self.column = column
+
+    def __call__(self, item: StreamTuple) -> Hashable:
+        if self.column in item.values:
+            return item.values[self.column]
+        if self.column in item.uncertain:
+            return item.uncertain[self.column]
+        raise KeyError(f"attribute {self.column!r} not present on tuple")
+
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        return f"ColumnKey({self.column!r})"
 
 
 def _window_tuple(
@@ -124,7 +196,11 @@ def _window_tuple(
     group_key: Optional[Hashable] = None,
     having_probability: Optional[float] = None,
 ) -> StreamTuple:
-    """The result tuple of one (window, group) that passed HAVING."""
+    """The result tuple of one (window, group) that passed HAVING.
+
+    ``lineage`` is the non-empty union of the group's lineages, so the
+    tuple is built from these fresh parts without re-validation.
+    """
     values: Dict[str, Any] = {
         "window_start": window_start,
         "window_end": window_end,
@@ -133,14 +209,17 @@ def _window_tuple(
     uncertain: Dict[str, Distribution] = {}
     if group_key is not None:
         values["group"] = group_key
-    if isinstance(result, Distribution):
+    if not isinstance(result, int):  # a distribution; only COUNT's result is a number
         if having_probability is not None:
             values["having_probability"] = having_probability
         uncertain[output_attribute] = result
-        values[f"{output_attribute}_mean"] = float(np.asarray(result.mean()).ravel()[0])
+        mean = result.mean()
+        if type(mean) is not float:
+            mean = float(np.asarray(mean).ravel()[0])
+        values[f"{output_attribute}_mean"] = mean
     else:
         values[output_attribute] = result
-    return StreamTuple(timestamp=window_end, values=values, uncertain=uncertain, lineage=lineage)
+    return StreamTuple._unchecked(window_end, values, uncertain, lineage)
 
 
 def _result_tuple_from_parts(
@@ -222,10 +301,7 @@ class _WindowAggregate(Operator):
         """The group's lineage; SUM/AVG refuse members that share a base tuple."""
         union, disjoint = lineage_union(members)
         if not disjoint and self.check_independence and self.function in ("sum", "avg"):
-            raise OperatorError(
-                "window contains tuples with overlapping lineage; use a lineage-aware "
-                "aggregation (see repro.core.lineage_ops) or disable check_independence"
-            )
+            raise OperatorError(_OVERLAP_ERROR)
         return union
 
     def _emit(self, closes: Iterable[WindowClose]) -> Iterable[StreamTuple]:
@@ -254,29 +330,72 @@ class _WindowAggregate(Operator):
             return self._moment_kernel(closes)
         return list(self._emit(closes))
 
+    def _segment_keys(self, batch: TupleBatch, begin: int, end: int) -> np.ndarray:
+        """The group key of ``batch``'s rows ``begin:end``: a column read
+        for a :class:`ColumnKey`, else (or when a row holds the key
+        elsewhere, or lacks it) a call per row."""
+        key = self.key_function
+        if isinstance(key, ColumnKey):
+            try:
+                return batch.value_column(key.column)[begin:end]
+            except KeyError:
+                pass
+        return np.fromiter(map(key, batch._tuples[begin:end]), dtype=object, count=end - begin)
+
     def _moment_kernel(self, closes: Sequence[WindowClose]) -> List[StreamTuple]:
         """Reduce every SUM/AVG (window, group) that a batch closed in one array pass.
 
-        The closes' rows are laid out group after group in emission order
-        -- windows in close order, then keys sorted by ``repr`` -- so one
-        ``np.add.reduceat`` per moment sums every group at once and one
-        ``gaussian_cdf`` call evaluates every HAVING tail.  Only the groups
-        that pass get a ``Gaussian`` and a result tuple.
+        The closes' rows are read from their segments' batch columns: the
+        group key, the lineage ids and the summand moments.  Every row is
+        labelled ``window * n + key`` (a key is numbered by the first row
+        holding it, so equal keys such as ``1``, ``1.0`` and ``True``
+        share a number), one stable argsort lays the groups out, and one
+        ``np.add.reduceat`` per moment sums every group at once.  One
+        duplicate test over the lineage ids checks independence for all
+        groups before anything is emitted, and one ``gaussian_cdf`` call
+        evaluates every HAVING tail.  Groups are emitted windows in close
+        order, then keys sorted by ``repr`` (ties in first-seen order),
+        each group keyed by the first of its equal keys seen in the
+        window; only the groups that pass get a lineage set, a
+        ``Gaussian`` and a result tuple.
         """
-        groups = [
-            (close, key, members)
-            for close in closes
-            if close.items
-            for key, members in self._groups(close.items)
-        ]
-        if not groups:
+        if not closes:
             return []
-        unions = [self._lineage(members) for _, _, members in groups]
-        counts = np.fromiter((len(members) for _, _, members in groups), np.intp, len(groups))
-        starts = np.zeros(len(groups), dtype=np.intp)
-        np.cumsum(counts[:-1], out=starts[1:])
-        rows = [item for _, _, members in groups for item in members]
-        means, variances = _moment_columns(rows, self.attribute)
+        closes, sizes, segments = _segments(closes)
+        if not closes:
+            return []
+        n = int(sizes.sum())
+        # Groups: their rows in ``order``, starting at ``starts``.
+        if self.key_function is None:
+            order = None
+            starts = np.zeros(len(closes), dtype=np.int64)
+            np.cumsum(sizes[:-1], out=starts[1:])
+            group_window = list(range(len(closes)))
+            keys = [None] * len(closes)
+            emission = range(len(closes))
+        else:
+            key_column = _join([self._segment_keys(*segment) for segment in segments])
+            first_seen: Dict[Hashable, int] = {}
+            codes = np.fromiter(
+                map(first_seen.setdefault, key_column, itertools.count()), np.int64, n
+            )
+            labels = np.repeat(np.arange(len(closes), dtype=np.int64) * n, sizes) + codes
+            order = np.argsort(labels, kind="stable")
+            labels = labels[order]
+            starts = np.concatenate(([0], np.flatnonzero(labels[1:] != labels[:-1]) + 1))
+            first_rows = order[starts]
+            group_window = (labels[starts] // n).tolist()
+            keys = key_column[first_rows].tolist()
+            ranks = list(zip(group_window, map(repr, keys), first_rows.tolist()))
+            emission = sorted(range(len(starts)), key=ranks.__getitem__)
+        counts = np.diff(np.append(starts, n))
+        lineage = concat_lineage([_segment_lineage(*segment) for segment in segments])
+        lineage_ids, lineage_starts = self._group_lineage(*lineage, order, starts)
+        means, variances = map(
+            _join, zip(*(_segment_moments(*segment, self.attribute) for segment in segments))
+        )
+        if order is not None:
+            means, variances = means[order], variances[order]
         mean = np.add.reduceat(means, starts)
         variance = np.add.reduceat(variances, starts)
         invalid = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(variance) & (variance > 0)))
@@ -289,26 +408,53 @@ class _WindowAggregate(Operator):
             scale = 1.0 / counts
             mu, sigma = mu * scale, sigma * scale
         probabilities = None
-        passing = range(len(groups))
         if self.having is not None:
-            probabilities = 1.0 - gaussian_cdf(self.having.threshold, mu, sigma)
-            passing = np.flatnonzero(probabilities >= self.having.min_probability).tolist()
+            tails = 1.0 - gaussian_cdf(self.having.threshold, mu, sigma)
+            passing = (tails >= self.having.min_probability).tolist()
+            emission = [g for g in emission if passing[g]]
+            probabilities = tails.tolist()
+        mu, sigma, counts = mu.tolist(), sigma.tolist(), counts.tolist()
+        bounds, lineage_ids = lineage_starts.tolist(), lineage_ids.tolist()
         out = []
-        for g in passing:
-            close, key, members = groups[g]
+        for g in emission:
+            close = closes[group_window[g]]
             out.append(
                 _window_tuple(
                     close.start,
                     close.end,
-                    len(members),
-                    unions[g],
+                    counts[g],
+                    frozenset(lineage_ids[bounds[g] : bounds[g + 1]]),
                     self.output_attribute,
-                    Gaussian(float(mu[g]), float(sigma[g])),
-                    key,
-                    None if probabilities is None else float(probabilities[g]),
+                    Gaussian(mu[g], sigma[g]),
+                    keys[g],
+                    None if probabilities is None else probabilities[g],
                 )
             )
         return out
+
+    def _group_lineage(
+        self, ids: np.ndarray, offsets: np.ndarray, order: Optional[np.ndarray], starts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows' lineage ids laid out group after group.
+
+        Returns the ids and each group's start in them (one entry more
+        than there are groups).  Raises the overlapping-lineage error when
+        two rows of one group share a base tuple and independence is
+        checked.
+        """
+        # Ids strictly increasing in row order are all distinct: the
+        # common case of source tuples, each its own lineage, in order.
+        distinct = bool(np.all(ids[1:] > ids[:-1]))
+        if order is not None:
+            ids, offsets = ragged_take(ids, offsets, order)
+        bounds = np.append(offsets[starts], offsets[-1])
+        if self.check_independence and not distinct:
+            group = np.repeat(np.arange(len(starts)), np.diff(bounds))
+            by_id = np.lexsort((ids, group))
+            same = (ids[by_id][1:] == ids[by_id][:-1]) & (group[by_id][1:] == group[by_id][:-1])
+            if same.any():
+                raise OperatorError(_OVERLAP_ERROR)
+        return ids, bounds
 
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
         """Bulk-add a batch to the window buffer and emit its closes in one pass."""

@@ -47,7 +47,7 @@ from repro.plan.nodes import (
     SourceNode,
     UnionNode,
 )
-from repro.core.aggregation import AGGREGATE_FUNCTIONS, HavingClause
+from repro.core.aggregation import AGGREGATE_FUNCTIONS, ColumnKey, HavingClause
 from repro.streams.windows import (
     NowWindow,
     SlidingTimeWindow,
@@ -102,17 +102,6 @@ def _constant_number(expr: Expr) -> Optional[float]:
         inner = _constant_number(expr.operand)
         return None if inner is None else -inner
     return None
-
-
-def _tuple_get(item, name: str):
-    """Runtime attribute access: deterministic value, else distribution."""
-    values = item.values
-    if name in values:
-        return values[name]
-    uncertain = item.uncertain
-    if name in uncertain:
-        return uncertain[name]
-    raise KeyError(f"attribute {name!r} not present on tuple")
 
 
 class _Scope:
@@ -194,7 +183,9 @@ def _compile_expr(expr: Expr, scope: _Scope) -> _CompiledExpr:
         if isinstance(e, Ident):
             name = scope.resolve(e)
             uses.add(name)
-            return lambda t: _tuple_get(t, name)
+            # Deterministic value, else distribution; an aggregate
+            # grouping by it reads it as a batch column.
+            return ColumnKey(name)
         if isinstance(e, Unary):
             inner = build(e.operand)
             if e.op == "NOT":

@@ -27,7 +27,8 @@ class FusedSelectAggregate(Operator):
     * skips building annotated survivor tuples (the aggregate discards
       per-input attributes at the window boundary anyway), and
     * evaluates the selection mask and the window moment columns in
-      one pass over the batch.
+      one pass over the batch: the survivors carry the input batch's
+      columns into the window.
 
     The wrapped aggregate is a regular :class:`UncertainAggregate` or
     :class:`GroupByAggregate`; this box drives its window buffer and

@@ -18,6 +18,8 @@ treated as frozen once handed to the engine, mirroring the frozen
 
 from __future__ import annotations
 
+from itertools import chain, compress
+from operator import attrgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,7 +28,7 @@ from repro.distributions import Distribution, Gaussian, GaussianMixture
 
 from .tuples import StreamTuple
 
-__all__ = ["TupleBatch", "summand_moments"]
+__all__ = ["TupleBatch", "concat_lineage", "ragged_take", "summand_moments"]
 
 #: Sentinel distinguishing "not cached yet" from a cached ``None``.
 _UNSET = object()
@@ -40,6 +42,13 @@ class TupleBatch:
     tuples:
         The rows of the batch, in stream order.  The sequence is copied
         into an internal list; the tuples themselves are shared.
+
+    A column is gathered from the rows once, on first access, and a
+    batch derived by :meth:`select`, slicing, :meth:`chunks` or
+    :meth:`concat` carries the columns its parents had already gathered
+    (an array take, not a second walk over the rows).  So a source
+    batch's columns serve every query that batch feeds, and every
+    window segment cut from it.
     """
 
     __slots__ = (
@@ -48,6 +57,7 @@ class TupleBatch:
         "_gaussian_cols",
         "_moment_cols",
         "_value_cols",
+        "_lineage",
         "trace_id",
         "t_ingest",
     )
@@ -58,6 +68,7 @@ class TupleBatch:
         self._gaussian_cols: Dict[str, Any] = {}
         self._moment_cols: Dict[str, Any] = {}
         self._value_cols: Dict[str, np.ndarray] = {}
+        self._lineage: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Trace context (see :mod:`repro.obs.trace`), stamped at ingest
         #: and preserved by the wire codecs.  Transport-level metadata:
         #: derived batches (``select``/``chunks``/``concat``) start
@@ -84,18 +95,37 @@ class TupleBatch:
 
     @staticmethod
     def concat(batches: Iterable["TupleBatch"]) -> TupleBatch:
-        """Concatenate several batches into one (stream order preserved)."""
-        rows: List[StreamTuple] = []
-        for batch in batches:
-            rows.extend(batch._tuples)
-        return TupleBatch(rows)
+        """Concatenate several batches into one (stream order preserved).
+
+        A column is carried when every part has it cached.
+        """
+        parts = list(batches)
+        out = TupleBatch()
+        for batch in parts:
+            out._tuples.extend(batch._tuples)
+        if not parts:
+            return out
+        if all(batch._timestamps is not None for batch in parts):
+            out._timestamps = np.concatenate([batch._timestamps for batch in parts])
+        for field in ("_gaussian_cols", "_moment_cols"):
+            columns = [getattr(batch, field) for batch in parts]
+            for name, first in columns[0].items():
+                pairs = [cols.get(name) for cols in columns]
+                if first is not None and all(pair is not None for pair in pairs):
+                    getattr(out, field)[name] = tuple(map(np.concatenate, zip(*pairs)))
+        for name in parts[0]._value_cols:
+            if all(name in batch._value_cols for batch in parts):
+                out._value_cols[name] = np.concatenate([b._value_cols[name] for b in parts])
+        if all(batch._lineage is not None for batch in parts):
+            out._lineage = concat_lineage([batch._lineage for batch in parts])
+        return out
 
     def chunks(self, size: int) -> Iterator["TupleBatch"]:
         """Yield consecutive sub-batches of at most ``size`` rows."""
         if size < 1:
             raise ValueError(f"chunk size must be at least 1, got {size}")
         for start in range(0, len(self._tuples), size):
-            yield TupleBatch(self._tuples[start : start + size])
+            yield self[start : start + size]
 
     def select(self, mask: Union[Sequence[bool], np.ndarray]) -> TupleBatch:
         """Return the rows where ``mask`` is truthy (boolean row filter)."""
@@ -104,7 +134,39 @@ class TupleBatch:
             raise ValueError(
                 f"mask length {mask.shape} does not match batch length {len(self._tuples)}"
             )
-        return TupleBatch([t for t, keep in zip(self._tuples, mask) if keep])
+        rows = list(compress(self._tuples, mask.tolist()))
+        if not rows:
+            return TupleBatch()
+        return self._carry(rows, None if len(rows) == len(self._tuples) else mask.nonzero()[0])
+
+    def _carry(
+        self, rows: List[StreamTuple], index: Union[None, slice, np.ndarray]
+    ) -> TupleBatch:
+        """The batch of ``rows``, this batch's rows at ``index`` (a slice of
+        step 1, an integer array, or ``None`` for all of them), with every
+        cached column taken along."""
+        out = TupleBatch()
+        out._tuples = rows
+        if index is None:  # the same rows: share the columns, even the negative ones
+            out._timestamps = self._timestamps
+            out._gaussian_cols.update(self._gaussian_cols)
+            out._moment_cols.update(self._moment_cols)
+            out._value_cols.update(self._value_cols)
+            out._lineage = self._lineage
+            return out
+        if self._timestamps is not None:
+            out._timestamps = self._timestamps[index]
+        for name, pair in self._gaussian_cols.items():
+            if pair is not None:
+                out._gaussian_cols[name] = (pair[0][index], pair[1][index])
+        for name, pair in self._moment_cols.items():
+            if pair is not None:
+                out._moment_cols[name] = (pair[0][index], pair[1][index])
+        for name, column in self._value_cols.items():
+            out._value_cols[name] = column[index]
+        if self._lineage is not None:
+            out._lineage = _take_lineage(*self._lineage, index)
+        return out
 
     # ------------------------------------------------------------------
     # Sequence protocol
@@ -117,7 +179,10 @@ class TupleBatch:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return TupleBatch(self._tuples[index])
+            start, stop, step = index.indices(len(self._tuples))
+            if step != 1:
+                return self._carry(self._tuples[index], np.arange(start, stop, step))
+            return self._carry(self._tuples[index], slice(start, max(start, stop)))
         return self._tuples[index]
 
     def __bool__(self) -> bool:
@@ -130,7 +195,7 @@ class TupleBatch:
         """Return the event times of all rows as a float64 array."""
         if self._timestamps is None:
             self._timestamps = np.fromiter(
-                (t.timestamp for t in self._tuples), dtype=np.float64, count=len(self._tuples)
+                [t.timestamp for t in self._tuples], dtype=np.float64, count=len(self._tuples)
             )
         return self._timestamps
 
@@ -142,11 +207,31 @@ class TupleBatch:
         """
         cached = self._value_cols.get(name)
         if cached is None:
-            cached = np.empty(len(self._tuples), dtype=object)
-            for i, item in enumerate(self._tuples):
-                cached[i] = item.values[name]
+            cached = np.fromiter(
+                [t.values[name] for t in self._tuples], dtype=object, count=len(self._tuples)
+            )
             self._value_cols[name] = cached
         return cached
+
+    def lineage_ids(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Return every row's lineage as ``(ids, offsets)`` int64 arrays.
+
+        Row ``i``'s base tuple ids are ``ids[offsets[i]:offsets[i + 1]]``,
+        in no particular order; ``offsets`` has one entry more than the
+        batch has rows.  A lineage is never empty, so ``len(ids)`` equals
+        the row count exactly when every row has a single base tuple.
+        Ids must fit in int64, as the wire codec also requires.
+        """
+        if self._lineage is None:
+            lineages = [t.lineage for t in self._tuples]
+            ids = np.fromiter(chain.from_iterable(lineages), np.int64)
+            if len(ids) == len(lineages):
+                offsets = np.arange(len(ids) + 1, dtype=np.int64)
+            else:
+                offsets = np.zeros(len(lineages) + 1, dtype=np.int64)
+                np.cumsum(np.fromiter(map(len, lineages), np.int64, len(lineages)), out=offsets[1:])
+            self._lineage = (ids, offsets)
+        return self._lineage
 
     def numeric_column(self, name: str) -> np.ndarray:
         """Return deterministic attribute ``name`` as a float64 array."""
@@ -170,40 +255,98 @@ class TupleBatch:
         and moment sums are single numpy expressions.
         """
         cached = self._gaussian_cols.get(name, _UNSET)
-        if cached is not _UNSET:
-            return cached
-        result: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        try:
-            dists = [item.uncertain[name] for item in self._tuples]
-        except KeyError:
-            dists = None
-        if dists is not None and all(isinstance(dist, Gaussian) for dist in dists):
-            result = (
-                np.asarray([dist.mu for dist in dists], dtype=np.float64),
-                np.asarray([dist.sigma for dist in dists], dtype=np.float64),
-            )
-        self._gaussian_cols[name] = result
-        return result
+        if cached is _UNSET:
+            cached = self._gather_gaussian(name, self._distributions(name))
+        return cached
 
     def moments(self, name: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Return ``(means, variances)`` columns for uncertain attribute ``name``.
 
         Returns ``None`` when any row lacks the attribute entirely or
         carries a non-scalar distribution (the caller decides how to
-        promote or fail).  See :func:`summand_moments` for the gather.
+        promote or fail).  An all-Gaussian column comes from
+        :meth:`gaussian_params`; see :func:`summand_moments` for the
+        general gather.
         """
         cached = self._moment_cols.get(name, _UNSET)
         if cached is not _UNSET:
             return cached
-        try:
-            result = summand_moments([item.uncertain[name] for item in self._tuples])
-        except KeyError:
-            result = None
+        gaussian = self._gaussian_cols.get(name, _UNSET)
+        dists = None
+        if gaussian is _UNSET:
+            dists = self._distributions(name)
+            gaussian = self._gather_gaussian(name, dists)
+        if gaussian is not None:
+            result = (gaussian[0], gaussian[1] * gaussian[1])
+        else:
+            if dists is None:
+                dists = self._distributions(name)
+            result = None if dists is None else summand_moments(dists)
         self._moment_cols[name] = result
+        return result
+
+    def _distributions(self, name: str) -> Optional[List[Distribution]]:
+        """Uncertain attribute ``name`` of every row, or ``None`` if a row lacks it."""
+        try:
+            return [t.uncertain[name] for t in self._tuples]
+        except KeyError:
+            return None
+
+    def _gather_gaussian(self, name: str, dists: Optional[List[Distribution]]):
+        """Cache and return the ``(mu, sigma)`` columns of ``dists``, or ``None``."""
+        result: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        if dists is not None and all(issubclass(cls, Gaussian) for cls in set(map(type, dists))):
+            result = (
+                np.fromiter([dist.mu for dist in dists], np.float64, len(dists)),
+                np.fromiter([dist.sigma for dist in dists], np.float64, len(dists)),
+            )
+        self._gaussian_cols[name] = result
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"TupleBatch(n={len(self._tuples)})"
+
+
+_WEIGHTS = attrgetter("weights")
+
+
+def _take_lineage(
+    ids: np.ndarray, offsets: np.ndarray, index: Union[slice, np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(ids, offsets)`` lineage column of the rows at ``index``."""
+    if isinstance(index, slice):
+        begin, end = int(offsets[index.start]), int(offsets[index.stop])
+        return ids[begin:end], offsets[index.start : index.stop + 1] - begin
+    return ragged_take(ids, offsets, index)
+
+
+def concat_lineage(
+    columns: Sequence[Tuple[np.ndarray, np.ndarray]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``(ids, offsets)`` lineage columns (see :meth:`TupleBatch.lineage_ids`)."""
+    if len(columns) == 1:
+        return columns[0]
+    offsets, base = [np.zeros(1, dtype=np.int64)], 0
+    for ids, part_offsets in columns:
+        offsets.append(part_offsets[1:] + base)
+        base += len(ids)
+    return np.concatenate([ids for ids, _ in columns]), np.concatenate(offsets)
+
+
+def ragged_take(
+    ids: np.ndarray, offsets: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Gather the runs ``ids[offsets[r]:offsets[r + 1]]`` of ``rows``, in
+    that order: return the concatenated runs and their new offsets."""
+    if len(ids) == len(offsets) - 1:  # one id per row
+        return ids[rows], np.arange(len(rows) + 1, dtype=np.int64)
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    new_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=new_offsets[1:])
+    positions = np.arange(int(new_offsets[-1]), dtype=np.int64)
+    positions += np.repeat(starts - new_offsets[:-1], counts)
+    return ids[positions], new_offsets
 
 
 def summand_moments(dists: Sequence[Distribution]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -228,20 +371,23 @@ def summand_moments(dists: Sequence[Distribution]) -> Optional[Tuple[np.ndarray,
     means = np.empty(len(dists))
     variances = np.empty(len(dists))
     mixture_rows: List[int] = []
-    for i, dist in enumerate(dists):
-        if isinstance(dist, GaussianMixture):
-            mixture_rows.append(i)
-        elif isinstance(dist, Gaussian):
-            means[i] = dist.mu
-            variances[i] = dist.sigma * dist.sigma
-        elif dist.ndim != 1:
-            return None
-        else:
-            means[i] = float(np.asarray(dist.mean()).ravel()[0])
-            variances[i] = float(np.asarray(dist.variance()).ravel()[0])
+    if all(issubclass(cls, GaussianMixture) for cls in set(map(type, dists))):
+        mixture_rows = list(range(len(dists)))
+    else:
+        for i, dist in enumerate(dists):
+            if isinstance(dist, GaussianMixture):
+                mixture_rows.append(i)
+            elif isinstance(dist, Gaussian):
+                means[i] = dist.mu
+                variances[i] = dist.sigma * dist.sigma
+            elif dist.ndim != 1:
+                return None
+            else:
+                means[i] = float(np.asarray(dist.mean()).ravel()[0])
+                variances[i] = float(np.asarray(dist.variance()).ravel()[0])
     if mixture_rows:
         mixtures = [dists[i] for i in mixture_rows]
-        sizes = np.fromiter((m.weights.size for m in mixtures), np.intp, len(mixtures))
+        sizes = np.fromiter(map(len, map(_WEIGHTS, mixtures)), np.intp, len(mixtures))
         starts = np.zeros(len(mixtures), dtype=np.intp)
         np.cumsum(sizes[:-1], out=starts[1:])
         weights = np.concatenate([m.weights for m in mixtures])

@@ -278,8 +278,10 @@ def decode_batch(payload) -> TupleBatch:
     payload, trailing bytes, or a parameter a constructor would reject.
     The batch owns its memory (kept arrays are copies), so the caller
     may reuse or release the receive buffer at once.  The wire's
-    timestamps and, in a one-run batch, all-Gaussian ``mu``/``sigma``
-    arrays prime the batch's columnar caches.
+    timestamps, lineage ids, deterministic value columns and
+    all-Gaussian ``mu``/``sigma`` arrays prime the batch's columnar
+    caches (a column when every run carries it), so a decoded batch
+    reaches the window kernel with no per-row gather.
     """
     reader = _Reader(payload)
     magic, flags, n_runs = reader.unpack(_HEADER)
@@ -288,36 +290,41 @@ def decode_batch(payload) -> TupleBatch:
     if flags & ~_TRACED:
         raise ValueError(f"unknown tuple-batch flags {flags:#x}")
     trace = reader.unpack(_TRACE) if flags & _TRACED else None
-    rows: List[StreamTuple] = []
     try:
-        runs = [_read_run(reader, rows) for _ in range(n_runs)]
+        runs = [_read_run(reader) for _ in range(n_runs)]
     except DistributionError as exc:
         raise ValueError(f"invalid distribution in tuple-batch payload: {exc}") from exc
     if reader.pos != len(payload):
         raise ValueError(f"tuple-batch payload has {len(payload) - reader.pos} trailing bytes")
-    batch = TupleBatch(rows)
-    if runs:
-        batch._timestamps = np.concatenate([timestamps for timestamps, _ in runs])
-    if n_runs == 1:
-        batch._gaussian_cols.update(runs[0][1])
+    # Concatenation keeps the columns that every run primed.
+    batch = runs[0] if len(runs) == 1 else TupleBatch.concat(runs)
     if trace is not None:
         batch.trace_id, batch.t_ingest = trace
     return batch
 
 
-def _read_run(reader: _Reader, rows: list):
-    """Decode one run into ``rows``; return its timestamps and Gaussian columns."""
+def _read_run(reader: _Reader) -> TupleBatch:
+    """Decode one run as a batch, its columns primed from the wire arrays."""
     n, n_values, n_uncertain, has_lineage = reader.unpack(_RUN)
     timestamps = reader.array("<f8", n).copy()
-    tuple_ids = reader.array("<i8", n).tolist()
+    wire_ids = reader.array("<i8", n)
+    tuple_ids = wire_ids.tolist()
     if has_lineage > 1:
         raise ValueError(f"unknown lineage flag {has_lineage}")
     if has_lineage:
-        lineages = [frozenset(ids) for ids in reader.sized(n)]
+        starts, ends, total = reader.counts(n)
+        flat = reader.array("<i8", total)
+        ids = flat.tolist()
+        lineages = [frozenset(ids[a:b]) for a, b in zip(starts, ends)]
         if not all(lineages):
             raise ValueError("tuple-batch payload has an empty lineage")
+        # A row that lists an id twice keeps it once: gather afresh then.
+        primed = None
+        if sum(map(len, lineages)) == total:
+            primed = (flat.copy(), np.array([0] + ends, dtype=np.int64))
     else:
         lineages = [frozenset((tuple_id,)) for tuple_id in tuple_ids]
+        primed = (wire_ids.copy(), np.arange(n + 1, dtype=np.int64))
     value_names, value_columns = [], []
     for _ in range(n_values):
         value_names.append(reader.name())
@@ -329,7 +336,7 @@ def _read_run(reader: _Reader, rows: list):
         uncertain_columns.append(column)
         if gaussian is not None:
             gaussian_cols[uncertain_names[-1]] = gaussian
-    rows.extend(
+    run = TupleBatch(
         map(
             StreamTuple._unchecked,
             timestamps.tolist(),
@@ -339,7 +346,12 @@ def _read_run(reader: _Reader, rows: list):
             tuple_ids,
         )
     )
-    return timestamps, gaussian_cols
+    run._timestamps = timestamps
+    run._lineage = primed
+    run._gaussian_cols.update(gaussian_cols)
+    for name, column in zip(value_names, value_columns):
+        run._value_cols[name] = np.fromiter(column, dtype=object, count=n)
+    return run
 
 
 def _dicts(names: list, columns: list, n: int):

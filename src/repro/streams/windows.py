@@ -10,11 +10,11 @@ one tested implementation of window semantics.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .batch import TupleBatch
 from .tuples import StreamTuple
 
 __all__ = [
@@ -27,13 +27,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WindowClose:
-    """A closed window: its boundaries and the tuples it contains."""
+#: One stretch of a window's rows: ``batch``'s rows ``begin:end``.
+Segment = Tuple[TupleBatch, int, int]
 
-    start: float
-    end: float
-    items: Tuple[StreamTuple, ...]
+
+class WindowClose:
+    """A closed window: its boundaries and the tuples it contains.
+
+    The buffers of tumbling windows hand over the rows as ``segments``,
+    ``(batch, begin, end)`` slices of the batches that filled the window
+    in stream order, so a columnar consumer (the window x group moment
+    kernel) reads the batches' cached columns and never the rows.
+    ``items`` is the same rows as a tuple, built on first access for the
+    consumers that need rows.  A close is built from one of the two; one
+    built from ``items`` gets its one segment on first access to
+    ``segments``.
+    """
+
+    __slots__ = ("start", "end", "_items", "_segments")
+
+    def __init__(
+        self,
+        start: float,
+        end: float,
+        items: Optional[Sequence[StreamTuple]] = None,
+        segments: Optional[Sequence[Segment]] = None,
+    ):
+        self.start = start
+        self.end = end
+        self._items = None if items is None else tuple(items)
+        self._segments = None if segments is None else tuple(segments)
+
+    @property
+    def items(self) -> Tuple[StreamTuple, ...]:
+        if self._items is None:
+            rows: List[StreamTuple] = []
+            for batch, begin, end in self._segments:
+                rows.extend(batch._tuples[begin:end])
+            self._items = tuple(rows)
+        return self._items
+
+    @property
+    def segments(self) -> Tuple[Segment, ...]:
+        if self._segments is None:
+            items = self._items
+            self._segments = ((TupleBatch(items), 0, len(items)),) if items else ()
+        return self._segments
+
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        return f"WindowClose(start={self.start}, end={self.end})"
 
 
 class WindowSpec(abc.ABC):
@@ -91,6 +133,77 @@ class WindowBuffer(abc.ABC):
             raise ValueError(f"cannot restore window buffer state {state.get('kind')!r}")
 
 
+#: The rows of a batch this short join an open window as rows, not as a
+#: segment: for a few rows, pinning their batch and slicing its columns
+#: costs more than gathering the rows again (one-row pushes would pin a
+#: batch per row).
+_MIN_SEGMENT_BATCH = 16
+
+
+class _SegmentBuffer(WindowBuffer):
+    """The open window of a tumbling buffer, held without copying rows.
+
+    Bulk insertion appends ``(batch, begin, end)`` segments; :meth:`add`
+    and short batches append rows to a loose list (a plain
+    ``list.append``), which becomes a segment of its own only when a
+    segment follows it.  So the open window pins at most the batches of
+    ``_MIN_SEGMENT_BATCH`` rows or more that reach into it.
+    """
+
+    def __init__(self) -> None:
+        self._segments: List[Segment] = []
+        self._loose: List[StreamTuple] = []
+
+    def _seal_loose(self) -> None:
+        if self._loose:
+            self._segments.append((TupleBatch(self._loose), 0, len(self._loose)))
+            self._loose = []
+
+    def _append_segment(self, batch: TupleBatch, begin: int, end: int) -> None:
+        if len(batch) < _MIN_SEGMENT_BATCH:
+            self._loose.extend(batch._tuples[begin:end])
+        else:
+            self._seal_loose()
+            self._segments.append((batch, begin, end))
+
+    def _is_empty(self) -> bool:
+        return not self._segments and not self._loose
+
+    def _first_row(self) -> StreamTuple:
+        if self._segments:
+            batch, begin, _ = self._segments[0]
+            return batch._tuples[begin]
+        return self._loose[0]
+
+    def _last_row(self) -> StreamTuple:
+        if self._loose:
+            return self._loose[-1]
+        batch, _, end = self._segments[-1]
+        return batch._tuples[end - 1]
+
+    def _take_close(self, start: float, end: float) -> WindowClose:
+        """Close the open window as ``[start, end]`` and start an empty one."""
+        if self._segments:
+            self._seal_loose()
+            window = WindowClose(start, end, segments=self._segments)
+        else:
+            window = WindowClose(start, end, items=self._loose)
+        self._segments = []
+        self._loose = []
+        return window
+
+    def _rows(self) -> List[StreamTuple]:
+        rows: List[StreamTuple] = []
+        for batch, begin, end in self._segments:
+            rows.extend(batch._tuples[begin:end])
+        rows.extend(self._loose)
+        return rows
+
+    def _restore_rows(self, rows: Iterable[StreamTuple]) -> None:
+        self._segments = []
+        self._loose = list(rows)
+
+
 # ----------------------------------------------------------------------
 # Tumbling count window (Table 2: "tumbling window of size 100 tuples")
 # ----------------------------------------------------------------------
@@ -109,56 +222,50 @@ class TumblingCountWindow(WindowSpec):
         return f"TumblingCountWindow(size={self.size})"
 
 
-class _CountBuffer(WindowBuffer):
+class _CountBuffer(_SegmentBuffer):
     def __init__(self, size: int):
+        super().__init__()
         self._size = size
-        self._items: List[StreamTuple] = []
+        self._pending = 0
+
+    def _close(self) -> WindowClose:
+        self._pending = 0
+        return self._take_close(self._first_row().timestamp, self._last_row().timestamp)
 
     def add(self, item: StreamTuple) -> List[WindowClose]:
-        self._items.append(item)
-        if len(self._items) < self._size:
+        self._loose.append(item)
+        self._pending += 1
+        if self._pending < self._size:
             return []
-        window = WindowClose(
-            start=self._items[0].timestamp,
-            end=self._items[-1].timestamp,
-            items=tuple(self._items),
-        )
-        self._items = []
-        return [window]
+        return [self._close()]
 
     def add_many(self, items: Iterable[StreamTuple]) -> List[WindowClose]:
-        self._items.extend(items)
-        if len(self._items) < self._size:
-            return []
+        batch = items if isinstance(items, TupleBatch) else TupleBatch(items)
+        n, position = len(batch), 0
         closed: List[WindowClose] = []
-        size = self._size
-        pending = self._items
-        for start in range(0, len(pending) - size + 1, size):
-            chunk = tuple(pending[start : start + size])
-            closed.append(
-                WindowClose(start=chunk[0].timestamp, end=chunk[-1].timestamp, items=chunk)
-            )
-        self._items = pending[len(closed) * size :]
+        while n - position >= self._size - self._pending:
+            end = position + self._size - self._pending
+            self._append_segment(batch, position, end)
+            closed.append(self._close())
+            position = end
+        if position < n:
+            self._append_segment(batch, position, n)
+            self._pending += n - position
         return closed
 
     def flush(self) -> List[WindowClose]:
-        if not self._items:
+        if self._is_empty():
             return []
-        window = WindowClose(
-            start=self._items[0].timestamp,
-            end=self._items[-1].timestamp,
-            items=tuple(self._items),
-        )
-        self._items = []
-        return [window]
+        return [self._close()]
 
     def state_snapshot(self) -> dict:
-        return {"kind": "count", "items": list(self._items)}
+        return {"kind": "count", "items": self._rows()}
 
     def state_restore(self, state: dict) -> None:
         if state.get("kind") != "count":
             raise ValueError(f"cannot restore window buffer state {state.get('kind')!r}")
-        self._items = list(state["items"])
+        self._restore_rows(state["items"])
+        self._pending = len(self._loose)
 
 
 # ----------------------------------------------------------------------
@@ -180,11 +287,11 @@ class TumblingTimeWindow(WindowSpec):
         return f"TumblingTimeWindow(length={self.length})"
 
 
-class _TimeBuffer(WindowBuffer):
+class _TimeBuffer(_SegmentBuffer):
     def __init__(self, length: float, origin: float):
+        super().__init__()
         self._length = length
         self._origin = origin
-        self._items: List[StreamTuple] = []
         self._window_index: Optional[int] = None
 
     def _index_of(self, timestamp: float) -> int:
@@ -193,9 +300,7 @@ class _TimeBuffer(WindowBuffer):
     def _close_current(self) -> WindowClose:
         assert self._window_index is not None
         start = self._origin + self._window_index * self._length
-        window = WindowClose(start=start, end=start + self._length, items=tuple(self._items))
-        self._items = []
-        return window
+        return self._take_close(start, start + self._length)
 
     def add(self, item: StreamTuple) -> List[WindowClose]:
         idx = self._index_of(item.timestamp)
@@ -209,44 +314,34 @@ class _TimeBuffer(WindowBuffer):
                 )
             closed.append(self._close_current())
             self._window_index = idx
-        self._items.append(item)
+        self._loose.append(item)
         return closed
 
     def add_many(self, items: Iterable[StreamTuple]) -> List[WindowClose]:
         """Bulk insertion: one vectorised bucketing pass per batch.
 
         Window indices for the whole batch come from a single numpy
-        floor-division over the timestamp column, and tuples are
-        appended run-by-run; the closed windows are identical to the
-        per-tuple :meth:`add` loop (which remains the fallback for
-        out-of-order input so the error is raised at the exact
-        offending tuple).
+        floor-division over the timestamp column, and each run of rows
+        in one window joins it as one segment; the closed windows are
+        identical to the per-tuple :meth:`add` loop (which remains the
+        fallback for out-of-order input so the error is raised at the
+        exact offending tuple).
         """
-        from .batch import TupleBatch
-
-        if isinstance(items, TupleBatch):
-            rows = items.to_tuples()
-            timestamps = items.timestamps()
-        else:
-            rows = list(items)
-            timestamps = np.fromiter(
-                (t.timestamp for t in rows), dtype=np.float64, count=len(rows)
-            )
-        if not rows:
+        batch = items if isinstance(items, TupleBatch) else TupleBatch(items)
+        if not batch:
             return []
         # Same arithmetic as _index_of: floor((t - origin) / length).
-        indices = np.floor_divide(timestamps - self._origin, self._length).astype(np.int64)
+        indices = np.floor_divide(batch.timestamps() - self._origin, self._length).astype(np.int64)
         out_of_order = bool(np.any(np.diff(indices) < 0)) or (
             self._window_index is not None and int(indices[0]) < self._window_index
         )
+        closed: List[WindowClose] = []
         if out_of_order:
-            closed: List[WindowClose] = []
-            for item in rows:
+            for item in batch:
                 closed.extend(self.add(item))
             return closed
-        closed = []
         run_starts = [0] + (np.flatnonzero(np.diff(indices)) + 1).tolist()
-        run_starts.append(len(rows))
+        run_starts.append(len(batch))
         for begin, end in zip(run_starts, run_starts[1:]):
             idx = int(indices[begin])
             if self._window_index is None:
@@ -254,25 +349,25 @@ class _TimeBuffer(WindowBuffer):
             elif idx != self._window_index:
                 closed.append(self._close_current())
                 self._window_index = idx
-            self._items.extend(rows[begin:end])
+            self._append_segment(batch, begin, end)
         return closed
 
     def flush(self) -> List[WindowClose]:
-        if not self._items:
+        if self._is_empty():
             return []
         return [self._close_current()]
 
     def state_snapshot(self) -> dict:
         return {
             "kind": "time",
-            "items": list(self._items),
+            "items": self._rows(),
             "window_index": self._window_index,
         }
 
     def state_restore(self, state: dict) -> None:
         if state.get("kind") != "time":
             raise ValueError(f"cannot restore window buffer state {state.get('kind')!r}")
-        self._items = list(state["items"])
+        self._restore_rows(state["items"])
         index = state["window_index"]
         self._window_index = None if index is None else int(index)
 

@@ -35,6 +35,8 @@ from repro.core import (
     UncertainAggregate,
     UncertainPredicate,
 )
+from repro.core.aggregation import ColumnKey
+from repro.core.aggregation.order_statistics import max_distribution
 from repro.core.aggregation.transforms import affine_distribution
 from repro.distributions import Gaussian, GaussianMixture, MultivariateGaussian
 from repro.plan.physical import FusedSelectAggregate
@@ -410,3 +412,271 @@ def test_flush_close_equals_close_by_a_later_row(function, strategy, grouped):
         assert a.lineage == b.lineage
         da, db = a.distribution(agg.output_attribute), b.distribution(agg.output_attribute)
         assert (da.mu, da.sigma) == (db.mu, db.sigma)
+
+
+# ----------------------------------------------------------------------
+# Column-resident windows: the closes' rows stay in their batches
+# ----------------------------------------------------------------------
+def prime_columns(batch):
+    """Gather the columns the kernel reads, so derived batches carry them."""
+    batch.timestamps()
+    batch.lineage_ids()
+    batch.moments("value")
+    batch.value_column("key")
+    return batch
+
+
+def derived_batches(rows, batch_size, how):
+    """Batches cut from primed source batches: both halves, or the rows a
+    mask keeps."""
+    for start in range(0, len(rows), batch_size):
+        source = prime_columns(TupleBatch(rows[start : start + batch_size]))
+        if how == "slice":
+            half = len(source) // 2
+            yield source[:half]
+            yield source[half:]
+        else:
+            yield source.select(np.arange(len(source)) % 3 != 1)
+
+
+def sequence_outputs(op, batches):
+    out = []
+    for batch in batches:
+        out.extend(op.process_batch(batch))
+    out.extend(op.flush())
+    return out
+
+
+def reference_sequence(batches, window_spec, grouped, function, strategy, having=None):
+    """The per-window loop over the closes a row-by-row buffer makes."""
+    buffer = window_spec.new_buffer()
+    closes = [close for batch in batches for item in batch for close in buffer.add(item)]
+    return reference_emit(closes + buffer.flush(), grouped, function, strategy, having)
+
+
+def assert_same_outputs(got, want):
+    """Two runs of the operator emitted the same tuples, bit for bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.timestamp == b.timestamp
+        assert a.values == b.values
+        assert [type(v) for v in a.values.values()] == [type(v) for v in b.values.values()]
+        assert a.lineage == b.lineage
+        assert a.uncertain.keys() == b.uncertain.keys()
+        for name, dist in a.uncertain.items():
+            assert (dist.mu, dist.sigma) == (b.uncertain[name].mu, b.uncertain[name].sigma)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 300),
+    kinds=kinds,
+    window_spec=windows,
+    batch_size=st.sampled_from([1, 3, 16, 64, 257]),
+    how=st.sampled_from(["slice", "select"]),
+    grouped=st.booleans(),
+    function=functions,
+    strategy=strategies,
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_derived_batches_spanning_windows_match_the_loop(
+    seed, n_rows, kinds, window_spec, batch_size, how, grouped, function, strategy
+):
+    # Sliced and selected batches carry the source's columns; a window
+    # spans several of them, and several source batches.
+    rows = make_stream(seed, n_rows, kinds, (0.0, 0.1, 1.0))
+    batches = list(derived_batches(rows, batch_size, how))
+    assert all(batch._lineage is not None for batch in batches)
+    op = build_operator(grouped, False, window_spec, function, strategy, None)
+    kernel = sequence_outputs(op, batches)
+    reference = reference_sequence(batches, window_spec, grouped, function, strategy)
+    assert_same(kernel, reference, None)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(4, 200),
+    batch_size=st.sampled_from([2, 5, 16, 64]),
+    length=st.sampled_from([0.5, 1.0, 2.5]),
+    late_at=st.integers(0, 10**6),
+    grouped=st.booleans(),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_out_of_order_fallback_keeps_rows_before_the_late_one(
+    seed, n_rows, batch_size, length, late_at, grouped
+):
+    # A row stamped before the open window: the batch falls back to
+    # row-by-row insertion, which raises at that row, keeping the rows
+    # before it.  The stream then goes on without the rest of the batch.
+    rows = make_stream(seed, n_rows, ("gaussian", "numeric"), (0.1, 0.5, 1.0))
+    i = 1 + late_at % (n_rows - 1)
+    late = StreamTuple(
+        timestamp=rows[i - 1].timestamp - 2 * length,
+        values={"key": 0},
+        uncertain={"value": Gaussian(1.0, 1.0)},
+    )
+    rows.insert(i, late)
+    spec = TumblingTimeWindow(length)
+    op = build_operator(grouped, False, spec, "sum", CLTSum(), None)
+    buffer = spec.new_buffer()
+    kernel, closes = [], []
+    for start in range(0, len(rows), batch_size):
+        batch = TupleBatch(rows[start : start + batch_size])
+        try:
+            kernel.extend(op.process_batch(batch))
+        except ValueError as exc:
+            assert "out-of-order" in str(exc)
+            late_error = True
+        else:
+            late_error = False
+        batch_closes = []
+        for item in batch:
+            try:
+                batch_closes.extend(buffer.add(item))
+            except ValueError:
+                # The error discards the windows this batch closed before it.
+                assert late_error
+                break
+        else:
+            assert not late_error
+            closes.extend(batch_closes)
+    kernel.extend(op.flush())
+    closes.extend(buffer.flush())
+    assert_same(kernel, reference_emit(closes, grouped, "sum", CLTSum(), None), None)
+
+
+def test_column_key_is_read_as_a_column():
+    rows = make_stream(5, 50, ("gaussian",), (0.1,))
+    batch = TupleBatch(rows)
+    op = GroupByAggregate(TumblingCountWindow(10), ColumnKey("key"), "value", CLTSum())
+    op.process_batch(batch)
+    assert "key" in batch._value_cols
+    # Called on a row, the key reads a value, else a distribution.
+    assert ColumnKey("key")(rows[0]) == rows[0].value("key")
+    assert ColumnKey("value")(rows[0]) is rows[0].distribution("value")
+    with pytest.raises(KeyError, match="'absent'"):
+        ColumnKey("absent")(rows[0])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 300),
+    window_spec=windows,
+    batch_size=batch_sizes,
+    function=functions,
+    strip_at=st.integers(0, 10**6),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_column_key_groups_like_an_opaque_callable(
+    seed, n_rows, window_spec, batch_size, function, strip_at
+):
+    # Same groups, same order and the same first-seen key type (1, 1.0
+    # and True merged) whether the key is a column or a callable.  A row
+    # that carries the key as a distribution makes the column read fall
+    # back to calling the key on each row of its batch.
+    rows = make_stream(seed, n_rows, ROW_KINDS, (0.0, 0.1, 1.0))
+    if strip_at % 3 == 0:
+        i = strip_at % n_rows
+        rows[i] = StreamTuple(
+            timestamp=rows[i].timestamp,
+            values={k: v for k, v in rows[i].values.items() if k != "key"},
+            uncertain={**rows[i].uncertain, "key": Gaussian(0.0, 1.0)},
+        )
+    outputs = []
+    for key in (ColumnKey("key"), lambda item: ColumnKey("key")(item)):
+        op = GroupByAggregate(window_spec, key, "value", CLTSum(), function=function)
+        batches = [TupleBatch(rows[s : s + batch_size]) for s in range(0, n_rows, batch_size)]
+        outputs.append(sequence_outputs(op, batches))
+    assert_same_outputs(*outputs)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(2, 120),
+    batch_size=st.integers(1, 16),
+    grouped=st.booleans(),
+    function=functions,
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_lineage_overlap_across_a_batch_boundary_raises(
+    seed, n_rows, batch_size, grouped, function
+):
+    # The last row of a batch and a copy of it opening the next batch:
+    # one window (a time window longer than the stream), one key.
+    rows = make_stream(seed, n_rows, ROW_KINDS, (0.0, 0.1))
+    cut = min(batch_size, n_rows)
+    copy = rows[cut - 1].derive(values={"key": rows[cut - 1].value("key")})
+    rows.insert(cut, copy)
+    op = build_operator(grouped, False, TumblingTimeWindow(10**6), function, CLTSum(), None)
+    first, second = TupleBatch(rows[:cut]), TupleBatch(rows[cut:])
+    assert len(op.process_batch(first)) == 0
+    assert len(op.process_batch(second)) == 0
+    with pytest.raises(OperatorError, match="overlapping lineage"):
+        list(op.flush())
+    with pytest.raises(OperatorError, match="overlap"):
+        reference_flush(rows, grouped, function)
+
+
+def reference_flush(rows, grouped, function):
+    buffer = TumblingTimeWindow(10**6).new_buffer()
+    for item in rows:
+        buffer.add(item)
+    return reference_emit(buffer.flush(), grouped, function, CLTSum(), None)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 300),
+    window_spec=windows,
+    batch_size=batch_sizes,
+    grouped=st.booleans(),
+    fused=st.booleans(),
+    function=functions,
+    cut=st.integers(0, 10**6),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_checkpoint_mid_window_then_restore_continues_alike(
+    seed, n_rows, window_spec, batch_size, grouped, fused, function, cut
+):
+    # Snapshot after some batches (the open window holds segments), restore
+    # into a fresh operator (the window holds rows), and go on.
+    rows = make_stream(seed, n_rows, ROW_KINDS, (0.0, 0.1, 1.0))
+    batches = [TupleBatch(rows[s : s + batch_size]) for s in range(0, n_rows, batch_size)]
+    k = cut % (len(batches) + 1)
+    whole = sequence_outputs(
+        build_operator(grouped, fused, window_spec, function, CLTSum(), None), batches
+    )
+    before = build_operator(grouped, fused, window_spec, function, CLTSum(), None)
+    head = [out for batch in batches[:k] for out in before.process_batch(batch)]
+    after = build_operator(grouped, fused, window_spec, function, CLTSum(), None)
+    after.state_restore(before.state_snapshot())
+    assert_same_outputs(head + sequence_outputs(after, batches[k:]), whole)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(0, 200),
+    window_spec=windows,
+    batch_size=batch_sizes,
+    function=st.sampled_from(["count", "max"]),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_row_aggregates_read_the_lazy_rows(seed, n_rows, window_spec, batch_size, function):
+    # COUNT and MAX read each close's rows: built from its segments on
+    # the batch path, held as rows by a row-by-row buffer.
+    rows = make_stream(seed, n_rows, ("gaussian",), (0.0, 0.1, 1.0))
+    op = UncertainAggregate(window_spec, "value", CLTSum(), function=function)
+    batches = [TupleBatch(rows[s : s + batch_size]) for s in range(0, n_rows, batch_size)]
+    got = sequence_outputs(op, batches)
+    buffer = window_spec.new_buffer()
+    closes = [close for item in rows for close in buffer.add(item)] + buffer.flush()
+    assert len(got) == len(closes)
+    for out, close in zip(got, closes):
+        assert (out.values["window_start"], out.values["window_end"]) == (close.start, close.end)
+        assert out.values["window_count"] == len(close.items)
+        assert out.lineage == frozenset().union(*(item.lineage for item in close.items))
+        if function == "count":
+            assert out.values["count_value"] == len(close.items)
+        else:
+            want = max_distribution([item.distribution("value") for item in close.items])
+            assert out.distribution("max_value").mean() == want.mean()

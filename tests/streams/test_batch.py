@@ -160,6 +160,111 @@ class TestColumnarViews:
         assert col[1].mu == 2.0
 
 
+def mixed_rows():
+    """Rows with every cached column: Gaussians and a mixture, tags and
+    derived rows whose lineage has several base tuples."""
+    rows = make_gaussian_tuples(9)
+    rows[4] = StreamTuple(
+        timestamp=4.0,
+        values={"i": 4},
+        uncertain={"value": GaussianMixture([0.3, 0.7], [1.0, 5.0], [1.0, 2.0])},
+    )
+    rows[6] = rows[6].derive(extra_lineage=rows[2].lineage)
+    rows[7] = rows[7].derive(values={"i": 70}, extra_lineage=(123, 456))
+    return rows
+
+
+def prime(batch):
+    """Gather every cached column of ``batch``; return it."""
+    batch.timestamps()
+    batch.gaussian_params("value")
+    batch.moments("value")
+    batch.value_column("i")
+    batch.lineage_ids()
+    return batch
+
+
+def assert_columns_fresh(batch):
+    """Each column ``batch`` holds equals a gather from its own rows."""
+    fresh = TupleBatch(batch.to_tuples())
+    if batch._timestamps is not None:
+        np.testing.assert_array_equal(batch._timestamps, fresh.timestamps())
+    for name, pair in batch._gaussian_cols.items():
+        want = fresh.gaussian_params(name)
+        assert (pair is None) == (want is None)
+        if pair is not None:
+            np.testing.assert_array_equal(pair[0], want[0])
+            np.testing.assert_array_equal(pair[1], want[1])
+    for name, pair in batch._moment_cols.items():
+        want = fresh.moments(name)
+        assert (pair is None) == (want is None)
+        if pair is not None:
+            np.testing.assert_array_equal(pair[0], want[0])
+            np.testing.assert_array_equal(pair[1], want[1])
+    for name, column in batch._value_cols.items():
+        assert list(column) == list(fresh.value_column(name))
+    if batch._lineage is not None:
+        ids, offsets = batch._lineage
+        assert ids.dtype == np.int64 and offsets.dtype == np.int64
+        assert len(offsets) == len(batch) + 1
+        got = [set(ids[a:b].tolist()) for a, b in zip(offsets, offsets[1:])]
+        assert got == [set(t.lineage) for t in batch]
+
+
+class TestCarriedColumns:
+    """Derived batches carry their parents' columns, equal to a fresh gather."""
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda b: b.select([i % 3 != 1 for i in range(len(b))]),
+            lambda b: b.select([False] * len(b)),
+            lambda b: b[2:7],
+            lambda b: b[7:2],
+            lambda b: b[::2],
+            lambda b: b[::-3],
+            lambda b: list(b.chunks(4))[1],
+            lambda b: TupleBatch.concat([b[5:], b[:5]]),
+            lambda b: TupleBatch.concat([b, b.select([i % 2 == 0 for i in range(len(b))])]),
+        ],
+        ids=["select", "select-none", "slice", "empty-slice", "step", "reverse-step",
+             "chunk", "concat", "concat-select"],
+    )
+    def test_derived_columns_equal_a_fresh_gather(self, derive):
+        source = prime(TupleBatch(mixed_rows()))
+        derived = derive(source)
+        if len(derived):  # an empty batch may start without columns
+            assert derived._timestamps is not None
+            assert derived._lineage is not None
+            assert "i" in derived._value_cols
+        assert_columns_fresh(derived)
+
+    def test_a_column_absent_from_one_part_is_not_carried(self):
+        rows = mixed_rows()
+        parts = [prime(TupleBatch(rows[:4])), TupleBatch(rows[4:])]
+        joined = TupleBatch.concat(parts)
+        assert joined._timestamps is None and joined._lineage is None
+        assert joined._value_cols == {} and joined._moment_cols == {}
+        assert_columns_fresh(joined)
+
+    def test_a_negative_gather_is_not_carried(self):
+        # The mixture row makes the source's Gaussian column None; the
+        # rows without it are all Gaussian, which the subset must find.
+        source = prime(TupleBatch(mixed_rows()))
+        assert source.gaussian_params("value") is None
+        subset = source.select([i != 4 for i in range(len(source))])
+        assert "value" not in subset._gaussian_cols
+        assert subset.gaussian_params("value") is not None
+        assert_columns_fresh(subset)
+
+    def test_source_lineage_ids_are_one_per_row(self):
+        batch = TupleBatch(make_gaussian_tuples(5))
+        ids, offsets = batch.lineage_ids()
+        assert ids.tolist() == [t.tuple_id for t in batch]
+        assert offsets.tolist() == list(range(6))
+        assert batch.lineage_ids()[0] is ids  # cached
+
+
 class TestBatchSerialization:
     def test_encode_decode_roundtrip(self):
         batch = TupleBatch(make_gaussian_tuples(4))
@@ -179,6 +284,21 @@ class TestBatchSerialization:
         mu, sigma = decoded._gaussian_cols["value"]
         np.testing.assert_array_equal(mu, [1.0, 2.0, 3.0, 4.0])
         assert decoded.gaussian_params("value") is decoded._gaussian_cols["value"]
+
+    @pytest.mark.parametrize("runs", [1, 3], ids=["one-run", "three-runs"])
+    def test_wire_primes_columns_equal_to_a_fresh_gather(self, runs):
+        rows = mixed_rows()
+        if runs == 3:
+            # A value of another type cuts the batch into three runs.
+            rows[3] = rows[3].derive(values={"i": 3.5})
+        decoded = decode_batch(encode_batch_wire(TupleBatch(rows)))
+        assert decoded._timestamps is not None
+        assert decoded._lineage is not None
+        assert "i" in decoded._value_cols
+        assert_columns_fresh(decoded)
+        gaussian = decode_batch(encode_batch_wire(TupleBatch(make_gaussian_tuples(6))))
+        assert gaussian._gaussian_cols["value"] is not None
+        assert_columns_fresh(gaussian)
 
     def test_mixture_batch_roundtrip(self):
         mixture = GaussianMixture([0.5, 0.5], [0.0, 1.0], [1.0, 2.0])
