@@ -55,7 +55,7 @@ def run_bulk(spec, batches):
     closed = []
     started = time.perf_counter()
     for batch in batches:
-        closed.extend(buffer.extend(batch))
+        closed.extend(buffer.add_many(batch))
     elapsed = time.perf_counter() - started
     closed.extend(buffer.flush())
     return elapsed, closed
@@ -115,10 +115,12 @@ def test_bulk_insert_matches_and_keeps_pace(label, spec, table):
     )
 
 
-def test_bulk_insert_out_of_order_falls_back():
-    """Out-of-order bulk input raises exactly like the per-tuple loop."""
+def test_bulk_insert_refuses_out_of_order_batch():
+    """An out-of-order batch is refused whole, naming the late row."""
     spec = TumblingTimeWindow(WINDOW_SECONDS)
     buffer = spec.new_buffer()
-    buffer.extend([StreamTuple(timestamp=5.0)])
-    with pytest.raises(ValueError, match="out-of-order"):
-        buffer.extend([StreamTuple(timestamp=9.0), StreamTuple(timestamp=0.5)])
+    buffer.add_many([StreamTuple(timestamp=5.0)])
+    with pytest.raises(ValueError, match=r"out-of-order tuple \(timestamp 0\.5\)"):
+        buffer.add_many([StreamTuple(timestamp=9.0), StreamTuple(timestamp=0.5)])
+    # The row before the late one did not close the open window.
+    assert buffer.add_many([StreamTuple(timestamp=5.5)]) == []

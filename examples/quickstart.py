@@ -6,8 +6,9 @@ stream, using the declarative query API (:mod:`repro.plan`):
 1. build a stream of tuples whose ``value`` attribute is a continuous
    random variable (a Gaussian mixture per tuple),
 2. declare a query: probabilistic filter -> windowed SUM -> summary,
-3. let the planner rewrite it (the filter fuses into the aggregate's
-   batch kernel) and size the batches the query runs on, and
+3. let the planner rewrite it (the filter drops the probability
+   annotation the aggregate never reads, so its survivors reach the
+   window kernel as columns) and size the batches the query runs on, and
 4. report the result as a full distribution, a confidence region, and
    error bounds.
 
@@ -48,9 +49,9 @@ def main() -> None:
         .compile()
     )
 
-    # 3. What did the planner do?  The probabilistic filter is fused into
-    #    the aggregate's window kernel, and the batch size is stretched to
-    #    cover a whole window.
+    # 3. What did the planner do?  The probabilistic filter stops
+    #    annotating (the aggregate never reads the annotation), and the
+    #    batch size is stretched to cover a whole window.
     print("\n" + query.explain())
 
     query.push_many("in", stream)

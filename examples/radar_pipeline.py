@@ -64,8 +64,9 @@ def main() -> None:
     # given each voxel's pdf) and track the mean velocity per 32-voxel
     # window.  The T operator emits Gaussian velocity pdfs, so the
     # declared family lets the cost model pick the closed-form CF
-    # approximation, and the planner fuses the probabilistic filter
-    # into the aggregate's batch kernel.
+    # approximation, and the planner drops the probabilistic filter's
+    # unread annotation so its survivors reach the window kernel as
+    # columns.
     monitor = (
         Stream.source(
             "voxels",

@@ -9,7 +9,7 @@ Section 3, structured like a small DBMS front end:
 * :mod:`repro.plan.nodes` — the immutable logical plan IR with schema
   checking and ``explain()``.
 * :mod:`repro.plan.rewrites` — semantics-preserving rewrite rules
-  (filter pushdown, filter fusion, select→aggregate fusion).
+  (filter pushdown, filter fusion, unread annotations dropped).
 * :mod:`repro.plan.cost` — the cost model choosing SUM strategies
   (CF approximation / CLT / CF inversion) and the batch size.
 * :class:`Planner` / :class:`CompiledQuery`
@@ -43,7 +43,6 @@ from .nodes import (
     ColumnStat,
     DeriveNode,
     FilterNode,
-    FusedSelectAggregateNode,
     JoinNode,
     LogicalNode,
     LogicalPlan,
@@ -56,7 +55,6 @@ from .nodes import (
     UnionNode,
     explain_logical,
 )
-from .physical import FusedSelectAggregate
 from .planner import CompiledQuery, NodeLowering, Planner, compile_streams
 from .sharding import (
     MergeSpec,
@@ -71,7 +69,7 @@ from .rewrites import (
     apply_rewrites,
     default_rules,
     fuse_adjacent_filters,
-    fuse_select_into_aggregate,
+    drop_unread_annotation,
     push_filter_below_derive,
     push_filter_below_join,
     reorder_cheap_filter_first,
@@ -91,7 +89,6 @@ __all__ = [
     "UnionNode",
     "SummarizeNode",
     "PipeNode",
-    "FusedSelectAggregateNode",
     "StreamSchema",
     "PlanError",
     "explain_logical",
@@ -111,8 +108,7 @@ __all__ = [
     "fuse_adjacent_filters",
     "reorder_cheap_filter_first",
     "reorder_selective_prob_filter_first",
-    "fuse_select_into_aggregate",
-    "FusedSelectAggregate",
+    "drop_unread_annotation",
     "NodeLowering",
     "ColumnStat",
     "callable_fingerprint",

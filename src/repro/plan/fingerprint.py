@@ -38,7 +38,6 @@ from typing import Callable, Dict, Hashable, Optional, Tuple
 from repro.streams.windows import WindowSpec
 
 from .nodes import (
-    FusedSelectAggregateNode,
     LogicalNode,
     PipeNode,
     SourceNode,
@@ -108,15 +107,6 @@ def node_fingerprint(
         # are interchangeable only when they wrap the *same* operator
         # object (the Figure 2 shared-T-operator case).
         return ("Pipe", id(node.operator)) + tuple(input_fingerprints)
-    if isinstance(node, FusedSelectAggregateNode):
-        # The payload nodes are parameters here, not inputs: the select
-        # carries the node's true input, the aggregate contributes only
-        # its settings (its ``input`` field points back at the select).
-        return (
-            "FusedSelectAggregate",
-            node_fingerprint(node.select, tuple(input_fingerprints)),
-            node_fingerprint(node.aggregate, ()),
-        )
     params = []
     for f in fields(node):
         value = getattr(node, f.name)

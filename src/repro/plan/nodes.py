@@ -47,7 +47,6 @@ __all__ = [
     "UnionNode",
     "SummarizeNode",
     "PipeNode",
-    "FusedSelectAggregateNode",
     "LogicalPlan",
     "topological_nodes",
     "consumer_counts",
@@ -438,34 +437,6 @@ class AggregateNode(LogicalNode):
             )
         parts.append("]")
         return "".join(parts)
-
-
-@dataclass(frozen=True, eq=False)
-class FusedSelectAggregateNode(LogicalNode):
-    """A ProbFilter fused into the aggregate that consumes it.
-
-    Produced only by the ``fuse_select_into_aggregate`` rewrite; the
-    builder never creates one directly.  Lowered to a single physical
-    box that computes the selection mask and the window moments in one
-    pass over the batch columns.
-    """
-
-    select: ProbFilterNode
-    aggregate: AggregateNode
-
-    @property
-    def inputs(self) -> Tuple[LogicalNode, ...]:
-        return (self.select.input,)
-
-    def with_inputs(self, *inputs: LogicalNode) -> FusedSelectAggregateNode:
-        (node,) = inputs
-        return replace(self, select=replace(self.select, input=node))
-
-    def output_schema(self) -> StreamSchema:
-        return replace(self.aggregate, input=self.select).output_schema()
-
-    def label(self) -> str:
-        return f"FusedSelectAggregate[{self.select.label()} ⨝ {self.aggregate.label()}]"
 
 
 @dataclass(frozen=True, eq=False)

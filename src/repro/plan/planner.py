@@ -25,7 +25,7 @@ counters from the engine).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.aggregation.operator import GroupByAggregate, UncertainAggregate
@@ -48,7 +48,6 @@ from .nodes import (
     AggregateNode,
     DeriveNode,
     FilterNode,
-    FusedSelectAggregateNode,
     JoinNode,
     LogicalNode,
     LogicalPlan,
@@ -60,7 +59,6 @@ from .nodes import (
     UnionNode,
     topological_nodes,
 )
-from .physical import FusedSelectAggregate
 from .rewrites import DEFAULT_RULES, RewriteRule, RewriteTrace, apply_rewrites, default_rules
 
 __all__ = ["Planner", "CompiledQuery", "NodeLowering", "compile_streams"]
@@ -109,26 +107,26 @@ class NodeLowering:
     # ------------------------------------------------------------------
     # Aggregate helpers
     # ------------------------------------------------------------------
-    def _resolve_strategy(self, node: AggregateNode, hint_id: int, label: str):
+    def _resolve_strategy(self, node: AggregateNode):
         if node.strategy is not None or node.function not in ("sum", "avg"):
             return node.strategy
-        family, rate = self._hints.get(hint_id, (None, None))
+        family, rate = self._hints.get(id(node), (None, None))
         choice = self.cost_model.choose_sum_strategy(node.window, family, rate)
-        self.strategy_decisions.append(_StrategyDecision(label, choice))
+        self.strategy_decisions.append(_StrategyDecision(node.label(), choice))
         return choice.strategy
 
-    def _note_window(self, node: AggregateNode, hint_id: int) -> None:
+    def _note_window(self, node: AggregateNode) -> None:
         size = self.cost_model.expected_window_size(
-            node.window, self._hints.get(hint_id, (None, None))[1]
+            node.window, self._hints.get(id(node), (None, None))[1]
         )
         if size is None and isinstance(node.window, TumblingCountWindow):
             size = node.window.size
         if size is not None:
             self.window_sizes.append(size)
 
-    def _build_aggregate(self, node: AggregateNode, hint_id: int) -> Operator:
-        strategy = self._resolve_strategy(node, hint_id, node.label())
-        self._note_window(node, hint_id)
+    def _build_aggregate(self, node: AggregateNode) -> Operator:
+        strategy = self._resolve_strategy(node)
+        self._note_window(node)
         common = dict(
             window=node.window,
             attribute=node.attribute,
@@ -167,17 +165,8 @@ class NodeLowering:
                 min_probability=node.min_probability,
                 probability_attribute=node.annotate,
             )
-        elif isinstance(node, FusedSelectAggregateNode):
-            aggregate = self._build_aggregate(
-                replace(node.aggregate, input=node.select), id(node)
-            )
-            op = FusedSelectAggregate(
-                node.select.predicate(),
-                node.select.min_probability,
-                aggregate,
-            )
         elif isinstance(node, AggregateNode):
-            op = self._build_aggregate(node, id(node))
+            op = self._build_aggregate(node)
         elif isinstance(node, JoinNode):
             op = ProbabilisticJoin(
                 window_length=node.window_length,

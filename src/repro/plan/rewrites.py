@@ -38,12 +38,13 @@ The rules:
     statistics (both filters cost one CDF evaluation, so selectivity
     alone decides).
 
-``fuse_select_into_aggregate``
-    ``Aggregate(ProbFilter(x))`` → one fused box computing the
-    selection mask and the window moments in a single pass over the
-    batch columns (no intermediate annotated tuples).  Applied only
-    when the aggregate is the filter's sole consumer, since the fused
-    box no longer exposes the filtered stream.
+``drop_unread_annotation``
+    ``Aggregate(ProbFilter(x, annotate=a))`` → ``Aggregate(ProbFilter(x))``
+    when nothing can read ``a``: the aggregate is the filter's sole
+    consumer, it has no (opaque) group key and it does not aggregate
+    ``a``.  The filter then passes its survivors on as a selection of
+    the input batch, columns included, instead of building annotated
+    rows the window discards anyway.
 
 Safety notes are spelled out per rule below; every rule is covered by
 an optimized-vs-naive equivalence test in ``tests/plan/``.
@@ -59,7 +60,6 @@ from .nodes import (
     AggregateNode,
     DeriveNode,
     FilterNode,
-    FusedSelectAggregateNode,
     JoinNode,
     LogicalNode,
     LogicalPlan,
@@ -78,7 +78,7 @@ __all__ = [
     "fuse_adjacent_filters",
     "reorder_cheap_filter_first",
     "reorder_selective_prob_filter_first",
-    "fuse_select_into_aggregate",
+    "drop_unread_annotation",
 ]
 
 
@@ -249,47 +249,40 @@ def _make_reorder_selective_prob_filter_first(cost_model: CostModel):
     return rule
 
 
-def _fuse_select_into_aggregate(
+def _drop_unread_annotation(
     node: LogicalNode, consumers: Dict[int, int]
 ) -> Optional[Tuple[LogicalNode, str]]:
     if not isinstance(node, AggregateNode):
         return None
     child = node.input
-    if not isinstance(child, ProbFilterNode) or consumers.get(id(child), 0) > 1:
-        # A shared filtered stream must stay materialised for its other
-        # consumers.  (The aggregate discards per-input attributes, so
-        # the annotation itself never survives the window boundary.)
+    if not isinstance(child, ProbFilterNode) or child.annotate is None:
         return None
-    if child.annotate is not None and (
-        node.key is not None or node.attribute == child.annotate
-    ):
-        # The fused box skips building annotated survivor tuples, so it
-        # must not fire when the aggregate could read the annotation: a
-        # group key is an opaque callable (it may read anything), and
+    if consumers.get(id(child), 0) > 1:
+        # Another consumer of the filtered stream may read the annotation.
+        return None
+    if node.key is not None or node.attribute == child.annotate:
+        # A group key is an opaque callable (it may read anything), and
         # the aggregated attribute itself could name the annotation.
         return None
-    fused = FusedSelectAggregateNode(select=child, aggregate=node)
     return (
-        fused,
-        f"probabilistic filter on {child.attribute!r} fused into the "
-        f"{node.function}({node.attribute}) window kernel",
+        replace(node, input=replace(child, annotate=None)),
+        f"annotation {child.annotate!r} of the probabilistic filter on "
+        f"{child.attribute!r} dropped: {node.function}({node.attribute}) never reads it",
     )
 
 
 push_filter_below_derive = RewriteRule("push_filter_below_derive", _push_filter_below_derive)
 push_filter_below_join = RewriteRule("push_filter_below_join", _push_filter_below_join)
 fuse_adjacent_filters = RewriteRule("fuse_adjacent_filters", _fuse_adjacent_filters)
-fuse_select_into_aggregate = RewriteRule(
-    "fuse_select_into_aggregate", _fuse_select_into_aggregate
-)
+drop_unread_annotation = RewriteRule("drop_unread_annotation", _drop_unread_annotation)
 
 
 def default_rules(cost_model: Optional[CostModel] = None) -> Tuple[RewriteRule, ...]:
     """The default rule set, with ordering rules bound to ``cost_model``.
 
     Rule order matters only for the trace, not for correctness:
-    pushdowns and reorders run before fusions so fused boxes see final
-    positions.
+    pushdowns and reorders run before fusions, and the annotation is
+    dropped last, once the filters have their final positions.
     """
     model = cost_model or CostModel()
     return (
@@ -303,7 +296,7 @@ def default_rules(cost_model: Optional[CostModel] = None) -> Tuple[RewriteRule, 
             _make_reorder_selective_prob_filter_first(model),
         ),
         fuse_adjacent_filters,
-        fuse_select_into_aggregate,
+        drop_unread_annotation,
     )
 
 

@@ -21,8 +21,9 @@ sound and builds both halves:
 * Everything else — joins (cross-stream state), count windows (window
   membership depends on the global interleave), sliding-window
   aggregates, piped operators (opaque state), non-moment-closed SUM
-  strategies — does **not** shard; the runtime falls back to a single
-  in-process engine and :func:`explain_sharding` says why.
+  strategies — does **not** shard: the decision names the blocker,
+  :class:`repro.runtime.ShardedEngine` refuses the plan with it, and
+  :class:`repro.service.QuerySession` runs the query in-process.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .nodes import (
     AggregateNode,
     DeriveNode,
     FilterNode,
-    FusedSelectAggregateNode,
     LogicalNode,
     LogicalPlan,
     ProbFilterNode,
@@ -110,24 +110,14 @@ def _is_row_local(node: LogicalNode) -> bool:
     """Output of ``node`` depends only on single tuples (any chunk placement)."""
     if isinstance(node, _ROW_WISE):
         return True
-    if isinstance(node, AggregateNode):
-        return isinstance(node.window, NowWindow)
-    if isinstance(node, FusedSelectAggregateNode):
-        return isinstance(node.aggregate.window, NowWindow)
-    return False
+    return isinstance(node, AggregateNode) and isinstance(node.window, NowWindow)
 
 
 def _splittable_aggregate(node: LogicalNode) -> Optional[AggregateNode]:
     """Return the AggregateNode to split at, or None."""
-    if isinstance(node, FusedSelectAggregateNode):
-        agg = node.aggregate
-    elif isinstance(node, AggregateNode):
-        agg = node
-    else:
-        return None
-    if isinstance(agg.window, NowWindow):
-        return None  # row-local, no merge needed
-    return agg
+    if not isinstance(node, AggregateNode) or isinstance(node.window, NowWindow):
+        return None  # not an aggregate, or row-local (no merge needed)
+    return node
 
 
 def _first_non_row_local(subtree: LogicalNode) -> Optional[LogicalNode]:
@@ -143,8 +133,11 @@ def split_for_sharding(
     """Split an (already optimized) single-output plan for sharding.
 
     The caller is expected to run the planner's rewrite rules first, so
-    the split sees the same plan shape the single engine would execute
-    (in particular ``fuse_select_into_aggregate`` has already fired).
+    the split sees the same plan shape the single engine would execute.
+    A refused plan (``shardable=False``) carries the blocker in
+    ``reason``; :class:`repro.runtime.ShardedEngine` raises it as a
+    :class:`~repro.plan.nodes.PlanError`, and
+    :class:`repro.service.QuerySession` runs such a query in-process.
     """
     cost_model = cost_model or CostModel()
     if len(plan.outputs) != 1:
@@ -162,7 +155,7 @@ def split_for_sharding(
     while True:
         agg = _splittable_aggregate(current)
         if agg is not None:
-            return _split_at_aggregate(plan, current, agg, suffix_chain, counts, cost_model)
+            return _split_at_aggregate(plan, agg, suffix_chain, counts, cost_model)
         if _is_row_local(current):
             inputs = current.inputs
             if len(inputs) != 1:
@@ -199,8 +192,6 @@ def _describe_blocker(node: LogicalNode) -> str:
             "is determined by each tuple's timestamp); count and sliding "
             "windows depend on the global tuple interleave"
         )
-    if isinstance(node, FusedSelectAggregateNode):
-        return _describe_blocker(node.aggregate)
     return (
         f"{label}: joins, piped operators and other stateful boxes need the "
         "whole stream in one place"
@@ -209,7 +200,6 @@ def _describe_blocker(node: LogicalNode) -> str:
 
 def _split_at_aggregate(
     plan: LogicalPlan,
-    split_node: LogicalNode,
     agg: AggregateNode,
     suffix_chain: List[LogicalNode],
     counts,
@@ -223,13 +213,13 @@ def _split_at_aggregate(
             f"(mergeable: {MERGEABLE_FUNCTIONS}); MAX/MIN order statistics are "
             "grid-discretised, so composing per-shard results would drift"
         )
-    if counts.get(id(split_node), 0) > 1:
+    if counts.get(id(agg), 0) > 1:
         return _unshardable(
             f"{agg.label()}: the aggregate's output fans out to several "
             "consumers; sharding would have to replicate the merge"
         )
     # Everything feeding the aggregate must itself be row-wise.
-    blocker = _first_non_row_local(split_node.inputs[0])
+    blocker = _first_non_row_local(agg.input)
     if blocker is not None:
         return _unshardable(_describe_blocker(blocker))
 
@@ -239,7 +229,7 @@ def _split_at_aggregate(
     if agg.function in ("sum", "avg"):
         nodes = topological_nodes(plan.outputs)
         lowering = NodeLowering(cost_model, nodes)
-        strategy = lowering._resolve_strategy(agg, id(split_node), agg.label())
+        strategy = lowering._resolve_strategy(agg)
         if strategy is None or not strategy.supports_moments:
             name = type(strategy).__name__ if strategy is not None else "none"
             return _unshardable(
@@ -255,11 +245,7 @@ def _split_at_aggregate(
         having=None,
         output_attribute=partial_attribute,
     )
-    if isinstance(split_node, FusedSelectAggregateNode):
-        local_root: LogicalNode = replace(split_node, aggregate=partial_agg)
-    else:
-        local_root = partial_agg
-    local = LogicalPlan(outputs=(local_root,), names=("partials",))
+    local = LogicalPlan(outputs=(partial_agg,), names=("partials",))
     local.validate()
 
     suffix = _build_suffix(suffix_chain)
@@ -312,7 +298,7 @@ def explain_sharding(decision: ShardingDecision, workers: Optional[int] = None) 
     if workers is not None:
         lines.append(f"workers: {workers}")
     if not decision.shardable:
-        lines.append("sharded: no (single-engine fallback)")
+        lines.append("sharded: no (runs in-process)")
         lines.append(f"reason: {decision.reason}")
         return "\n".join(lines)
     lines.append("sharded: yes")

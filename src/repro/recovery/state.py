@@ -116,9 +116,9 @@ def decode_state(payload: bytes) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Whole-engine snapshots (single-query engines: shard runners, fallback
-# and suffix plans).  Multi-query session engines snapshot per query by
-# plan fingerprint instead — see ``QuerySession.checkpoint``.
+# Whole-engine snapshots (single-query engines: shard runners and
+# coordinator suffix plans).  Multi-query session engines snapshot per
+# query by plan fingerprint instead — see ``QuerySession.checkpoint``.
 # ----------------------------------------------------------------------
 def snapshot_engine_ops(engine) -> List[dict]:
     """Snapshot every operator of a :class:`StreamEngine` in topo order.

@@ -16,8 +16,12 @@ for row-wise outputs.
 >>> results = engine.finish()
 >>> engine.close()
 
-The service layer exposes the same capability as
-``QuerySession(workers=N)``.
+A :class:`ShardedEngine` only shards: it refuses a plan the sharding
+pass cannot split (a join, a count window, ...) with a
+:class:`~repro.plan.nodes.PlanError` naming the blocker.  The service
+layer exposes the same capability as ``QuerySession(workers=N)``, which
+is the one place that picks in-process or sharded execution per query:
+a query that does not shard runs in the session's in-process engine.
 """
 
 from .engine import ShardBackpressure, ShardedEngine, ShardedStatistics, ShardError

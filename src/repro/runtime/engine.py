@@ -12,10 +12,11 @@ uncertainty-aware merge operators of :mod:`repro.runtime.merge`:
   result;
 * row-wise plans reassemble chunk outputs in global input order.
 
-Plans the sharding pass rejects (joins, count windows, ...) fall back
-to a single in-process engine behind the same interface, and
-``explain()`` says why — sharded and unsharded queries are driven
-identically.
+The engine only shards: a plan the sharding pass rejects (joins, count
+windows, ...) is refused with a :class:`~repro.plan.nodes.PlanError`
+naming the blocker.  :class:`repro.service.QuerySession` is the one
+place that picks between in-process and sharded execution; it runs
+such a query in its shared in-process engine.
 
 Transport: every shard sits behind one *channel* shape
 (:mod:`repro.runtime.transport`) — send a frame, poll replies, report
@@ -69,12 +70,7 @@ from repro import obs
 from repro.plan.builder import Stream
 from repro.plan.nodes import LogicalPlan, PlanError
 from repro.plan.planner import Planner
-from repro.plan.sharding import (
-    PARTIAL_SOURCE,
-    ShardingDecision,
-    explain_sharding,
-    split_for_sharding,
-)
+from repro.plan.sharding import PARTIAL_SOURCE, explain_sharding, split_for_sharding
 from repro.streams.batch import TupleBatch
 from repro.streams.engine import OperatorStats
 from repro.streams.operators.base import Operator
@@ -220,7 +216,7 @@ class ShardedEngine:
         A :class:`~repro.plan.Stream` or single-output
         :class:`~repro.plan.LogicalPlan`.
     workers:
-        Shard count.  ``0`` forces the single-engine fallback.
+        Shard count, at least 1.
     backend:
         ``"process"`` (forked workers, the real runtime) or
         ``"inline"`` (shards run synchronously in-process through the
@@ -233,18 +229,14 @@ class ShardedEngine:
         Bound on the chunks in flight (shipped but not yet answered)
         per shard, for every channel.  This is the backpressure knob:
         a ship to a shard at the bound waits for one of its replies.
-    batch_size:
-        Batch size of the single-engine fallback (as in
-        ``Planner.compile``); shard workers run each shipped chunk as
-        one batch.
+        Shard workers run each shipped chunk as one batch.
     remote_shards:
         TCP addresses (``"host:port"``) of running
         :class:`repro.net.shard.ShardServer` processes.  The *highest*
         shard slots connect there instead of forking: with
         ``workers=4`` and two addresses, shards 0–1 fork locally and
-        shards 2–3 run remotely.  Requires the ``"process"`` backend;
-        when the plan falls back to a single engine the addresses are
-        unused.  The remote server must host the same query (see
+        shards 2–3 run remotely.  Requires the ``"process"`` backend.
+        The remote server must host the same query (see
         :mod:`repro.net.shard` on plan distribution).
     sink:
         Optional result sink operator; every merged result is delivered
@@ -260,14 +252,13 @@ class ShardedEngine:
         backend: str = "process",
         chunk_size: int = 1024,
         queue_capacity: int = 8,
-        batch_size: Optional[int] = None,
         planner: Optional[Planner] = None,
         optimize: bool = True,
         sink: Optional[Operator] = None,
         remote_shards: Iterable[str] = (),
     ):
-        if workers < 0:
-            raise PlanError(f"workers must be non-negative, got {workers}")
+        if workers < 1:
+            raise PlanError(f"workers must be at least 1, got {workers}")
         if chunk_size < 1:
             raise PlanError(f"chunk_size must be at least 1, got {chunk_size}")
         if queue_capacity < 1:
@@ -298,7 +289,6 @@ class ShardedEngine:
             )
 
         self._planner = planner or Planner()
-        self._optimize = optimize
         self.workers = workers
         self.backend = backend
         self.chunk_size = chunk_size
@@ -314,29 +304,11 @@ class ShardedEngine:
             optimized.validate()
         else:
             optimized = plan
-        if workers == 0:
-            self.decision = ShardingDecision(
-                shardable=False, reason="workers=0 pins the single-engine fallback"
-            )
-        else:
-            self.decision = split_for_sharding(optimized, self._planner.cost_model)
+        self.decision = decision = split_for_sharding(optimized, self._planner.cost_model)
+        if not decision.shardable:
+            raise PlanError(f"plan does not shard: {decision.reason}")
 
-        if not self.decision.shardable:
-            # Single-engine fallback behind the sharded interface.
-            self._compiled = self._planner.compile(
-                plan, batch_size=batch_size, optimize=optimize
-            )
-            self._compiled_sink = self._compiled._sinks[self._compiled.logical_plan.names[0]]
-            self.sources = list(self._compiled.sources)
-        else:
-            self._init_sharded()
-
-    # ------------------------------------------------------------------
-    # Sharded state
-    # ------------------------------------------------------------------
-    def _init_sharded(self) -> None:
-        """Build mergers, suffix engine, shard transports and the worker pool."""
-        decision = self.decision
+        # Mergers, suffix engine, shard channels and the worker pool.
         self.sources = sorted(s.name for s in decision.local.sources)
         if decision.ordered:
             self._merger = OrderedChunkMerger()
@@ -477,26 +449,16 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # Data flow
     # ------------------------------------------------------------------
-    @property
-    def sharded(self) -> bool:
-        """True when the plan actually runs across shard workers."""
-        return self.decision.shardable
-
     def _ensure_open(self) -> None:
         if self._closed:
             raise ShardError(
                 "this ShardedEngine is closed; create a new one to push more data"
             )
-        if getattr(self, "_reply_error", None) is not None:
-            self._raise_if_failed()
+        self._raise_if_failed()
 
     def push(self, source: str, item: StreamTuple) -> None:
         """Buffer one tuple; full chunks ship to their shard."""
         self._ensure_open()
-        if not self.sharded:
-            self._compiled.push(source, item)
-            self._drain_fallback()
-            return
         self._check_source(source)
         if self.decision.ordered and self._pending_source not in (None, source):
             self._ship_pending()
@@ -511,10 +473,6 @@ class ShardedEngine:
     def push_many(self, source: str, items: Iterable[StreamTuple]) -> None:
         """Push a sequence of tuples (chunked and rotated across shards)."""
         self._ensure_open()
-        if not self.sharded:
-            self._compiled.push_many(source, items)
-            self._drain_fallback()
-            return
         for item in items:
             self.push(source, item)
 
@@ -724,7 +682,7 @@ class ShardedEngine:
         user sink (which may be a service-layer subscription fan-out)
         keep their single-threaded contract.
         """
-        ready = getattr(self, "_ready", None)
+        ready = self._ready
         if not ready:
             return
         while True:
@@ -778,14 +736,6 @@ class ShardedEngine:
                     f"{channel!r}"
                 )
 
-    def _drain_fallback(self) -> None:
-        """Move fallback results from the compiled sink through the user sink."""
-        results = self._compiled_sink.results
-        if not results:
-            return
-        self._sink.accept_batch(TupleBatch(results))
-        results.clear()
-
     # ------------------------------------------------------------------
     # Drain / shutdown
     # ------------------------------------------------------------------
@@ -796,10 +746,6 @@ class ShardedEngine:
         results are emitted; the engine stays usable for further pushes.
         """
         self._ensure_open()
-        if not self.sharded:
-            self._compiled.finish()
-            self._drain_fallback()
-            return self.results
         self._ship_pending()
         self._flush_token += 1
         token = self._flush_token
@@ -842,10 +788,6 @@ class ShardedEngine:
         state from which processing continues exactly where it stopped.
         """
         self._ensure_open()
-        if not self.sharded:
-            # Fallback pushes run synchronously; nothing is in flight.
-            self._drain_fallback()
-            return
         self._ship_pending()
         self._await_replies(lambda: self._outstanding == 0)
         self._flush_ready()
@@ -853,21 +795,13 @@ class ShardedEngine:
     def state_snapshot(self) -> dict:
         """Quiesce and capture the engine's complete mutable state.
 
-        Sharded engines fan a snapshot request out to every shard over
-        its channel (workers serialize their own operator
-        state via the wire format) and combine it with the coordinator's
-        merger and suffix-plan state.  The single-engine
-        fallback snapshots its compiled engine directly.
+        A snapshot request fans out to every shard over its channel
+        (workers serialize their own operator state via the wire format)
+        and is combined with the coordinator's merger and suffix-plan
+        state.
         """
         from repro.recovery.state import decode_state, snapshot_engine_ops
 
-        self._ensure_open()
-        if not self.sharded:
-            self.quiesce()
-            return {
-                "mode": "fallback",
-                "ops": snapshot_engine_ops(self._compiled.engine),
-            }
         self.quiesce()
         shard_states: Dict[str, dict] = {}
         self._snapshot_token += 1
@@ -910,19 +844,10 @@ class ShardedEngine:
         from repro.recovery.state import encode_state, restore_engine_ops
 
         self._ensure_open()
-        if not self.sharded:
-            if state.get("mode") != "fallback":
-                raise ShardError(
-                    "checkpoint was taken from a sharded engine but this engine "
-                    "runs the single-engine fallback; recover with the same "
-                    "worker count"
-                )
-            restore_engine_ops(self._compiled.engine, state["ops"])
-            return
         if state.get("mode") != "sharded":
             raise ShardError(
-                "checkpoint was taken from a single-engine fallback but this "
-                "engine is sharded; recover with the same worker count"
+                f"checkpoint state has mode {state.get('mode')!r}, not 'sharded'; "
+                "a ShardedEngine restores only a ShardedEngine snapshot"
             )
         shard_states = state["shards"]
         if len(shard_states) != self.workers:
@@ -957,8 +882,6 @@ class ShardedEngine:
         if self._closed:
             return
         self._closed = True
-        if not self.sharded:
-            return
         # Stop the reader threads first: from here the caller's thread
         # owns the consumer side of every channel.
         self._stop_readers.set()
@@ -994,10 +917,6 @@ class ShardedEngine:
     def statistics(self) -> ShardedStatistics:
         """Per-shard operator statistics plus the coordinator's own boxes."""
         coordinator: List[OperatorStats] = []
-        if not self.sharded:
-            return ShardedStatistics(
-                shards={}, coordinator=self._compiled.statistics(detailed=True)
-            )
         self._ensure_open()
         with self._reply_cv:
             self._stats_rows = {shard: None for shard in range(self.workers)}
@@ -1026,10 +945,8 @@ class ShardedEngine:
         """Per-shard backpressure state: in-flight chunks, stalls, send backlog.
 
         Cheap (no worker round trip), so it is safe to sample in a hot
-        monitoring loop; the single-engine fallback returns ``{}``.
+        monitoring loop.
         """
-        if not self.sharded:
-            return {}
         report: Dict[int, ShardBackpressure] = {}
         for shard, channel in enumerate(self._channels):
             report[shard] = ShardBackpressure(
@@ -1051,15 +968,12 @@ class ShardedEngine:
         chunks and for room in a socket buffer); ``decode`` — reply
         payloads back into tuples (reader threads, overlapped);
         ``merge`` — merge-operator ingest plus suffix/sink delivery.
-        The single-engine fallback reports zeros.
         """
-        if not self.sharded:
-            return {"encode": 0.0, "transport": 0.0, "decode": 0.0, "merge": 0.0}
         with self._reply_cv:
             return {name: counter.value for name, counter in self._stage.items()}
 
     def explain(self) -> str:
-        """The sharding decision, runtime configuration and fallback plan."""
+        """The sharding decision and the runtime configuration."""
         lines = [explain_sharding(self.decision, workers=self.workers)]
         lines.append("")
         lines.append("Runtime")
@@ -1076,7 +990,4 @@ class ShardedEngine:
         lines.append(
             f"chunk_size: {self.chunk_size}, queue_capacity: {self._queue_capacity}"
         )
-        if not self.sharded:
-            lines.append("")
-            lines.append(self._compiled.explain())
         return "\n".join(lines)

@@ -519,7 +519,6 @@ class QuerySession:
             workers=self._workers,
             backend=self._shard_backend,
             chunk_size=self._shard_chunk_size,
-            batch_size=self._batch_size,
             planner=self._planner,
             optimize=False,  # the session already ran the rewrite rules
             sink=sink,

@@ -133,8 +133,8 @@ def _write_run(rows, parts: list) -> bool:
     they differ in attribute names or in a value column's type."""
     n = len(rows)
     first = rows[0]
-    values = list(map(attrgetter("values"), rows))
-    uncertain = list(map(attrgetter("uncertain"), rows))
+    values = [t.values for t in rows]
+    uncertain = [t.uncertain for t in rows]
     if list(map(len, values)).count(len(first.values)) != n:
         return False
     if list(map(len, uncertain)).count(len(first.uncertain)) != n:
@@ -148,12 +148,12 @@ def _write_run(rows, parts: list) -> bool:
     for cls, column in zip(value_types, value_columns):
         if list(map(type, column)).count(cls) != n:
             return False
-    lineages = list(map(attrgetter("lineage"), rows))
-    tuple_ids = np.fromiter(map(attrgetter("tuple_id"), rows), dtype="<i8", count=n)
+    lineages = [t.lineage for t in rows]
+    tuple_ids = np.fromiter([t.tuple_id for t in rows], dtype="<i8", count=n)
     own_lineage = list(map(len, lineages)).count(1) == n
     own_lineage = own_lineage and all(map(contains, lineages, tuple_ids.tolist()))
     parts.append(_RUN.pack(n, len(value_columns), len(uncertain_columns), 0 if own_lineage else 1))
-    parts.append(np.fromiter(map(attrgetter("timestamp"), rows), dtype="<f8", count=n).tobytes())
+    parts.append(np.fromiter([t.timestamp for t in rows], dtype="<f8", count=n).tobytes())
     parts.append(tuple_ids.tobytes())
     if not own_lineage:
         _write_sized(list(map(sorted, lineages)), parts)

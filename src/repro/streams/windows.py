@@ -109,10 +109,6 @@ class WindowBuffer(abc.ABC):
             closed.extend(add(item))
         return closed
 
-    def extend(self, items: Iterable[StreamTuple]) -> List[WindowClose]:
-        """Alias for :meth:`add_many` (list-like bulk-insertion name)."""
-        return self.add_many(items)
-
     @abc.abstractmethod
     def flush(self) -> List[WindowClose]:
         """Close and return any remaining partial windows (end of stream)."""
@@ -287,6 +283,13 @@ class TumblingTimeWindow(WindowSpec):
         return f"TumblingTimeWindow(length={self.length})"
 
 
+def _late_row(timestamp: float) -> ValueError:
+    return ValueError(
+        f"out-of-order tuple (timestamp {float(timestamp)!r}) arrived before "
+        "the current tumbling window"
+    )
+
+
 class _TimeBuffer(_SegmentBuffer):
     def __init__(self, length: float, origin: float):
         super().__init__()
@@ -309,9 +312,7 @@ class _TimeBuffer(_SegmentBuffer):
             self._window_index = idx
         elif idx != self._window_index:
             if idx < self._window_index:
-                raise ValueError(
-                    "out-of-order tuple arrived before the current tumbling window"
-                )
+                raise _late_row(item.timestamp)
             closed.append(self._close_current())
             self._window_index = idx
         self._loose.append(item)
@@ -323,24 +324,25 @@ class _TimeBuffer(_SegmentBuffer):
         Window indices for the whole batch come from a single numpy
         floor-division over the timestamp column, and each run of rows
         in one window joins it as one segment; the closed windows are
-        identical to the per-tuple :meth:`add` loop (which remains the
-        fallback for out-of-order input so the error is raised at the
-        exact offending tuple).
+        identical to the per-tuple :meth:`add` loop.  A row stamped
+        before the window open when it arrives makes the whole batch
+        refused, before anything is inserted: the ``ValueError`` names
+        that row's timestamp and the buffer stays as it was.
         """
         batch = items if isinstance(items, TupleBatch) else TupleBatch(items)
         if not batch:
             return []
         # Same arithmetic as _index_of: floor((t - origin) / length).
-        indices = np.floor_divide(batch.timestamps() - self._origin, self._length).astype(np.int64)
-        out_of_order = bool(np.any(np.diff(indices) < 0)) or (
-            self._window_index is not None and int(indices[0]) < self._window_index
-        )
+        timestamps = batch.timestamps()
+        indices = np.floor_divide(timestamps - self._origin, self._length).astype(np.int64)
+        current = indices[0] if self._window_index is None else self._window_index
+        steps = np.diff(indices)
+        if indices[0] < current or (steps < 0).any():
+            # The first row below the window open when it arrives.
+            opened = np.maximum.accumulate(np.concatenate(([current], indices[:-1])))
+            raise _late_row(timestamps[np.flatnonzero(indices < opened)[0]])
         closed: List[WindowClose] = []
-        if out_of_order:
-            for item in batch:
-                closed.extend(self.add(item))
-            return closed
-        run_starts = [0] + (np.flatnonzero(np.diff(indices)) + 1).tolist()
+        run_starts = [0] + (np.flatnonzero(steps) + 1).tolist()
         run_starts.append(len(batch))
         for begin, end in zip(run_starts, run_starts[1:]):
             idx = int(indices[begin])

@@ -32,6 +32,7 @@ from repro.core import (
     Comparison,
     GroupByAggregate,
     HavingClause,
+    ProbabilisticSelect,
     UncertainAggregate,
     UncertainPredicate,
 )
@@ -39,7 +40,6 @@ from repro.core.aggregation import ColumnKey
 from repro.core.aggregation.order_statistics import max_distribution
 from repro.core.aggregation.transforms import affine_distribution
 from repro.distributions import Gaussian, GaussianMixture, MultivariateGaussian
-from repro.plan.physical import FusedSelectAggregate
 from repro.streams import StreamTuple, TumblingCountWindow, TumblingTimeWindow, TupleBatch
 from repro.streams.operators.base import OperatorError
 
@@ -130,7 +130,29 @@ def reference_emit(closes, grouped, function, strategy, having):
     return out
 
 
-def build_operator(grouped, fused, window_spec, function, strategy, having):
+class SelectThenAggregate:
+    """The two boxes a select→aggregate plan lowers to: a selection that
+    does not annotate, feeding the aggregate."""
+
+    def __init__(self, aggregate):
+        predicate = UncertainPredicate("score", Comparison.GREATER, SCORE_THRESHOLD)
+        self.select = ProbabilisticSelect(predicate, 0.5, probability_attribute=None)
+        self.aggregate = aggregate
+
+    def process_batch(self, batch):
+        return self.aggregate.process_batch(self.select.process_batch(batch))
+
+    def flush(self):
+        return self.aggregate.flush()
+
+    def state_snapshot(self):
+        return self.aggregate.state_snapshot()
+
+    def state_restore(self, state):
+        self.aggregate.state_restore(state)
+
+
+def build_operator(grouped, selected, window_spec, function, strategy, having):
     agg = (
         GroupByAggregate(
             window_spec,
@@ -143,15 +165,12 @@ def build_operator(grouped, fused, window_spec, function, strategy, having):
         if grouped
         else UncertainAggregate(window_spec, "value", strategy, function=function, having=having)
     )
-    if not fused:
-        return agg
-    predicate = UncertainPredicate("score", Comparison.GREATER, SCORE_THRESHOLD)
-    return FusedSelectAggregate(predicate, 0.5, agg)
+    return SelectThenAggregate(agg) if selected else agg
 
 
-def run_both(rows, batch_size, window_spec, grouped, fused, function, strategy, having):
+def run_both(rows, batch_size, window_spec, grouped, selected, function, strategy, having):
     """Drive the operator's batch path and the reference over the same closes."""
-    op = build_operator(grouped, fused, window_spec, function, strategy, having)
+    op = build_operator(grouped, selected, window_spec, function, strategy, having)
     buffer = window_spec.new_buffer()
     predicate = UncertainPredicate("score", Comparison.GREATER, SCORE_THRESHOLD)
     kernel, reference = [], []
@@ -162,7 +181,7 @@ def run_both(rows, batch_size, window_spec, grouped, fused, function, strategy, 
             kernel.extend(op.process_batch(batch))
         except OperatorError as exc:
             kernel_error = exc
-        if fused:
+        if selected:
             batch = batch.select(predicate.probabilities(batch) >= 0.5)
         try:
             reference.extend(
@@ -220,17 +239,17 @@ functions = st.sampled_from(["sum", "avg"])
     window_spec=windows,
     batch_size=batch_sizes,
     grouped=st.booleans(),
-    fused=st.booleans(),
+    selected=st.booleans(),
     function=functions,
     strategy=strategies,
 )
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_kernel_matches_per_window_loop(
-    seed, n_rows, kinds, gaps, window_spec, batch_size, grouped, fused, function, strategy
+    seed, n_rows, kinds, gaps, window_spec, batch_size, grouped, selected, function, strategy
 ):
     rows = make_stream(seed, n_rows, kinds, gaps)
     kernel, reference, error = run_both(
-        rows, batch_size, window_spec, grouped, fused, function, strategy, None
+        rows, batch_size, window_spec, grouped, selected, function, strategy, None
     )
     assert error is None
     assert_same(kernel, reference, None)
@@ -243,7 +262,7 @@ def test_kernel_matches_per_window_loop(
     window_spec=windows,
     batch_size=batch_sizes,
     grouped=st.booleans(),
-    fused=st.booleans(),
+    selected=st.booleans(),
     function=functions,
     strategy=strategies,
     pick=st.integers(0, 10**6),
@@ -258,7 +277,7 @@ def test_having_near_threshold_decides_like_the_loop(
     window_spec,
     batch_size,
     grouped,
-    fused,
+    selected,
     function,
     strategy,
     pick,
@@ -266,7 +285,7 @@ def test_having_near_threshold_decides_like_the_loop(
     min_probability,
 ):
     rows = make_stream(seed, n_rows, kinds, (0.0, 0.1, 1.0))
-    _, plain, _ = run_both(rows, 4096, window_spec, grouped, fused, function, strategy, None)
+    _, plain, _ = run_both(rows, 4096, window_spec, grouped, selected, function, strategy, None)
     if not plain:
         return
     # A threshold just above or below one group's mean: the tail
@@ -276,7 +295,7 @@ def test_having_near_threshold_decides_like_the_loop(
     threshold = target["mean"] + offset * (sigma + 1e-7 * (1.0 + target["scale"]))
     having = HavingClause(threshold=threshold, min_probability=min_probability)
     kernel, reference, error = run_both(
-        rows, batch_size, window_spec, grouped, fused, function, strategy, having
+        rows, batch_size, window_spec, grouped, selected, function, strategy, having
     )
     assert error is None
     assert_same(kernel, reference, having)
@@ -343,7 +362,7 @@ def planar_rows(n):
     ]
 
 
-@pytest.mark.parametrize("path", ["window-loop", "batch", "fused", "flush"])
+@pytest.mark.parametrize("path", ["window-loop", "batch", "selected", "flush"])
 def test_multivariate_summands_are_refused(path):
     agg = UncertainAggregate(TumblingCountWindow(4), "loc", CFApproximationSum())
     with pytest.raises(OperatorError, match="'loc'.*MultivariateGaussian"):
@@ -358,8 +377,7 @@ def test_multivariate_summands_are_refused(path):
             agg.process_batch(TupleBatch(planar_rows(3)))
             list(agg.flush())
         else:
-            predicate = UncertainPredicate("score", Comparison.GREATER, 0.0)
-            FusedSelectAggregate(predicate, 0.5, agg).process_batch(TupleBatch(planar_rows(4)))
+            SelectThenAggregate(agg).process_batch(TupleBatch(planar_rows(4)))
 
 
 def flush_rows():
@@ -502,12 +520,11 @@ def test_derived_batches_spanning_windows_match_the_loop(
     grouped=st.booleans(),
 )
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_out_of_order_fallback_keeps_rows_before_the_late_one(
-    seed, n_rows, batch_size, length, late_at, grouped
-):
-    # A row stamped before the open window: the batch falls back to
-    # row-by-row insertion, which raises at that row, keeping the rows
-    # before it.  The stream then goes on without the rest of the batch.
+def test_out_of_order_batch_is_refused_whole(seed, n_rows, batch_size, length, late_at, grouped):
+    # A row stamped before the window open when it arrives: the batch is
+    # refused before any of its rows is inserted, with an error naming
+    # that row's timestamp, and the buffer stays as it was.  The stream
+    # then goes on as if the batch had never come.
     rows = make_stream(seed, n_rows, ("gaussian", "numeric"), (0.1, 0.5, 1.0))
     i = 1 + late_at % (n_rows - 1)
     late = StreamTuple(
@@ -519,27 +536,33 @@ def test_out_of_order_fallback_keeps_rows_before_the_late_one(
     spec = TumblingTimeWindow(length)
     op = build_operator(grouped, False, spec, "sum", CLTSum(), None)
     buffer = spec.new_buffer()
-    kernel, closes = [], []
+    kernel, closes, refused = [], [], 0
     for start in range(0, len(rows), batch_size):
         batch = TupleBatch(rows[start : start + batch_size])
+        before = op._buffer.state_snapshot()
+        # The reference: the rows go in one by one unless one of them
+        # lands before the window open at that point.
+        current = before["window_index"]
+        late_row = None
+        for item in batch:
+            index = int(item.timestamp // length)
+            if current is not None and index < current:
+                late_row = item
+                break
+            current = index
         try:
             kernel.extend(op.process_batch(batch))
         except ValueError as exc:
-            assert "out-of-order" in str(exc)
-            late_error = True
-        else:
-            late_error = False
-        batch_closes = []
-        for item in batch:
-            try:
-                batch_closes.extend(buffer.add(item))
-            except ValueError:
-                # The error discards the windows this batch closed before it.
-                assert late_error
-                break
-        else:
-            assert not late_error
-            closes.extend(batch_closes)
+            assert late_row is not None
+            assert f"out-of-order tuple (timestamp {late_row.timestamp!r})" in str(exc)
+            after = op._buffer.state_snapshot()
+            assert after["window_index"] == before["window_index"]
+            assert [t.tuple_id for t in after["items"]] == [t.tuple_id for t in before["items"]]
+            refused += 1
+            continue
+        assert late_row is None
+        closes.extend(close for item in batch for close in buffer.add(item))
+    assert refused == 1
     kernel.extend(op.flush())
     closes.extend(buffer.flush())
     assert_same(kernel, reference_emit(closes, grouped, "sum", CLTSum(), None), None)
@@ -630,13 +653,13 @@ def reference_flush(rows, grouped, function):
     window_spec=windows,
     batch_size=batch_sizes,
     grouped=st.booleans(),
-    fused=st.booleans(),
+    selected=st.booleans(),
     function=functions,
     cut=st.integers(0, 10**6),
 )
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_checkpoint_mid_window_then_restore_continues_alike(
-    seed, n_rows, window_spec, batch_size, grouped, fused, function, cut
+    seed, n_rows, window_spec, batch_size, grouped, selected, function, cut
 ):
     # Snapshot after some batches (the open window holds segments), restore
     # into a fresh operator (the window holds rows), and go on.
@@ -644,11 +667,11 @@ def test_checkpoint_mid_window_then_restore_continues_alike(
     batches = [TupleBatch(rows[s : s + batch_size]) for s in range(0, n_rows, batch_size)]
     k = cut % (len(batches) + 1)
     whole = sequence_outputs(
-        build_operator(grouped, fused, window_spec, function, CLTSum(), None), batches
+        build_operator(grouped, selected, window_spec, function, CLTSum(), None), batches
     )
-    before = build_operator(grouped, fused, window_spec, function, CLTSum(), None)
+    before = build_operator(grouped, selected, window_spec, function, CLTSum(), None)
     head = [out for batch in batches[:k] for out in before.process_batch(batch)]
-    after = build_operator(grouped, fused, window_spec, function, CLTSum(), None)
+    after = build_operator(grouped, selected, window_spec, function, CLTSum(), None)
     after.state_restore(before.state_snapshot())
     assert_same_outputs(head + sequence_outputs(after, batches[k:]), whole)
 

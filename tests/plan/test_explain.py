@@ -16,7 +16,7 @@ def small_plan():
     return (
         Stream.source("sensors", uncertain=("value",), family="gmm")
         .where(lambda t: True, uses=("value",), description="nonnull")
-        .where_probably("value", ">", 10.0, annotate=None)
+        .where_probably("value", ">", 10.0)
         .window(TumblingCountWindow(4))
         .aggregate("value")
     )
@@ -41,7 +41,7 @@ FULL_GOLDEN = textwrap.dedent(
 
     Rewrites
     ========
-    - fuse_select_into_aggregate: probabilistic filter on 'value' fused into the sum(value) window kernel
+    - drop_unread_annotation: annotation 'selection_probability' of the probabilistic filter on 'value' dropped: sum(value) never reads it
 
     Cost model
     ==========
@@ -52,7 +52,8 @@ FULL_GOLDEN = textwrap.dedent(
     =============
     - source:sensors <- Source[sensors, family=gmm]
     - Filter[nonnull] <- Filter[nonnull, uses={value}]
-    - FusedSelect+UncertainAggregate <- FusedSelectAggregate[ProbFilter[value > 10.0, p>=0.5] ⨝ Aggregate[sum(value) @ TumblingCountWindow(size=4), strategy=auto]]"""
+    - ProbabilisticSelect <- ProbFilter[value > 10.0, p>=0.5]
+    - UncertainAggregate <- Aggregate[sum(value) @ TumblingCountWindow(size=4), strategy=auto]"""
 )
 
 

@@ -16,7 +16,6 @@ from repro.plan import (
     AggregateNode,
     DeriveNode,
     FilterNode,
-    FusedSelectAggregateNode,
     JoinNode,
     ProbFilterNode,
     Stream,
@@ -247,11 +246,12 @@ class TestReorderCheapFilterFirst:
         stream = self.build()
         assert "reorder_cheap_filter_first" in applied_rules(stream)
         optimized = stream.compile(batch_size=1).optimized_plan
-        # After the reorder (and the follow-on select fusion) the
-        # deterministic filter feeds the fused select+aggregate box.
+        # After the reorder the deterministic filter feeds the
+        # probabilistic one, which feeds the aggregate.
         root = optimized.outputs[0]
-        assert isinstance(root, FusedSelectAggregateNode)
-        assert isinstance(root.inputs[0], FilterNode)
+        assert isinstance(root, AggregateNode)
+        assert isinstance(root.input, ProbFilterNode)
+        assert isinstance(root.input.input, FilterNode)
 
     def test_equivalence(self):
         assert_rule_equivalence(self.build, {"in": gaussian_group_stream(64)})
@@ -266,9 +266,9 @@ class TestReorderCheapFilterFirst:
 
 
 # ----------------------------------------------------------------------
-# fuse_select_into_aggregate
+# drop_unread_annotation
 # ----------------------------------------------------------------------
-class TestFuseSelectIntoAggregate:
+class TestDropUnreadAnnotation:
     def build(self, function="sum"):
         return (
             Stream.source("in", uncertain=("value",), family="gmm")
@@ -277,11 +277,23 @@ class TestFuseSelectIntoAggregate:
             .aggregate("value", function=function)
         )
 
-    def test_fires(self):
+    def test_fires_and_keeps_two_boxes(self):
         stream = self.build()
-        assert "fuse_select_into_aggregate" in applied_rules(stream)
-        optimized = stream.compile(batch_size=1).optimized_plan
-        assert isinstance(optimized.outputs[0], FusedSelectAggregateNode)
+        assert "drop_unread_annotation" in applied_rules(stream)
+        query = stream.compile(batch_size=1)
+        root = query.optimized_plan.outputs[0]
+        assert isinstance(root, AggregateNode)
+        assert isinstance(root.input, ProbFilterNode)
+        assert root.input.annotate is None
+        # Lowered as the two ordinary boxes: a selection without
+        # annotation feeding the aggregate.
+        (select,) = [op for op, node in query._operator_tags if isinstance(node, ProbFilterNode)]
+        assert select.probability_attribute is None
+        assert select.downstream and all(
+            isinstance(node, AggregateNode)
+            for op, node in query._operator_tags
+            if op in select.downstream
+        )
 
     @pytest.mark.parametrize("function", ["sum", "avg", "count", "max"])
     def test_equivalence_on_gmm_stream(self, function):
@@ -295,7 +307,7 @@ class TestFuseSelectIntoAggregate:
         )
         agg = selected.window(TumblingCountWindow(10)).aggregate("value")
         query = compile_streams({"agg": agg, "raw": selected}, batch_size=1)
-        assert "fuse_select_into_aggregate" not in {t.rule for t in query.rewrites}
+        assert "drop_unread_annotation" not in {t.rule for t in query.rewrites}
         # ... and the shared select's annotated output stays observable.
         query.push_many("in", gmm_tuple_stream(20, mean_range=(0.0, 100.0), rng=3))
         query.finish()
@@ -322,15 +334,14 @@ class TestComposedRewrites:
 
     def test_multiple_rules_fire(self):
         rules = applied_rules(self.build())
-        assert {"push_filter_below_derive", "fuse_adjacent_filters",
-                "fuse_select_into_aggregate"} <= rules
+        assert {"push_filter_below_derive", "fuse_adjacent_filters"} <= rules
 
     def test_equivalence(self):
         assert_rule_equivalence(self.build, {"in": gaussian_group_stream(96)})
 
 
-class TestFusionAnnotationSafety:
-    """Regression: fusion must not hide an annotation the aggregate reads."""
+class TestAnnotationSafety:
+    """Regression: the rule must not drop an annotation the aggregate reads."""
 
     def test_skipped_when_group_key_could_read_annotation(self):
         stream = (
@@ -340,13 +351,25 @@ class TestFusionAnnotationSafety:
             .group_by(lambda t: t.value("selection_probability") > 0.9)
             .aggregate("value")
         )
-        assert "fuse_select_into_aggregate" not in applied_rules(stream)
+        assert "drop_unread_annotation" not in applied_rules(stream)
         # ... and the plan actually runs: the key reads the annotation.
         query = stream.compile(batch_size=1)
         query.push_many("in", gmm_tuple_stream(8, mean_range=(50.0, 100.0), rng=2))
         assert query.finish()
 
-    def test_fires_for_group_key_when_not_annotating(self):
+    def test_skipped_when_aggregating_the_annotation(self):
+        stream = (
+            Stream.source("in", uncertain=("value",))
+            .where_probably("value", ">", 20.0, annotate="p")
+            .window(TumblingCountWindow(4))
+            .aggregate("p")
+        )
+        assert "drop_unread_annotation" not in applied_rules(stream)
+        query = stream.compile(batch_size=1)
+        query.push_many("in", gmm_tuple_stream(8, mean_range=(50.0, 100.0), rng=2))
+        assert query.finish()
+
+    def test_nothing_to_drop_without_annotation(self):
         stream = (
             Stream.source("in", values=("k",), uncertain=("value",))
             .where_probably("value", ">", 20.0, annotate=None)
@@ -354,4 +377,4 @@ class TestFusionAnnotationSafety:
             .group_by(lambda t: t.value("k"))
             .aggregate("value")
         )
-        assert "fuse_select_into_aggregate" in applied_rules(stream)
+        assert "drop_unread_annotation" not in applied_rules(stream)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.aggregation import CFInversionSum
 from repro.plan import Stream, explain_sharding, split_for_sharding
-from repro.plan.nodes import FusedSelectAggregateNode
+from repro.plan.nodes import AggregateNode, ProbFilterNode
 from repro.plan.planner import Planner
 from repro.plan.sharding import PARTIAL_SOURCE
 from repro.streams import (
@@ -65,7 +65,7 @@ class TestAggregateSplit:
         assert decision.merge.function == "avg"
         assert "sum" in decision.local.explain()
 
-    def test_fused_select_aggregate_splits(self):
+    def test_select_then_aggregate_splits(self):
         stream = (
             Stream.source("s", uncertain=("w",), family="gaussian", rate_hint=100.0)
             .where_probably("w", ">", 50.0)
@@ -73,10 +73,15 @@ class TestAggregateSplit:
             .aggregate("w")
         )
         plan, cost_model = optimized(stream)
-        assert isinstance(plan.outputs[0], FusedSelectAggregateNode)
         decision = split_for_sharding(plan, cost_model)
         assert decision.shardable
-        assert isinstance(decision.local.outputs[0], FusedSelectAggregateNode)
+        # Each shard runs the selection (its unread annotation dropped)
+        # into the partial aggregate.
+        (partial,) = decision.local.outputs
+        assert isinstance(partial, AggregateNode)
+        assert partial.output_attribute == "partial_sum_w"
+        assert isinstance(partial.input, ProbFilterNode)
+        assert partial.input.annotate is None
 
     def test_row_wise_suffix_moves_to_coordinator(self):
         stream = (
@@ -190,10 +195,10 @@ class TestExplainSharding:
         assert "Coordinator merge" in report
         assert "HAVING on merged result" in report
 
-    def test_fallback_report_carries_reason(self):
+    def test_unsharded_report_carries_reason(self):
         stream = Stream.source("a", uncertain=("x",)).join(
             Stream.source("b", uncertain=("x",)), on=lambda l, r: 0.5, window_length=3.0
         )
         report = explain_sharding(split_for_sharding(stream.plan()), workers=2)
-        assert "sharded: no" in report
+        assert "sharded: no (runs in-process)" in report
         assert "reason:" in report

@@ -112,11 +112,6 @@ class TestShardedEngineBackpressure:
             assert set(stats.backpressure) == {0, 1}
             assert stats.backpressure[0].chunks_sent > 0
 
-    def test_fallback_engine_reports_empty(self):
-        engine = ShardedEngine(build_query(), workers=0)
-        assert engine.shard_statistics() == {}
-        assert engine.statistics().backpressure == {}
-
     @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_chunks_rotate_across_shards(self, backend):
         """Chunk ``c`` goes to shard ``c % workers``; counts split evenly."""

@@ -1,4 +1,4 @@
-"""ShardedEngine lifecycle: fallback, errors, statistics, backpressure."""
+"""ShardedEngine lifecycle: refused plans, errors, statistics, backpressure."""
 
 import gc
 import threading
@@ -39,7 +39,7 @@ def rowwise_query():
 
 class TestConstruction:
     def test_rejects_bad_parameters(self):
-        with pytest.raises(PlanError, match="workers"):
+        with pytest.raises(PlanError, match="workers must be at least 1"):
             ShardedEngine(agg_query(), workers=-1)
         with pytest.raises(PlanError, match="backend"):
             ShardedEngine(agg_query(), backend="threads")
@@ -53,10 +53,9 @@ class TestConstruction:
         with pytest.raises(TypeError):
             ShardedEngine(rowwise_query(), workers=2, backend="inline", **option)
 
-    def test_workers_zero_pins_fallback(self):
-        with ShardedEngine(agg_query(), workers=0) as engine:
-            assert not engine.sharded
-            assert "workers=0" in engine.decision.reason
+    def test_workers_zero_is_refused(self):
+        with pytest.raises(PlanError, match="workers must be at least 1, got 0"):
+            ShardedEngine(agg_query(), workers=0)
 
     def test_unknown_source_rejected(self):
         with ShardedEngine(agg_query(), workers=2, backend="inline") as engine:
@@ -64,31 +63,31 @@ class TestConstruction:
                 engine.push("nope", tuples(1)[0])
 
 
-class TestFallback:
-    def test_count_window_falls_back_but_runs(self):
+class TestUnshardablePlans:
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_count_window_is_refused_naming_the_blocker(self, backend):
         query = (
             Stream.source("s", uncertain=("w",), family="gaussian")
             .window(TumblingCountWindow(10))
             .aggregate("w")
         )
-        with ShardedEngine(query, workers=2, backend="process") as engine:
-            assert not engine.sharded
-            assert "time" in engine.decision.reason
-            engine.push_many("s", tuples(35))
-            results = engine.finish()
-        assert len(results) == 4  # 3 full windows + 1 flushed partial
-        stats = engine.statistics()
-        assert stats.shards == {}
-        assert stats.coordinator, "fallback must still report engine boxes"
-        assert "single-engine fallback" in engine.explain()
+        with pytest.raises(PlanError) as refused:
+            ShardedEngine(query, workers=2, backend=backend)
+        message = str(refused.value)
+        assert message.startswith("plan does not shard: Aggregate[sum(w) @ TumblingCountWindow")
+        assert "only tumbling *time* windows shard" in message
 
-    def test_fallback_sink_receives_results_incrementally(self):
-        query = rowwise_query()
-        with ShardedEngine(query, workers=0) as engine:
-            engine.push_many("s", tuples(50))
-            mid = len(engine.results)
-            engine.push_many("s", tuples(50, start=100.0))
-            assert len(engine.results) > mid
+    def test_join_is_refused_naming_the_blocker(self):
+        query = Stream.source("a", uncertain=("x",)).join(
+            Stream.source("b", uncertain=("x",)), on=lambda a, b: 0.5, window_length=3.0
+        )
+        with pytest.raises(PlanError, match=r"plan does not shard: Join\[.*joins, piped"):
+            ShardedEngine(query, workers=2, backend="process")
+
+    def test_restore_refuses_a_state_of_another_mode(self):
+        with ShardedEngine(agg_query(), workers=2, backend="inline") as engine:
+            with pytest.raises(ShardError, match="mode 'fallback', not 'sharded'"):
+                engine.state_restore({"mode": "fallback", "ops": []})
 
 
 class TestLifecycle:

@@ -2,15 +2,16 @@
 
 The paper's monitoring queries run twice — once on a single
 ``CompiledQuery`` engine, once through :class:`ShardedEngine` — over
-identical input, for every shard count in {1, 2, 4} and both one-row
-batches and the cost model's batch size inside the workers.  Results must
-agree to 1e-9 in every deterministic value and in the first two moments
-of every uncertain attribute, in the same order.
+identical input, for every shard count in {1, 2, 4} (each worker runs a
+shipped chunk as one batch).  Results must agree to 1e-9 in every
+deterministic value and in the first two moments of every uncertain
+attribute, in the same order.
 
 Q1 exercises the aggregate-split path (derive -> filter -> grouped
-time-window SUM with HAVING -> moment merge in the coordinator); Q2's
-probabilistic join is not shardable, so it exercises the single-engine
-fallback behind the sharded interface.
+time-window SUM with HAVING -> moment merge in the coordinator).  Q2's
+probabilistic join is not shardable: ``ShardedEngine`` refuses it, and
+``QuerySession(workers=2)`` runs it in its in-process engine, which must
+be exact too.
 """
 
 import numpy as np
@@ -18,12 +19,13 @@ import pytest
 
 from repro.core import match_probability_band
 from repro.distributions import Gaussian
-from repro.plan import Stream
+from repro import QuerySession
+from repro.plan import PlanError, Stream
 from repro.runtime import ShardedEngine
 from repro.streams import TumblingTimeWindow, StreamTuple
 
 SHARD_COUNTS = (1, 2, 4)
-#: One-row batches, and the batch size the cost model picks.
+#: One-row batches, and the batch size the cost model picks (in-process Q2).
 BATCH_SIZES = (1, None)
 TOLERANCE = 1e-9
 
@@ -166,37 +168,38 @@ def q2_reference(warehouse):
 
 class TestQ1ShardedEquivalence:
     @pytest.mark.parametrize("workers", SHARD_COUNTS)
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_matches_single_engine(self, warehouse, q1_reference, workers, batch_size):
+    def test_matches_single_engine(self, warehouse, q1_reference, workers):
         catalog, objects, _ = warehouse
         with ShardedEngine(
             q1_stream(catalog),
             workers=workers,
             backend="process",
             chunk_size=64,
-            batch_size=batch_size,
         ) as engine:
-            assert engine.sharded
             engine.push_many("rfid", objects)
             got = engine.finish()
         assert_equivalent(q1_reference, got)
 
 
-class TestQ2ShardedEquivalence:
-    """Q2 does not shard (probabilistic join); the fallback must be exact."""
+class TestQ2InProcess:
+    """Q2 does not shard (probabilistic join): the engine refuses it, and a
+    sharded session runs it in-process, exactly."""
 
-    @pytest.mark.parametrize("workers", SHARD_COUNTS)
+    def test_sharded_engine_refuses_the_join(self, warehouse):
+        catalog, _, _ = warehouse
+        with pytest.raises(PlanError, match="plan does not shard: .*joins"):
+            ShardedEngine(q2_streams(catalog), workers=2, backend="inline")
+
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_matches_single_engine(self, warehouse, q2_reference, workers, batch_size):
+    def test_sharded_session_matches_single_engine(self, warehouse, q2_reference, batch_size):
         catalog, objects, sensors = warehouse
-        with ShardedEngine(
-            q2_streams(catalog), workers=workers, backend="process", batch_size=batch_size
-        ) as engine:
-            assert not engine.sharded
-            assert "join" in engine.decision.reason.lower()
-            engine.push_many("temperature", sensors)
-            engine.push_many("objects", objects)
-            got = engine.finish()
+        with QuerySession(workers=2, batch_size=batch_size) as session:
+            session.register("q2", q2_streams(catalog))
+            assert not session.is_sharded("q2")
+            session.push_many("temperature", sensors)
+            session.push_many("objects", objects)
+            session.flush()
+            got = session.results("q2")
         assert_equivalent(q2_reference, got)
 
 

@@ -69,6 +69,38 @@ class TestShardedRegistration:
             session.flush()
             assert session.results("rows")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_select_into_tumbling_sum_shards(self, tuples, workers):
+        # The benchmark's hot_sum shape: a WITH PROBABILITY select into a
+        # tumbling time SUM.  Its probe reads shard_statistics, which
+        # raises for a query that did not shard.
+        hot_sum = (
+            "SELECT SUM(w) FROM rfid [RANGE 5 SECONDS SLIDE 5 SECONDS] "
+            "WHERE w > 40 WITH PROBABILITY 0.5"
+        )
+        reference = QuerySession()
+        declare(reference)
+        reference.register("hot_sum", hot_sum)
+        reference.push_many("rfid", tuples)
+        reference.flush()
+        expected = reference.results("hot_sum")
+        with QuerySession(workers=workers, shard_backend="inline") as session:
+            declare(session)
+            session.register("hot_sum", hot_sum)
+            assert session.is_sharded("hot_sum")
+            session.push_many("rfid", tuples)
+            session.flush()
+            assert sorted(session.shard_statistics("hot_sum").backpressure) == list(
+                range(workers)
+            )
+            got = session.results("hot_sum")
+        assert expected and len(got) == len(expected)
+        for a, b in zip(expected, got):
+            assert a.values["window_count"] == b.values["window_count"]
+            da, db = a.distribution("sum_w"), b.distribution("sum_w")
+            assert float(db.mean()) == pytest.approx(float(da.mean()), abs=1e-9)
+            assert float(db.variance()) == pytest.approx(float(da.variance()), abs=1e-9)
+
     def test_session_explain_marks_sharded_queries(self, tuples):
         with QuerySession(workers=3, shard_backend="inline") as session:
             declare(session)

@@ -61,7 +61,7 @@ def test_tumbling_time_windows_cover_all_tuples_and_respect_boundaries(gaps, len
 def test_bulk_insertion_equals_per_tuple_insertion(
     gaps, length, chunk, use_count_window, size
 ):
-    """`WindowBuffer.extend` closes exactly the windows `add` would."""
+    """`WindowBuffer.add_many` closes exactly the windows `add` would."""
     timestamps = []
     now = 0.0
     for gap in gaps:
@@ -79,7 +79,7 @@ def test_bulk_insertion_equals_per_tuple_insertion(
     bulk = spec.new_buffer()
     actual = []
     for start in range(0, len(items), chunk):
-        actual.extend(bulk.extend(items[start : start + chunk]))
+        actual.extend(bulk.add_many(items[start : start + chunk]))
     actual.extend(bulk.flush())
 
     assert [(w.start, w.end) for w in actual] == [(w.start, w.end) for w in expected]
