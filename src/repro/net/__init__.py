@@ -9,8 +9,10 @@ to share a process with the engine:
   :class:`~repro.service.QuerySession`: declare streams, register CQL
   queries, ingest tuple batches, subscribe to per-query result pushes
   (bounded buffers, slow-consumer policy), fetch statistics/explain.
-* :class:`StreamClient` / :class:`AsyncStreamClient` — wire-protocol
-  clients; ingest is pipelined with windowed acks.
+* :class:`StreamClient` — the one wire-protocol client; ingest is
+  pipelined with windowed acks, and every read honours a timeout.
+  asyncio callers run it through ``asyncio.to_thread`` (see
+  :mod:`repro.net.client`).
 * :class:`ShardServer` — one shard of a
   :class:`~repro.runtime.ShardedEngine` served over the same framing,
   so a coordinator's shard can live on another machine
@@ -23,7 +25,7 @@ worker receives, now routable across machines.
 
 from repro.recovery.replay import ReplayGapError
 
-from .client import AsyncStreamClient, AsyncSubscription, StreamClient, Subscription
+from .client import StreamClient, Subscription
 from .errors import (
     AuthError,
     ConnectionClosed,
@@ -42,8 +44,6 @@ __all__ = [
     "serve_in_thread",
     "StreamClient",
     "Subscription",
-    "AsyncStreamClient",
-    "AsyncSubscription",
     "ShardServer",
     "spawn_shard_server",
     "NetError",

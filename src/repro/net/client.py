@@ -1,24 +1,27 @@
-"""Wire-protocol clients for :class:`~repro.net.server.StreamServer`.
+"""The wire-protocol client for :class:`~repro.net.server.StreamServer`.
 
-Two clients cover the two calling styles:
-
-* :class:`StreamClient` — a synchronous blocking-socket client for
-  scripts, receptor ingest loops and tests.  Every verb is one method;
-  :meth:`StreamClient.ingest` is *pipelined*: it keeps up to a window
-  of encoded batches in flight before reading the matching acks, so a
-  single connection sustains high tuple rates despite round-trip
-  latency.
-* :class:`AsyncStreamClient` — the same surface under asyncio, for
-  callers that already live on an event loop.
+:class:`StreamClient` is a blocking-socket client for scripts, receptor
+ingest loops and tests.  Every verb is one method, and every blocking
+read honours the client's ``timeout``.  :meth:`StreamClient.ingest` is
+*pipelined*: it keeps up to a window of encoded batches in flight
+before reading the matching acks, so a single connection sustains high
+tuple rates despite round-trip latency.
 
 Subscriptions use a **dedicated connection** per query
-(:meth:`StreamClient.subscribe` / :meth:`AsyncStreamClient.subscribe`):
-after the subscribe handshake the server owns the connection and pushes
-``RESULT`` frames, which keeps both client implementations free of
-frame demultiplexing.  A subscription object iterates result batches
-(lists of :class:`~repro.streams.tuples.StreamTuple`) and raises
+(:meth:`StreamClient.subscribe`): after the subscribe handshake the
+server owns the connection and pushes ``RESULT`` frames, which keeps
+the client free of frame demultiplexing.  A :class:`Subscription`
+iterates result batches (lists of
+:class:`~repro.streams.tuples.StreamTuple`) and raises
 :class:`~repro.net.errors.SlowConsumerError` if the server applied its
 disconnect policy.
+
+Callers on an asyncio event loop run the same client in a worker
+thread, one blocking call per ``asyncio.to_thread``::
+
+    client = await asyncio.to_thread(StreamClient, "127.0.0.1:9201")
+    acked = await asyncio.to_thread(client.ingest, "rfid", tuples)
+    batch = await asyncio.to_thread(subscription.recv)
 """
 
 from __future__ import annotations
@@ -43,15 +46,9 @@ from .errors import (
     RemoteError,
     SlowConsumerError,
 )
-from .framing import (
-    DEFAULT_MAX_PAYLOAD,
-    BufferedFrameSocket,
-    encode_frame,
-    read_frame_async,
-    send_frame,
-)
+from .framing import DEFAULT_MAX_PAYLOAD, BufferedFrameSocket, send_frame
 
-__all__ = ["StreamClient", "Subscription", "AsyncStreamClient", "AsyncSubscription"]
+__all__ = ["StreamClient", "Subscription"]
 
 #: Default tuples per INGEST frame.
 DEFAULT_INGEST_BATCH = 512
@@ -97,6 +94,36 @@ def _check_reply(kind: int, header: Dict[str, Any], expected: int) -> Dict[str, 
     return header
 
 
+def _hello_header(token: Optional[str]) -> Dict[str, Any]:
+    header: Dict[str, Any] = {"client": "repro.net"}
+    if token is not None:
+        header["token"] = token
+    return header
+
+
+def _open(
+    address: Tuple[str, int],
+    timeout: float,
+    max_payload: int,
+    token: Optional[str],
+) -> Tuple[socket.socket, BufferedFrameSocket]:
+    """Connect to a server; with a ``token``, authenticate with an eager HELLO."""
+    sock = socket.create_connection(address, timeout=timeout)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # Buffered reads: a timed-out read keeps its partial frame and
+        # can be retried without desynchronizing the stream.
+        frames = BufferedFrameSocket(sock, max_payload)
+        if token is not None:
+            send_frame(sock, protocol.HELLO, _hello_header(token))
+            kind, header, _ = frames.recv_frame(timeout)
+            _check_reply(kind, header, protocol.OK)
+    except BaseException:
+        sock.close()
+        raise
+    return sock, frames
+
+
 def _chunks(tuples: Iterable[StreamTuple], size: int) -> Iterator[List[StreamTuple]]:
     chunk: List[StreamTuple] = []
     for item in tuples:
@@ -134,25 +161,13 @@ class StreamClient:
         self._timeout = timeout
         self._max_payload = max_payload
         self._token = token
-        self._sock = socket.create_connection(self._address, timeout=timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # Buffered reads: a timed-out read keeps its partial frame and
-        # can be retried without desynchronizing the stream.
-        self._frames = BufferedFrameSocket(self._sock, max_payload)
+        self._sock, self._frames = _open(self._address, timeout, max_payload, token)
         self._closed = False
         #: Rendered analyzer diagnostics from the most recent register().
         self.last_register_warnings: list = []
         #: Send→ACK round-trip seconds of every ack-requesting frame in
         #: the most recent ingest() call (ingest→ACK latency samples).
         self.last_ingest_ack_latencies: List[float] = []
-        if token is not None:
-            self.hello()  # authenticate before any other verb
-
-    def _hello_header(self, client: str) -> Dict[str, Any]:
-        header: Dict[str, Any] = {"client": client}
-        if self._token is not None:
-            header["token"] = self._token
-        return header
 
     # ------------------------------------------------------------------
     # Request plumbing
@@ -173,7 +188,7 @@ class StreamClient:
     # ------------------------------------------------------------------
     def hello(self) -> Dict[str, Any]:
         """Server info: known streams and registered queries."""
-        header, _ = self._request(protocol.HELLO, self._hello_header("repro.net sync"))
+        header, _ = self._request(protocol.HELLO, _hello_header(self._token))
         return header
 
     def declare_stream(
@@ -319,7 +334,7 @@ class StreamClient:
     def _resync(self) -> None:
         """Realign after a mid-pipeline error (see ``ingest``)."""
         try:
-            send_frame(self._sock, protocol.HELLO, self._hello_header("repro.net sync"))
+            send_frame(self._sock, protocol.HELLO, _hello_header(self._token))
             while True:
                 _, header, _ = self._frames.recv_frame(self._timeout)
                 if "seq" not in header:
@@ -453,26 +468,19 @@ class Subscription:
         self.query = query
         self.dropped = 0
         self.last_seq = 0
-        self._max_payload = max_payload
         self._default_timeout = timeout
-        self._sock = socket.create_connection(address, timeout=timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._frames = BufferedFrameSocket(self._sock, max_payload)
+        self._sock, self._frames = _open(address, timeout, max_payload, token)
         self._closed = False
-        if token is not None:
-            send_frame(
-                self._sock,
-                protocol.HELLO,
-                {"client": "repro.net sync", "token": token},
-            )
-            kind, header, _ = self._frames.recv_frame(timeout)
-            _check_reply(kind, header, protocol.OK)
         subscribe_header: Dict[str, Any] = {"query": query}
         if resume_from is not None:
             subscribe_header["resume"] = int(resume_from)
-        send_frame(self._sock, protocol.SUBSCRIBE, subscribe_header)
-        kind, header, _ = self._frames.recv_frame(timeout)
-        _check_reply(kind, header, protocol.OK)
+        try:
+            send_frame(self._sock, protocol.SUBSCRIBE, subscribe_header)
+            kind, header, _ = self._frames.recv_frame(timeout)
+            _check_reply(kind, header, protocol.OK)
+        except BaseException:
+            self.close()
+            raise
         self.last_seq = int(header.get("seq", 0))
 
     def recv(self, timeout: Optional[float] = None) -> List[StreamTuple]:
@@ -535,344 +543,3 @@ def _jsonable_uncertain(uncertain):
             for name, stat in uncertain.items()
         }
     return list(uncertain)
-
-
-# ----------------------------------------------------------------------
-# asyncio client
-# ----------------------------------------------------------------------
-class AsyncStreamClient:
-    """Asyncio client mirroring :class:`StreamClient` verb-for-verb.
-
-    >>> client = await AsyncStreamClient.connect("127.0.0.1:9201")
-    >>> await client.register("q1", "SELECT ...")
-    >>> await client.ingest("rfid", tuples)
-    >>> await client.close()
-    """
-
-    def __init__(
-        self,
-        reader,
-        writer,
-        address,
-        max_payload: int = DEFAULT_MAX_PAYLOAD,
-        token: Optional[str] = None,
-    ):
-        self._reader = reader
-        self._writer = writer
-        self._address = address
-        self._max_payload = max_payload
-        self._token = token
-        self._closed = False
-        #: Rendered analyzer diagnostics from the most recent register().
-        self.last_register_warnings: list = []
-        #: Send→ACK round-trip seconds from the most recent ingest().
-        self.last_ingest_ack_latencies: List[float] = []
-
-    @classmethod
-    async def connect(
-        cls,
-        address,
-        max_payload: int = DEFAULT_MAX_PAYLOAD,
-        token: Optional[str] = None,
-    ) -> AsyncStreamClient:
-        import asyncio
-
-        host, port = protocol.parse_address(address)
-        reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer, (host, port), max_payload, token=token)
-        if token is not None:
-            await client.hello()  # authenticate before any other verb
-        return client
-
-    def _hello_header(self) -> Dict[str, Any]:
-        header: Dict[str, Any] = {"client": "repro.net async"}
-        if self._token is not None:
-            header["token"] = self._token
-        return header
-
-    async def _request(
-        self,
-        kind: int,
-        header: Optional[Dict[str, Any]] = None,
-        payload: bytes = b"",
-        expected: int = protocol.OK,
-    ) -> Tuple[Dict[str, Any], bytes]:
-        self._writer.write(encode_frame(kind, header, payload))
-        await self._writer.drain()
-        reply_kind, reply_header, reply_payload = await read_frame_async(
-            self._reader, self._max_payload
-        )
-        return _check_reply(reply_kind, reply_header, expected), reply_payload
-
-    async def hello(self) -> Dict[str, Any]:
-        header, _ = await self._request(protocol.HELLO, self._hello_header())
-        return header
-
-    async def declare_stream(
-        self,
-        name: str,
-        values: Optional[Iterable[str]] = None,
-        uncertain=None,
-        family: Optional[str] = None,
-        rate_hint: Optional[float] = None,
-    ) -> None:
-        await self._request(
-            protocol.DECLARE,
-            {
-                "name": name,
-                "values": list(values) if values is not None else None,
-                "uncertain": _jsonable_uncertain(uncertain),
-                "family": family,
-                "rate_hint": rate_hint,
-            },
-        )
-
-    async def register(self, name: str, cql: str, strict: bool = False) -> bool:
-        request = {"name": name, "cql": cql}
-        if strict:
-            request["strict"] = True
-        header, _ = await self._request(protocol.REGISTER, request)
-        self.last_register_warnings = list(header.get("warnings", ()))
-        return bool(header.get("sharded", False))
-
-    async def drop(self, name: str) -> None:
-        await self._request(protocol.DROP, {"name": name})
-
-    async def pause(self, name: str) -> None:
-        await self._request(protocol.PAUSE, {"name": name})
-
-    async def resume(self, name: str) -> None:
-        await self._request(protocol.RESUME, {"name": name})
-
-    async def ingest(
-        self,
-        source: str,
-        tuples: Iterable[StreamTuple],
-        batch_size: int = DEFAULT_INGEST_BATCH,
-        window: int = DEFAULT_ACK_WINDOW,
-        trace: Optional[int] = None,
-    ) -> int:
-        """Pipelined ingest with batched acks (see :meth:`StreamClient.ingest`)."""
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-        if window < 1:
-            raise ValueError(f"window must be at least 1, got {window}")
-        stride = _ack_stride(window)
-        in_flight: deque = deque()  # (seq, covered frames, send instant)
-        self.last_ingest_ack_latencies = []
-        acked = 0
-        seq = 0
-        outstanding = 0
-        uncovered = 0
-        try:
-            chunks = _chunks(tuples, batch_size)
-            chunk = next(chunks, None)
-            while chunk is not None:
-                upcoming = next(chunks, None)
-                seq += 1
-                want_ack = upcoming is None or seq % stride == 0
-                ingest_header = {
-                    "source": source,
-                    "seq": seq,
-                    "count": len(chunk),
-                    "ack": want_ack,
-                }
-                if trace is not None:
-                    ingest_header["trace"] = int(trace)
-                self._writer.write(
-                    encode_frame(
-                        protocol.INGEST,
-                        ingest_header,
-                        encode_batch_wire(TupleBatch(chunk)),
-                    )
-                )
-                await self._writer.drain()
-                outstanding += 1
-                uncovered += 1
-                if want_ack:
-                    in_flight.append((seq, uncovered, time.perf_counter()))
-                    uncovered = 0
-                while outstanding >= window and in_flight:
-                    count, covered = await self._read_ack(in_flight)
-                    acked += count
-                    outstanding -= covered
-                chunk = upcoming
-            while in_flight:
-                count, covered = await self._read_ack(in_flight)
-                acked += count
-                outstanding -= covered
-        except RemoteError:
-            # HELLO barrier resync (see StreamClient.ingest).
-            await self._resync()
-            raise
-        return acked
-
-    async def _read_ack(self, in_flight: deque) -> Tuple[int, int]:
-        kind, header, _ = await read_frame_async(self._reader, self._max_payload)
-        header = _check_reply(kind, header, protocol.ACK)
-        expected_seq, covered, sent_at = in_flight.popleft()
-        latency = time.perf_counter() - sent_at
-        if header.get("seq") != expected_seq:
-            raise ProtocolError(
-                f"ingest ack out of order: expected seq {expected_seq}, "
-                f"got {header.get('seq')}"
-            )
-        self.last_ingest_ack_latencies.append(latency)
-        obs.get_registry().histogram("repro_ingest_ack_latency_seconds").observe(latency)
-        return int(header.get("count", 0)), covered
-
-    async def _resync(self) -> None:
-        try:
-            self._writer.write(encode_frame(protocol.HELLO, self._hello_header()))
-            await self._writer.drain()
-            while True:
-                _, header, _ = await read_frame_async(self._reader, self._max_payload)
-                if "seq" not in header:
-                    return
-        except (NetError, OSError):
-            pass
-
-    async def flush(self) -> None:
-        await self._request(protocol.FLUSH)
-
-    async def statistics(self, query: Optional[str] = None) -> Dict[str, Any]:
-        header, _ = await self._request(protocol.STATS, {"query": query})
-        return header
-
-    async def explain(self, query: Optional[str] = None) -> str:
-        header, _ = await self._request(protocol.EXPLAIN, {"query": query})
-        return str(header.get("text", ""))
-
-    async def metrics(self, query: Optional[str] = None) -> Dict[str, Any]:
-        """The server's metrics snapshot (see :meth:`StreamClient.metrics`)."""
-        header, _ = await self._request(protocol.METRICS, {"query": query})
-        return header
-
-    async def trace(
-        self, limit: Optional[int] = None, keep: bool = False
-    ) -> Dict[str, Any]:
-        """Drain the server's span buffer (see :meth:`StreamClient.trace`)."""
-        header, _ = await self._request(protocol.TRACE, {"limit": limit, "keep": keep})
-        return header
-
-    async def health(self) -> Dict[str, Any]:
-        """The server's health status (see :meth:`StreamClient.health`)."""
-        header, _ = await self._request(protocol.HEALTH)
-        return header
-
-    async def checkpoint(self, directory: str, mode: str = "auto") -> int:
-        """Write a durable server-side checkpoint; returns its id."""
-        header, _ = await self._request(
-            protocol.CHECKPOINT, {"dir": directory, "mode": mode}
-        )
-        return int(header.get("checkpoint", 0))
-
-    async def subscribe(
-        self, query: str, resume_from: Optional[int] = None
-    ) -> AsyncSubscription:
-        subscription = AsyncSubscription(
-            self._address,
-            query,
-            self._max_payload,
-            token=self._token,
-            resume_from=resume_from,
-        )
-        await subscription._open()
-        return subscription
-
-    async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            await self._request(protocol.BYE)
-        except (OSError, ProtocolError, ConnectionClosed, RemoteError):
-            pass
-        self._writer.close()
-
-    async def __aenter__(self) -> AsyncStreamClient:
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
-
-class AsyncSubscription:
-    """Asyncio counterpart of :class:`Subscription` (``async for`` batches)."""
-
-    def __init__(
-        self,
-        address,
-        query: str,
-        max_payload: int = DEFAULT_MAX_PAYLOAD,
-        token: Optional[str] = None,
-        resume_from: Optional[int] = None,
-    ):
-        self.query = query
-        self.dropped = 0
-        self.last_seq = 0
-        self._address = address
-        self._max_payload = max_payload
-        self._token = token
-        self._resume_from = resume_from
-        self._reader = None
-        self._writer = None
-        self._closed = False
-
-    async def _open(self) -> None:
-        import asyncio
-
-        host, port = self._address
-        self._reader, self._writer = await asyncio.open_connection(host, port)
-        if self._token is not None:
-            self._writer.write(
-                encode_frame(
-                    protocol.HELLO,
-                    {"client": "repro.net async", "token": self._token},
-                )
-            )
-            await self._writer.drain()
-            kind, header, _ = await read_frame_async(self._reader, self._max_payload)
-            _check_reply(kind, header, protocol.OK)
-        subscribe_header: Dict[str, Any] = {"query": self.query}
-        if self._resume_from is not None:
-            subscribe_header["resume"] = int(self._resume_from)
-        self._writer.write(encode_frame(protocol.SUBSCRIBE, subscribe_header))
-        await self._writer.drain()
-        kind, header, _ = await read_frame_async(self._reader, self._max_payload)
-        _check_reply(kind, header, protocol.OK)
-        self.last_seq = int(header.get("seq", 0))
-
-    async def recv(self) -> List[StreamTuple]:
-        if self._closed:
-            raise ConnectionClosed("this subscription is closed")
-        kind, header, payload = await read_frame_async(self._reader, self._max_payload)
-        if kind == protocol.END:
-            self.last_seq = int(header.get("seq", self.last_seq))
-            await self.close()
-            raise ConnectionClosed(f"query {self.query!r} was dropped on the server")
-        if kind == protocol.ERROR:
-            await self.close()
-            _raise_error(header)
-        if kind != protocol.RESULT:
-            raise ProtocolError(
-                f"expected a RESULT frame, got {protocol.kind_name(kind)}"
-            )
-        self.dropped = int(header.get("dropped", 0))
-        self.last_seq = int(header.get("seq", self.last_seq))
-        return decode_batch(payload).to_tuples()
-
-    def __aiter__(self) -> AsyncSubscription:
-        return self
-
-    async def __anext__(self) -> List[StreamTuple]:
-        try:
-            return await self.recv()
-        except ConnectionClosed:
-            raise StopAsyncIteration from None
-
-    async def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            if self._writer is not None:
-                self._writer.close()

@@ -17,8 +17,8 @@ the columnar batch codec the sharded runtime already speaks, so a
 tuple crossing a machine boundary costs the same bytes whether it goes
 to a forked worker or over TCP.
 
-The module gives both blocking-socket and asyncio readers over the same
-:func:`encode_frame`; limits (`MAX_HEADER`, ``max_payload``) are
+The module gives blocking-socket readers (the client, shard channels)
+and an asyncio reader (the server) over the same :func:`encode_frame`; limits (`MAX_HEADER`, ``max_payload``) are
 enforced *before* allocation so a corrupt or hostile length field
 cannot balloon memory.
 """
@@ -260,7 +260,7 @@ class BufferedFrameSocket:
 
 
 # ----------------------------------------------------------------------
-# asyncio helper (StreamServer, AsyncStreamClient)
+# asyncio helper (StreamServer's connection handlers)
 # ----------------------------------------------------------------------
 async def read_frame_async(reader, max_payload: int = DEFAULT_MAX_PAYLOAD) -> Frame:
     """Read one frame from an ``asyncio.StreamReader``."""

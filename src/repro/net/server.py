@@ -404,13 +404,17 @@ class StreamServer:
             )
             return encode_frame(protocol.OK)
         if kind == protocol.REGISTER:
-            # Analyze before registering: warnings ride back in the OK
-            # header either way; strict registrations refuse on errors
-            # (AnalysisError propagates as a normal request error).
+            # Analyze once, before registering: warnings ride back in
+            # the OK header either way; strict registrations refuse on
+            # errors (AnalysisError propagates as a normal request error).
             diagnostics = session.analyze(header["cql"])
-            registered = session.register(
-                header["name"], header["cql"], strict=bool(header.get("strict"))
-            )
+            if header.get("strict"):
+                from repro.analysis import AnalysisError, errors
+
+                found = errors(diagnostics)
+                if found:
+                    raise AnalysisError(found)
+            registered = session.register(header["name"], header["cql"])
             reply = {"sharded": registered.sharded}
             if diagnostics:
                 reply["warnings"] = [d.render() for d in diagnostics]

@@ -365,7 +365,8 @@ class ProbFilterNode(LogicalNode):
             pred = f"{self.threshold} <= {self.attribute} <= {self.upper}"
         else:
             pred = f"{self.attribute} {self.comparison.value} {self.threshold}"
-        return f"ProbFilter[{pred}, p>={self.min_probability}]"
+        annotation = "" if self.annotate is None else f", annotate={self.annotate}"
+        return f"ProbFilter[{pred}, p>={self.min_probability}{annotation}]"
 
 
 @dataclass(frozen=True, eq=False)

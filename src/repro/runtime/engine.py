@@ -70,7 +70,12 @@ from repro import obs
 from repro.plan.builder import Stream
 from repro.plan.nodes import LogicalPlan, PlanError
 from repro.plan.planner import Planner
-from repro.plan.sharding import PARTIAL_SOURCE, explain_sharding, split_for_sharding
+from repro.plan.sharding import (
+    PARTIAL_SOURCE,
+    ShardingDecision,
+    explain_sharding,
+    split_for_sharding,
+)
 from repro.streams.batch import TupleBatch
 from repro.streams.engine import OperatorStats
 from repro.streams.operators.base import Operator
@@ -214,7 +219,9 @@ class ShardedEngine:
     ----------
     query:
         A :class:`~repro.plan.Stream` or single-output
-        :class:`~repro.plan.LogicalPlan`.
+        :class:`~repro.plan.LogicalPlan`, or the
+        :class:`~repro.plan.sharding.ShardingDecision` a caller already
+        split it into (run as given: ``optimize`` does not apply).
     workers:
         Shard count, at least 1.
     backend:
@@ -247,7 +254,7 @@ class ShardedEngine:
 
     def __init__(
         self,
-        query: Union[Stream, LogicalPlan],
+        query: Union[Stream, LogicalPlan, ShardingDecision],
         workers: int = 2,
         backend: str = "process",
         chunk_size: int = 1024,
@@ -278,14 +285,18 @@ class ShardedEngine:
                     f"workers={workers} shard slots"
                 )
 
-        if isinstance(query, Stream):
+        decision: Optional[ShardingDecision] = None
+        if isinstance(query, ShardingDecision):
+            decision = query
+        elif isinstance(query, Stream):
             plan = query.plan()
         elif isinstance(query, LogicalPlan):
             plan = query
             plan.validate()
         else:
             raise PlanError(
-                f"ShardedEngine takes a Stream or LogicalPlan, got {type(query).__name__}"
+                "ShardedEngine takes a Stream, LogicalPlan or ShardingDecision, "
+                f"got {type(query).__name__}"
             )
 
         self._planner = planner or Planner()
@@ -299,12 +310,12 @@ class ShardedEngine:
         #: :mod:`repro.obs` registry (stage timings, backpressure).
         self.obs_scope = f"sharded-{next(_sharded_scopes)}"
 
-        if optimize:
-            optimized, _ = self._planner.optimize(plan)
-            optimized.validate()
-        else:
-            optimized = plan
-        self.decision = decision = split_for_sharding(optimized, self._planner.cost_model)
+        if decision is None:
+            if optimize:
+                plan, _ = self._planner.optimize(plan)
+                plan.validate()
+            decision = split_for_sharding(plan, self._planner.cost_model)
+        self.decision = decision
         if not decision.shardable:
             raise PlanError(f"plan does not shard: {decision.reason}")
 

@@ -38,7 +38,6 @@ keep running for the other queries.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -55,7 +54,7 @@ from repro.plan.nodes import (
 )
 from repro.plan.planner import NodeLowering, Planner
 from repro.plan.rewrites import RewriteTrace
-from repro.plan.sharding import split_for_sharding
+from repro.plan.sharding import ShardingDecision, split_for_sharding
 from repro.recovery import CheckpointInfo, CheckpointStore, ReplayLog
 from repro.recovery.state import decode_state, encode_state
 from repro.runtime.engine import ShardedEngine, ShardedStatistics
@@ -280,7 +279,6 @@ class QuerySession:
         replay_capacity: int = 4096,
         trace_sample: Optional[int] = None,
         history_capacity: int = 512,
-        history_interval: float = 0.0,
     ):
         if workers < 0:
             raise ServiceError(f"workers must be non-negative, got {workers}")
@@ -319,18 +317,10 @@ class QuerySession:
         self.recovered_history: Optional[Dict] = None
         # Flight-recorder layers 2 and 3: the metrics time-series ring
         # and the health engine evaluating its rules off it.  Ticks are
-        # recorded synchronously (record_tick / health_tick) and, when
-        # history_interval > 0, by a daemon recorder thread.
+        # recorded synchronously: by record_tick / health_tick and by
+        # every HEALTH poll a server answers.
         self.history = obs.HistoryRing(capacity=history_capacity)
         self.health = obs.HealthEngine(self.history)
-        self._history_interval = float(history_interval)
-        self._recorder_stop = threading.Event()
-        self._recorder_thread: Optional[threading.Thread] = None
-        if self._history_interval > 0:
-            self._recorder_thread = threading.Thread(
-                target=self._recorder_loop, daemon=True, name="repro-obs-recorder"
-            )
-            self._recorder_thread.start()
 
     # ------------------------------------------------------------------
     # Stream & function registry
@@ -461,7 +451,7 @@ class QuerySession:
             decision = split_for_sharding(optimized, self._planner.cost_model)
             if decision.shardable:
                 return self._register_sharded(
-                    name, text, plan, optimized, traces, on_result
+                    name, text, plan, optimized, traces, decision, on_result
                 )
 
         overrides = {src: ("session-source", src) for src in self._streams}
@@ -510,17 +500,17 @@ class QuerySession:
         plan: LogicalPlan,
         optimized: LogicalPlan,
         traces,
+        decision: ShardingDecision,
         on_result: Optional[Callable[[StreamTuple], None]],
     ) -> RegisteredQuery:
         """Run a shardable query in its own worker pool (see ``workers=``)."""
         sink = self._make_sink(name, on_result)
         sharded = ShardedEngine(
-            optimized,
+            decision,  # split once, from the session's optimized plan
             workers=self._workers,
             backend=self._shard_backend,
             chunk_size=self._shard_chunk_size,
             planner=self._planner,
-            optimize=False,  # the session already ran the rewrite rules
             sink=sink,
             remote_shards=self._shard_remote_shards,
         )
@@ -797,10 +787,6 @@ class QuerySession:
         if self._closed:
             return
         self._closed = True
-        self._recorder_stop.set()
-        if self._recorder_thread is not None:
-            self._recorder_thread.join(timeout=2.0)
-            self._recorder_thread = None
         for query in self._queries.values():
             if query.sharded is not None:
                 query.sharded.close()
@@ -818,7 +804,7 @@ class QuerySession:
         Returns the rules that newly transitioned into ``firing`` (their
         registered :meth:`on_alert` callbacks have already run).  The
         HEALTH wire verb calls this, so polling health keeps the ring
-        fed even when no recorder thread runs.
+        fed.
         """
         self.record_tick(t=now)
         return self.health.evaluate(now=now)
@@ -845,13 +831,6 @@ class QuerySession:
             for stage, seconds in query.sharded.stage_timings().items():
                 totals[stage] = totals.get(stage, 0.0) + seconds
         return totals
-
-    def _recorder_loop(self) -> None:
-        while not self._recorder_stop.wait(self._history_interval):
-            try:
-                self.health_tick()
-            except Exception:  # noqa: BLE001 - the recorder must survive races
-                pass
 
     def __enter__(self) -> QuerySession:
         return self

@@ -89,3 +89,22 @@ class TestServerWarnings:
             client.register("totals", TYPO, strict=True)
         # The query must not exist server-side after the refusal.
         assert client.hello()["queries"] == []
+
+    def test_strict_register_analyzes_once(self, client, monkeypatch):
+        import repro.analysis.semantic as semantic
+
+        calls = []
+        original = semantic.analyze_query
+
+        def counting(query, *args, **kwargs):
+            calls.append(query)
+            return original(query, *args, **kwargs)
+
+        monkeypatch.setattr(semantic, "analyze_query", counting)
+        client.register("hot", SLOPPY, strict=True)
+        assert calls == [SLOPPY]
+        assert len(client.last_register_warnings) == 1
+        with pytest.raises(RemoteError) as refused:
+            client.register("totals", TYPO, strict=True)
+        assert refused.value.code == "AnalysisError"
+        assert calls == [SLOPPY, TYPO]

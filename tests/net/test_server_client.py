@@ -11,7 +11,6 @@ from repro.distributions import Gaussian
 from repro.net.errors import ConnectionClosed
 from repro.streams import StreamTuple, encode_batch_wire
 from repro.net import (
-    AsyncStreamClient,
     RemoteError,
     SlowConsumerError,
     StreamClient,
@@ -228,39 +227,46 @@ class TestSlowConsumer:
 
 
 class TestAsyncClient:
+    """asyncio callers run the one blocking client through ``to_thread``."""
+
     def test_full_cycle(self, server, rfid_tuples):
         async def scenario():
-            client = await AsyncStreamClient.connect(server.address)
+            client = await asyncio.to_thread(StreamClient, server.address, 15.0)
             try:
-                await client.declare_stream(
-                    "rfid", values=("tag_id",), uncertain=("w",), family="gaussian"
+                await asyncio.to_thread(
+                    client.declare_stream,
+                    "rfid",
+                    values=("tag_id",),
+                    uncertain=("w",),
+                    family="gaussian",
                 )
-                sharded = await client.register("totals", TOTALS)
+                sharded = await asyncio.to_thread(client.register, "totals", TOTALS)
                 assert sharded is False
-                sub = await client.subscribe("totals")
-                acked = await client.ingest(
-                    "rfid", rfid_tuples, batch_size=64, window=4
+                sub = await asyncio.to_thread(client.subscribe, "totals")
+                acked = await asyncio.to_thread(
+                    client.ingest, "rfid", rfid_tuples, batch_size=64, window=4
                 )
                 assert acked == len(rfid_tuples)
-                await client.flush()
+                await asyncio.to_thread(client.flush)
                 collected = []
                 while len(collected) < 16:
-                    collected.extend(await sub.recv())
-                await sub.close()
-                assert (await client.explain("totals")).startswith("query totals")
-                stats = await client.statistics()
+                    collected.extend(await asyncio.to_thread(sub.recv))
+                sub.close()
+                explained = await asyncio.to_thread(client.explain, "totals")
+                assert explained.startswith("query totals")
+                stats = await asyncio.to_thread(client.statistics)
                 assert stats["tuples_ingested"] == len(rfid_tuples)
                 return collected
             finally:
-                await client.close()
+                await asyncio.to_thread(client.close)
 
         results = asyncio.run(scenario())
         assert len(results) == 16
 
     def test_remote_error_surfaces(self, server):
         async def scenario():
-            async with await AsyncStreamClient.connect(server.address) as client:
+            with await asyncio.to_thread(StreamClient, server.address, 15.0) as client:
                 with pytest.raises(RemoteError):
-                    await client.register("bad", "SELEKT")
+                    await asyncio.to_thread(client.register, "bad", "SELEKT")
 
         asyncio.run(scenario())

@@ -9,6 +9,7 @@ import textwrap
 
 from repro.core import CLTSum
 from repro.plan import Stream, compile_streams
+from repro.runtime.worker import plan_signature
 from repro.streams import TumblingCountWindow
 
 
@@ -25,7 +26,7 @@ def small_plan():
 LOGICAL_GOLDEN = textwrap.dedent(
     """\
     Aggregate[sum(value) @ TumblingCountWindow(size=4), strategy=auto]
-      ProbFilter[value > 10.0, p>=0.5]
+      ProbFilter[value > 10.0, p>=0.5, annotate=selection_probability]
         Filter[nonnull, uses={value}]
           Source[sensors, family=gmm]"""
 )
@@ -35,7 +36,7 @@ FULL_GOLDEN = textwrap.dedent(
     Logical plan
     ============
     Aggregate[sum(value) @ TumblingCountWindow(size=4), strategy=auto]
-      ProbFilter[value > 10.0, p>=0.5]
+      ProbFilter[value > 10.0, p>=0.5, annotate=selection_probability]
         Filter[nonnull, uses={value}]
           Source[sensors, family=gmm]
 
@@ -63,6 +64,14 @@ def test_logical_explain_golden():
 
 def test_full_explain_golden():
     assert small_plan().compile().explain() == FULL_GOLDEN
+
+
+def test_plan_signature_tells_annotating_filters_apart():
+    source = Stream.source("sensors", uncertain=("value",))
+    annotating = source.where_probably("value", ">", 10.0).plan()
+    plain = source.where_probably("value", ">", 10.0, annotate=None).plan()
+    assert plan_signature(annotating) != plan_signature(plain)
+    assert plan_signature(plain)[-1] == "ProbFilter[value > 10.0, p>=0.5]"
 
 
 def test_explain_marks_shared_subplans():

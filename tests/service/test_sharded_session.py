@@ -101,6 +101,34 @@ class TestShardedRegistration:
             assert float(db.mean()) == pytest.approx(float(da.mean()), abs=1e-9)
             assert float(db.variance()) == pytest.approx(float(da.variance()), abs=1e-9)
 
+    def test_registration_splits_the_plan_once(self, tuples, monkeypatch):
+        import repro.runtime.engine as engine_module
+        import repro.service.session as session_module
+        from repro.plan.sharding import split_for_sharding
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return split_for_sharding(*args, **kwargs)
+
+        for module in (session_module, engine_module):
+            monkeypatch.setattr(module, "split_for_sharding", counting)
+        expected_totals, _ = run_reference(tuples)
+        with QuerySession(workers=2, shard_backend="inline") as session:
+            declare(session)
+            session.register("totals", TOTALS)
+            assert session.is_sharded("totals")
+            assert len(calls) == 1
+            session.push_many("rfid", tuples)
+            session.flush()
+            totals = session.results("totals")
+        assert expected_totals and len(totals) == len(expected_totals)
+        for a, b in zip(expected_totals, totals):
+            da, db = a.distribution("total"), b.distribution("total")
+            assert float(db.mean()) == pytest.approx(float(da.mean()), abs=1e-9)
+            assert float(db.variance()) == pytest.approx(float(da.variance()), abs=1e-9)
+
     def test_session_explain_marks_sharded_queries(self, tuples):
         with QuerySession(workers=3, shard_backend="inline") as session:
             declare(session)
