@@ -58,7 +58,7 @@ def main() -> None:
     results = query.finish()
 
     print("\nper-box statistics:")
-    for stats in query.statistics(detailed=True):
+    for stats in query.statistics():
         print(
             f"  {stats.name:<32} in={stats.tuples_in:<5} out={stats.tuples_out:<4} "
             f"batches={stats.batches_in}"

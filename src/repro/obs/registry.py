@@ -12,7 +12,7 @@ Design constraints, in order:
 2. **One namespace.**  Instruments are keyed by ``(kind, name, labels)``
    and get-or-created, so every layer that asks for
    ``counter("results_dropped_total", query="q1")`` shares the same
-   cell; the METRICS verb, ``statistics(detailed=True)`` and
+   cell; the METRICS verb, ``statistics()`` and
    ``stage_timings()`` are all views over the same arrays.
 3. **No lifetime coupling.**  Operator views hold weak references; a
    dropped query's operators disappear from snapshots at the next

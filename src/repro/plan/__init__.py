@@ -16,6 +16,12 @@ Section 3, structured like a small DBMS front end:
   (:mod:`repro.plan.planner`) — lowering onto the
   :class:`~repro.streams.engine.StreamEngine`, end-to-end
   ``explain()`` and per-box ``statistics()``.
+* :class:`PlanHost` (:mod:`repro.plan.planner`) — the box table every
+  in-process plan runs in: one engine, one entry box per source name,
+  boxes keyed by structural fingerprint (:mod:`repro.plan.fingerprint`)
+  and shared by every plan (or query of a
+  :class:`~repro.service.QuerySession`) that needs them, with per-plan
+  state snapshots and statistics.
 
 Quick taste::
 
@@ -55,7 +61,7 @@ from .nodes import (
     UnionNode,
     explain_logical,
 )
-from .planner import CompiledQuery, NodeLowering, Planner, compile_streams
+from .planner import CompiledQuery, NodeLowering, PlanHost, Planner, compile_streams
 from .sharding import (
     MergeSpec,
     ShardingDecision,
@@ -110,6 +116,7 @@ __all__ = [
     "reorder_selective_prob_filter_first",
     "drop_unread_annotation",
     "NodeLowering",
+    "PlanHost",
     "ColumnStat",
     "callable_fingerprint",
     "node_fingerprint",

@@ -1,4 +1,4 @@
-"""The cost-aware planner: rewrite, lower, and wire logical plans.
+"""The cost-aware planner: rewrite, lower, and host logical plans.
 
 ``Planner.compile`` takes a validated :class:`LogicalPlan` through
 three phases:
@@ -6,16 +6,20 @@ three phases:
 1. **Optimize** — apply the rewrite rules of :mod:`repro.plan.rewrites`
    (skippable with ``optimize=False`` for equivalence testing).
 2. **Lower** — map each logical node to a physical
-   :class:`~repro.streams.operators.base.Operator`, consulting the
+   :class:`~repro.streams.operators.base.Operator`
+   (:class:`NodeLowering`), consulting the
    :class:`~repro.plan.cost.CostModel` for aggregates without an
-   explicit SUM strategy.  Shared logical nodes lower to one shared
-   physical box with fan-out arrows.  The node-by-node lowering lives
-   in :class:`NodeLowering` so the continuous-query service
-   (:mod:`repro.service`) can reuse it box-by-box when attaching
-   queries to a running engine.
-3. **Wire** — build a :class:`~repro.streams.engine.StreamEngine`, size
-   its batches (cost model again, unless pinned), and attach one
-   :class:`CollectSink` per plan output.
+   explicit SUM strategy.
+3. **Host** — attach the plan to a :class:`PlanHost`: the box table
+   over one :class:`~repro.streams.engine.StreamEngine` that lowers
+   each node no hosted box covers, wires it, and keys it by structural
+   fingerprint, so structurally identical subtrees share one physical
+   box with fan-out arrows.  The cost model sizes the engine's batches
+   (unless pinned) and one :class:`CollectSink` is added per output.
+
+The continuous-query service (:mod:`repro.service`) attaches and
+detaches its queries through the same host, so one box table lowers,
+wires, snapshots and reports every in-process plan.
 
 The result is a :class:`CompiledQuery`: push tuples in, ``finish()``,
 read results — plus ``explain()`` (logical plan, rewrites, strategy and
@@ -26,13 +30,14 @@ counters from the engine).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
+from repro import obs
 from repro.core.aggregation.operator import GroupByAggregate, UncertainAggregate
 from repro.core.confidence import SummarizeResults
 from repro.core.join import ProbabilisticJoin
 from repro.core.selection import ProbabilisticSelect
-from repro.streams.engine import StreamEngine
+from repro.streams.engine import OperatorStats, StreamEngine
 from repro.streams.operators.base import Operator, PassThroughOperator
 from repro.streams.operators.basic import (
     AttributeDeriver,
@@ -44,6 +49,7 @@ from repro.streams.tuples import StreamTuple
 from repro.streams.windows import TumblingCountWindow
 
 from .cost import CostModel, ExecutionChoice, StrategyChoice
+from .fingerprint import plan_fingerprints
 from .nodes import (
     AggregateNode,
     DeriveNode,
@@ -61,7 +67,15 @@ from .nodes import (
 )
 from .rewrites import DEFAULT_RULES, RewriteRule, RewriteTrace, apply_rewrites, default_rules
 
-__all__ = ["Planner", "CompiledQuery", "NodeLowering", "compile_streams"]
+__all__ = [
+    "Planner",
+    "CompiledQuery",
+    "NodeLowering",
+    "PlanHost",
+    "HostedBox",
+    "BoxReport",
+    "compile_streams",
+]
 
 
 @dataclass(frozen=True)
@@ -70,6 +84,10 @@ class _StrategyDecision:
 
     node_label: str
     choice: StrategyChoice
+
+    def explain(self) -> str:
+        strategy, reason = self.choice.strategy.name, self.choice.reason
+        return f"- strategy for {self.node_label}: {strategy} ({reason})"
 
 
 class NodeLowering:
@@ -80,8 +98,7 @@ class NodeLowering:
     the cost model can size windows anywhere in the plan, resolves SUM
     strategies for aggregates that did not pin one, and records the
     strategy decisions and expected window sizes the batch-size choice
-    needs.  ``Planner.compile`` drives it over a whole plan;
-    :class:`repro.service.QuerySession` drives it per registered query,
+    needs.  :meth:`PlanHost.attach` drives it over one attached plan,
     skipping nodes whose physical box already exists.
     """
 
@@ -205,36 +222,219 @@ class NodeLowering:
         return op
 
 
+@dataclass
+class HostedBox:
+    """One physical box of a :class:`PlanHost` and the plans that use it."""
+
+    op: Operator
+    node: LogicalNode  # representative logical node (the first attacher's)
+    owners: List[str]
+    #: Arrows wired *into* this box: (parent operator, connect target).
+    #: The target differs from ``op`` only for joins, whose inputs go
+    #: through port adapters.
+    inbound: List[Tuple[Operator, Operator]]
+
+
+@dataclass(frozen=True)
+class BoxReport:
+    """One physical box in a statistics report, with its owners."""
+
+    stats: OperatorStats
+    owners: Tuple[str, ...]
+
+    @property
+    def shared(self) -> bool:
+        return len(self.owners) > 1
+
+
+class PlanHost:
+    """The box table: a running engine and the physical boxes of its plans.
+
+    Boxes are keyed by structural fingerprint
+    (:func:`~repro.plan.fingerprint.plan_fingerprints`), and a source's
+    entry box by the source's name, so a subtree that is already hosted
+    — by an earlier plan, or elsewhere in the same plan — is lowered
+    once and shared.  Each attached plan has an *owner* name; a box
+    lives while it has an owner, and a :attr:`declared` source's entry
+    box outlives its last one.  :meth:`Planner.compile` attaches one
+    plan to a fresh host; :class:`repro.service.QuerySession` attaches
+    and detaches queries over its session's lifetime.
+
+    ``boxes``, ``snapshot``, ``restore`` and ``statistics`` take an
+    owner to cover that plan's boxes, or no owner to cover every box;
+    either way the boxes come in dataflow order.
+    """
+
+    def __init__(self, engine: StreamEngine, cost_model: CostModel):
+        self.engine = engine
+        self.cost_model = cost_model
+        #: Source name -> its entry box.
+        self.entries: Dict[str, Operator] = {}
+        #: Sources whose entry boxes outlive their last owner (a
+        #: session's declared streams).
+        self.declared: Set[str] = set()
+        self._boxes: Dict[Hashable, HostedBox] = {}
+        #: Owner -> the fingerprints of its boxes, in dataflow order.
+        self._owned: Dict[str, Dict[Hashable, None]] = {}
+
+    def attach(
+        self, owner: str, outputs: Sequence[LogicalNode]
+    ) -> Tuple[List[Operator], NodeLowering]:
+        """Host the plan ending in ``outputs`` for ``owner``.
+
+        Lowers each node no hosted box covers, wires it to its inputs'
+        boxes and registers it with the engine.  Returns the box of each
+        output, in order, and the lowering (its strategy decisions and
+        window sizes).  A failure detaches everything the call attached.
+        """
+        nodes = topological_nodes(tuple(outputs))
+        sources = {n.name: ("source", n.name) for n in nodes if isinstance(n, SourceNode)}
+        fingerprints = plan_fingerprints(tuple(outputs), source_overrides=sources)
+        lowering = NodeLowering(self.cost_model, nodes)
+        owned = self._owned.setdefault(owner, {})
+        try:
+            for node in nodes:
+                fingerprint = fingerprints[id(node)]
+                box = self._boxes.get(fingerprint)
+                if box is None:
+                    box = self._lower(node, fingerprints, lowering)
+                    self._boxes[fingerprint] = box
+                if owner not in box.owners:
+                    box.owners.append(owner)
+                owned[fingerprint] = None
+            self.engine.validate()
+        except Exception:
+            self.detach(owner)
+            raise
+        return [self._boxes[fingerprints[id(root)]].op for root in outputs], lowering
+
+    def _lower(
+        self,
+        node: LogicalNode,
+        fingerprints: Dict[int, Hashable],
+        lowering: NodeLowering,
+    ) -> HostedBox:
+        if isinstance(node, SourceNode):
+            entry = lowering.source_operator(node)
+            self.engine.add_source(node.name, entry)
+            self.entries[node.name] = entry
+            return HostedBox(entry, node, [], [])
+        op = lowering.lower(node)
+        if isinstance(node, JoinNode):
+            targets = [(node.left, op.left_port()), (node.right, op.right_port())]
+        else:
+            targets = [(child, op) for child in node.inputs]
+        inbound = [
+            (self._boxes[fingerprints[id(child)]].op, target) for child, target in targets
+        ]
+        for parent, target in inbound:
+            parent.connect(target)
+        self.engine.register(op)
+        return HostedBox(op, node, [], inbound)
+
+    def detach(self, owner: str) -> List[str]:
+        """Remove ``owner``'s plan; returns the names of the sources removed.
+
+        Boxes another owner still uses keep running with their state.
+        The rest are disconnected from the boxes that survive them and
+        unregistered, except the entry boxes of :attr:`declared`
+        sources, which stay unowned.
+        """
+        removed: List[str] = []
+        for fingerprint in reversed(list(self._owned.pop(owner, ()))):
+            box = self._boxes[fingerprint]
+            box.owners.remove(owner)
+            if box.owners:
+                continue
+            if isinstance(box.node, SourceNode):
+                if box.node.name in self.declared:
+                    continue
+                self.engine.remove_source(box.node.name)
+                del self.entries[box.node.name]
+                removed.append(box.node.name)
+            else:
+                for parent, target in box.inbound:
+                    parent.disconnect(target)
+                self.engine.unregister(box.op)
+            del self._boxes[fingerprint]
+        return removed
+
+    def boxes(self, owner: Optional[str] = None) -> List[HostedBox]:
+        """The boxes of ``owner``'s plan (of every plan when ``None``)."""
+        if owner is None:
+            return list(self._boxes.values())
+        return [self._boxes[fingerprint] for fingerprint in self._owned[owner]]
+
+    def snapshot(self, owner: Optional[str] = None) -> List[dict]:
+        """Every box's state as ``{"name", "state"}`` entries, in box order."""
+        return [
+            {"name": box.op.name, "state": box.op.state_snapshot()}
+            for box in self.boxes(owner)
+        ]
+
+    def restore(self, entries: List[dict], owner: Optional[str] = None) -> None:
+        """Re-apply :meth:`snapshot` output onto the same plan, hosted anew.
+
+        Entries restore by position; the box name at each position is
+        checked, so a checkpoint of a different plan (or of the same
+        query under different planner settings) raises
+        :class:`~repro.recovery.state.StateError`.
+        """
+        from repro.recovery.state import StateError
+
+        boxes = self.boxes(owner)
+        if len(boxes) != len(entries):
+            raise StateError(
+                f"the plan has {len(boxes)} boxes, the checkpoint recorded "
+                f"{len(entries)}; recover with the same query and planner "
+                "settings as the checkpoint"
+            )
+        for box, entry in zip(boxes, entries):
+            if box.op.name != entry["name"]:
+                raise StateError(
+                    f"box order mismatch: the plan has {box.op.name!r} where "
+                    f"the checkpoint recorded {entry['name']!r}"
+                )
+            box.op.state_restore(entry["state"])
+
+    def statistics(self, owner: Optional[str] = None) -> List[BoxReport]:
+        """Per-box :class:`OperatorStats` with each box's owners."""
+        scope, view = self.engine.obs_scope, obs.get_registry().operator_view
+        return [
+            BoxReport(OperatorStats(*view(scope, box.op).stats()), tuple(box.owners))
+            for box in self.boxes(owner)
+        ]
+
+
 class CompiledQuery:
-    """A compiled query: engine, named sources, one sink per output.
+    """A compiled query: a plan host, named sources, one sink per output.
 
     Single-output queries behave like a classic compiled query:
     ``push(source, item)`` / ``push_many(source, items)`` /
     ``finish() -> results``.  Multi-output plans expose each output's
-    results via :meth:`output`.
+    results via :meth:`output`.  ``host`` is the :class:`PlanHost`
+    holding the plan's boxes (their state snapshots and statistics).
     """
 
     def __init__(
         self,
-        engine: StreamEngine,
-        sources: List[str],
+        host: PlanHost,
         sinks: Dict[str, CollectSink],
         logical_plan: LogicalPlan,
         optimized_plan: LogicalPlan,
         rewrites: List[RewriteTrace],
         execution: ExecutionChoice,
         strategy_decisions: List[_StrategyDecision],
-        operator_tags: List[Tuple[Operator, LogicalNode]],
     ):
-        self.engine = engine
-        self.sources = sources
+        self.host = host
+        self.engine = host.engine
+        self.sources = sorted(host.entries)
         self._sinks = sinks
         self.logical_plan = logical_plan
         self.optimized_plan = optimized_plan
         self.rewrites = rewrites
         self.execution = execution
         self.strategy_decisions = strategy_decisions
-        self._operator_tags = operator_tags
 
     # ------------------------------------------------------------------
     # Data flow
@@ -261,15 +461,26 @@ class CompiledQuery:
         """Results of the primary (first) output."""
         return self.output(self.logical_plan.names[0])
 
-    def output(self, name: str) -> List[StreamTuple]:
-        """Results collected for the named plan output."""
+    def _sink(self, name: Optional[str]) -> CollectSink:
+        if name is None:
+            name = self.logical_plan.names[0]
         try:
-            sink = self._sinks[name]
+            return self._sinks[name]
         except KeyError as exc:
             raise PlanError(
                 f"unknown output {name!r}; outputs are {sorted(self._sinks)}"
             ) from exc
-        return list(sink.results)
+
+    def output(self, name: str) -> List[StreamTuple]:
+        """Results collected for the named plan output."""
+        return list(self._sink(name).results)
+
+    def take(self, name: Optional[str] = None) -> List[StreamTuple]:
+        """Drain and return the named (default: primary) output's results."""
+        sink = self._sink(name)
+        drained = list(sink.results)
+        sink.results.clear()
+        return drained
 
     @property
     def output_names(self) -> List[str]:
@@ -278,9 +489,9 @@ class CompiledQuery:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def statistics(self, detailed: bool = False):
+    def statistics(self) -> List[OperatorStats]:
         """Per-box statistics from the engine (see ``StreamEngine.statistics``)."""
-        return self.engine.statistics(detailed=detailed)
+        return self.engine.statistics()
 
     def explain(self) -> str:
         """Full report: logical plan, rewrites, decisions, physical plan."""
@@ -289,18 +500,11 @@ class CompiledQuery:
         lines.append("")
         lines.append("Rewrites")
         lines.append("========")
-        if self.rewrites:
-            lines.extend(f"- {t.rule}: {t.description}" for t in self.rewrites)
-        else:
-            lines.append("(none applied)")
+        lines.extend([f"- {t.rule}: {t.description}" for t in self.rewrites] or ["(none applied)"])
         lines.append("")
         lines.append("Cost model")
         lines.append("==========")
-        for decision in self.strategy_decisions:
-            lines.append(
-                f"- strategy for {decision.node_label}: "
-                f"{decision.choice.strategy.name} ({decision.choice.reason})"
-            )
+        lines.extend(decision.explain() for decision in self.strategy_decisions)
         lines.append(
             f"- execution: batch(batch_size={self.execution.batch_size}) "
             f"({self.execution.reason})"
@@ -308,8 +512,8 @@ class CompiledQuery:
         lines.append("")
         lines.append("Physical plan")
         lines.append("=============")
-        for op, node in self._operator_tags:
-            lines.append(f"- {op.name} <- {node.label()}")
+        for box in self.host.boxes():
+            lines.append(f"- {box.op.name} <- {box.node.label()}")
         return "\n".join(lines)
 
 
@@ -356,69 +560,32 @@ class Planner:
         else:
             optimized, traces = plan, []
 
-        nodes = topological_nodes(optimized.outputs)
-        lowering = NodeLowering(self.cost_model, nodes)
-        lowered: Dict[int, Operator] = {}
-        operator_tags: List[Tuple[Operator, LogicalNode]] = []
-        engine_sources: Dict[str, Operator] = {}
-
-        def physical(node: LogicalNode) -> Operator:
-            cached = lowered.get(id(node))
-            if cached is not None:
-                return cached
-            if isinstance(node, SourceNode):
-                op = lowering.source_operator(node)
-                engine_sources[node.name] = op
-                operator_tags.append((op, node))
-            else:
-                op = lowering.lower(node)
-                operator_tags.append((op, node))
-                if isinstance(node, JoinNode):
-                    left_op = physical(node.left)
-                    right_op = physical(node.right)
-                    left_op.connect(op.left_port())
-                    right_op.connect(op.right_port())
-                else:
-                    for child in node.inputs:
-                        physical(child).connect(op)
-            lowered[id(node)] = op
-            return op
-
+        # A pinned batch size is checked here; the cost model's choice
+        # replaces the default once lowering has seen the windows.
+        host = PlanHost(StreamEngine(batch_size=batch_size), self.cost_model)
+        roots, lowering = host.attach("plan", optimized.outputs)
         sinks: Dict[str, CollectSink] = {}
-        for name, root in zip(optimized.names, optimized.outputs):
-            root_op = physical(root)
+        for name, root in zip(optimized.names, roots):
             sink = CollectSink(name=f"sink:{name}")
-            root_op.connect(sink)
+            root.connect(sink)
+            host.engine.register(sink)
             sinks[name] = sink
 
-        # Present boxes in dataflow order (sources first) in explain().
-        topo_index = {id(n): i for i, n in enumerate(nodes)}
-        operator_tags.sort(key=lambda pair: topo_index.get(id(pair[1]), len(topo_index)))
-
-        execution = self.cost_model.choose_execution(lowering.window_sizes)
-        if batch_size is not None:
+        if batch_size is None:
+            execution = self.cost_model.choose_execution(lowering.window_sizes)
+            host.engine.batch_size = execution.batch_size
+        else:
             execution = ExecutionChoice(
                 batch_size, f"pinned by compile(batch_size={batch_size})"
             )
-        engine = StreamEngine(batch_size=execution.batch_size)
-        for name, entry in engine_sources.items():
-            engine.add_source(name, entry)
-        for op, _ in operator_tags:
-            engine.register(op)
-        for sink in sinks.values():
-            engine.register(sink)
-        engine.validate()
-
         return CompiledQuery(
-            engine=engine,
-            sources=sorted(engine_sources),
+            host=host,
             sinks=sinks,
             logical_plan=plan,
             optimized_plan=optimized,
             rewrites=traces,
             execution=execution,
             strategy_decisions=lowering.strategy_decisions,
-            operator_tags=operator_tags,
         )
 
 

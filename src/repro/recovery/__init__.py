@@ -4,7 +4,9 @@ Makes the stream service restartable:
 
 * a ``state_snapshot()``/``state_restore()`` protocol on stateful
   operators, serialized through the columnar wire format
-  (:mod:`repro.recovery.state`);
+  (:mod:`repro.recovery.state`).  A plan's boxes snapshot as a list of
+  ``{"name", "state"}`` entries through the plan host that holds them
+  (:meth:`repro.plan.PlanHost.snapshot` / ``restore``);
 * versioned checkpoint files with full + incremental modes and atomic
   rename-on-commit (:mod:`repro.recovery.checkpoint`);
 * a bounded per-query replay log feeding ``SUBSCRIBE ... RESUME <seq>``
@@ -17,13 +19,7 @@ The session-level entry points are
 
 from .checkpoint import CheckpointError, CheckpointInfo, CheckpointStore
 from .replay import ReplayGapError, ReplayLog
-from .state import (
-    StateError,
-    decode_state,
-    encode_state,
-    restore_engine_ops,
-    snapshot_engine_ops,
-)
+from .state import StateError, decode_state, encode_state
 
 __all__ = [
     "CheckpointError",
@@ -34,6 +30,4 @@ __all__ = [
     "StateError",
     "decode_state",
     "encode_state",
-    "snapshot_engine_ops",
-    "restore_engine_ops",
 ]

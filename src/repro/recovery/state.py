@@ -27,13 +27,7 @@ from repro.streams.batch import TupleBatch
 from repro.streams.serialization import decode_batch, encode_batch_wire
 from repro.streams.tuples import StreamTuple
 
-__all__ = [
-    "StateError",
-    "encode_state",
-    "decode_state",
-    "snapshot_engine_ops",
-    "restore_engine_ops",
-]
+__all__ = ["StateError", "encode_state", "decode_state"]
 
 _MAGIC = b"RST1"
 _U32 = struct.Struct("<I")
@@ -113,40 +107,3 @@ def decode_state(payload: bytes) -> Any:
         return _restore(header, batches)
     except (ValueError, LookupError, TypeError) as exc:  # JSON, batch codec, placeholders
         raise StateError(f"malformed state payload: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Whole-engine snapshots (single-query engines: shard runners and
-# coordinator suffix plans).  Multi-query session engines snapshot per
-# query by plan fingerprint instead — see ``QuerySession.checkpoint``.
-# ----------------------------------------------------------------------
-def snapshot_engine_ops(engine) -> List[dict]:
-    """Snapshot every operator of a :class:`StreamEngine` in topo order.
-
-    The order is deterministic for two engines built by the same
-    compilation path (discovery is a BFS from the registration order),
-    which is exactly the recover scenario: the plan is recompiled from
-    the same source, then states are re-applied positionally, with the
-    operator name at each position verified as a safety net.
-    """
-    return [
-        {"name": op.name, "state": op.state_snapshot()}
-        for op in engine._topological_order()
-    ]
-
-
-def restore_engine_ops(engine, entries: List[dict]) -> None:
-    """Re-apply :func:`snapshot_engine_ops` output onto a rebuilt engine."""
-    ops = engine._topological_order()
-    if len(ops) != len(entries):
-        raise StateError(
-            f"engine has {len(ops)} operators, checkpoint recorded {len(entries)}; "
-            "recover with the same query and planner settings as the checkpoint"
-        )
-    for op, entry in zip(ops, entries):
-        if entry["name"] != op.name:
-            raise StateError(
-                f"operator order mismatch: engine has {op.name!r} where the "
-                f"checkpoint recorded {entry['name']!r}"
-            )
-        op.state_restore(entry["state"])

@@ -326,10 +326,8 @@ class ShardedEngine:
         else:
             self._merger = WindowPartialMerger(decision.merge, self.workers)
         self._suffix = None
-        self._suffix_sink = None
         if decision.suffix is not None:
             self._suffix = self._planner.compile(decision.suffix, optimize=False)
-            self._suffix_sink = self._suffix._sinks[decision.suffix.names[0]]
 
         self._next_chunk = 0
         self._outstanding = 0
@@ -722,8 +720,7 @@ class ShardedEngine:
         try:
             if self._suffix is not None:
                 self._suffix.push_batch(PARTIAL_SOURCE, merged)
-                merged = list(self._suffix_sink.results)
-                self._suffix_sink.results.clear()
+                merged = self._suffix.take()
             if merged:
                 self._sink.accept_batch(TupleBatch(merged))
         finally:
@@ -780,8 +777,7 @@ class ShardedEngine:
             self._deliver(rows)
         if self._suffix is not None:
             self._suffix.engine.finish()
-            leftovers = list(self._suffix_sink.results)
-            self._suffix_sink.results.clear()
+            leftovers = self._suffix.take()
             if leftovers:
                 self._sink.accept_batch(TupleBatch(leftovers))
         return self.results
@@ -811,7 +807,7 @@ class ShardedEngine:
         and is combined with the coordinator's merger and suffix-plan
         state.
         """
-        from repro.recovery.state import decode_state, snapshot_engine_ops
+        from repro.recovery.state import decode_state
 
         self.quiesce()
         shard_states: Dict[str, dict] = {}
@@ -835,9 +831,7 @@ class ShardedEngine:
             "next_chunk": self._next_chunk,
             "merger": self._merger.state_snapshot(),
             "suffix": (
-                snapshot_engine_ops(self._suffix.engine)
-                if self._suffix is not None
-                else None
+                self._suffix.host.snapshot() if self._suffix is not None else None
             ),
             "shards": shard_states,
         }
@@ -847,12 +841,9 @@ class ShardedEngine:
 
         Must run before any pushes; requires the same query, worker
         count and sharding decision as the engine that took the
-        snapshot.  A ``weights`` entry (written by engines that had
-        weighted chunk rotation) is ignored: placement cannot change
-        merged results, since window partials merge order-insensitively
-        and the ordered merge keys on global chunk ids.
+        snapshot.
         """
-        from repro.recovery.state import encode_state, restore_engine_ops
+        from repro.recovery.state import encode_state
 
         self._ensure_open()
         if state.get("mode") != "sharded":
@@ -874,7 +865,7 @@ class ShardedEngine:
                     "checkpoint carries a coordinator suffix state but this "
                     "engine compiled no suffix plan"
                 )
-            restore_engine_ops(self._suffix.engine, state["suffix"])
+            self._suffix.host.restore(state["suffix"])
         self._snapshot_token += 1
         token = self._snapshot_token
         with self._reply_cv:
@@ -943,7 +934,7 @@ class ShardedEngine:
             for shard, rows in self._stats_rows.items()
         }
         if self._suffix is not None:
-            coordinator.extend(self._suffix.statistics(detailed=True))
+            coordinator.extend(self._suffix.statistics())
         sink_view = obs.get_registry().operator_view(self.obs_scope, self._sink)
         coordinator.append(OperatorStats(*sink_view.stats()))
         return ShardedStatistics(

@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import socket
 import traceback
+from dataclasses import astuple
 from typing import Iterable, List, Optional, Tuple
 
 from repro import obs
@@ -80,7 +81,6 @@ class ShardRunner:
         # Chunks arrive as batches and run whole (``push_batch``), so
         # the compiled batch size is never used here.
         self.query = Planner().compile(plan, optimize=False)
-        self._sink = self.query._sinks[plan.names[0]]
         self.watermark = -math.inf
 
     def handle(self, message: Tuple) -> Optional[Tuple]:
@@ -163,45 +163,37 @@ class ShardRunner:
         if len(batch):
             self.query.push_batch(source, batch)
             self.watermark = max(self.watermark, float(batch.timestamps()[-1]))
-        return self._take(), self.watermark
+        return self.query.take(), self.watermark
 
     def flush(self) -> List:
         """Close partial windows and return their outputs."""
         self.query.engine.finish()
-        return self._take()
-
-    def _take(self) -> List:
-        out = list(self._sink.results)
-        self._sink.results.clear()
-        return out
+        return self.query.take()
 
     def statistics_rows(self) -> List[Tuple[str, int, int, int, float]]:
-        return [
-            (s.name, s.tuples_in, s.tuples_out, s.batches_in, s.seconds)
-            for s in self.query.statistics(detailed=True)
-        ]
+        return [astuple(stats) for stats in self.query.statistics()]
 
     # ------------------------------------------------------------------
     # Durability (checkpoint/recover RPC)
     # ------------------------------------------------------------------
     def state_payload(self) -> bytes:
-        """Serialize this shard's engine state for a coordinator snapshot."""
-        from repro.recovery.state import encode_state, snapshot_engine_ops
+        """Serialize this shard's box states for a coordinator snapshot.
+
+        The sink needs no entry: every reply drains it.
+        """
+        from repro.recovery.state import encode_state
 
         return encode_state(
-            {
-                "watermark": self.watermark,
-                "ops": snapshot_engine_ops(self.query.engine),
-            }
+            {"watermark": self.watermark, "ops": self.query.host.snapshot()}
         )
 
     def restore_payload(self, payload: bytes) -> None:
         """Install a state produced by :meth:`state_payload`."""
-        from repro.recovery.state import decode_state, restore_engine_ops
+        from repro.recovery.state import decode_state
 
         state = decode_state(payload)
         self.watermark = float(state["watermark"])
-        restore_engine_ops(self.query.engine, state["ops"])
+        self.query.host.restore(state["ops"])
 
 
 def serve_shard(

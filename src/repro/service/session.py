@@ -12,13 +12,15 @@ keeps running.  A :class:`QuerySession` provides exactly that surface:
 >>> session.push_many("rfid", tuples)
 >>> session.results("q1")
 
-**Cross-query subplan sharing.**  Registration compiles the query's
-optimized logical plan node-by-node, but before lowering a node it
-looks its *structural fingerprint* (:mod:`repro.plan.fingerprint`) up
-in the session-wide box table: if another registered query already
-lowered an identical subtree — same source, same filters, same window,
-in the same order — the existing physical operator chain is reused and
-the new query's sink simply taps it.  The shared prefix then executes
+**Cross-query subplan sharing.**  Registration attaches the query's
+optimized logical plan to the session's
+:class:`~repro.plan.PlanHost`, the box table ``Planner.compile`` uses
+too.  Before lowering a node the host looks its *structural
+fingerprint* (:mod:`repro.plan.fingerprint`) up: if another registered
+query already lowered an identical subtree — same source, same
+filters, same window, in the same order — the existing physical
+operator chain is reused and the new query's sink simply taps it.
+The shared prefix then executes
 **once** per input tuple no matter how many queries consume it
 (visible in :meth:`explain` and :meth:`statistics`).  Boxes are
 ref-counted by owning query; :meth:`drop` detaches only the boxes the
@@ -38,28 +40,22 @@ keep running for the other queries.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, Union
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro import obs
 from repro.cql.lowering import lower_query
 from repro.plan.builder import Stream
 from repro.plan.fingerprint import plan_fingerprints
-from repro.plan.nodes import (
-    JoinNode,
-    LogicalNode,
-    LogicalPlan,
-    SourceNode,
-    topological_nodes,
-)
-from repro.plan.planner import NodeLowering, Planner
+from repro.plan.nodes import LogicalPlan, SourceNode
+from repro.plan.planner import BoxReport, Planner, PlanHost
 from repro.plan.rewrites import RewriteTrace
 from repro.plan.sharding import ShardingDecision, split_for_sharding
 from repro.recovery import CheckpointInfo, CheckpointStore, ReplayLog
 from repro.recovery.state import decode_state, encode_state
 from repro.runtime.engine import ShardedEngine, ShardedStatistics
 from repro.streams.batch import TupleBatch
-from repro.streams.engine import OperatorStats, StreamEngine
+from repro.streams.engine import StreamEngine
 from repro.streams.operators.base import Operator
 from repro.streams.operators.basic import CollectSink
 from repro.streams.tuples import StreamTuple, advance_tuple_counter, tuple_counter_mark
@@ -140,48 +136,19 @@ class _QuerySink(CollectSink):
 
 
 @dataclass
-class _SharedBox:
-    """One physical box plus the queries that own (use) it."""
-
-    op: Operator
-    node: LogicalNode  # representative logical node (first registrant's)
-    owners: List[str]
-    #: Arrows wired *into* this box: (parent operator, connect target).
-    #: The target differs from ``op`` only for joins, whose inputs go
-    #: through port adapters.
-    inbound: List[Tuple[Operator, Operator]]
-
-    def add_owner(self, name: str) -> None:
-        if name not in self.owners:
-            self.owners.append(name)
-
-
-@dataclass
 class _Registered:
     name: str
     text: Optional[str]
     plan: LogicalPlan
     optimized: LogicalPlan
     rewrites: List[RewriteTrace]
-    fingerprints: List[Hashable]  # topo order over the optimized plan
     sink: _QuerySink
-    root_fingerprint: Hashable
+    #: The box the sink taps (``None`` for a sharded query).
+    root: Optional[Operator]
     strategy_decisions: list
     #: Set when the query runs in its own sharded runtime instead of the
     #: session's shared engine (``QuerySession(workers=N)``).
     sharded: Optional[ShardedEngine] = None
-
-
-@dataclass(frozen=True)
-class BoxReport:
-    """One physical box in a statistics report, with its owners."""
-
-    stats: OperatorStats
-    owners: Tuple[str, ...]
-
-    @property
-    def shared(self) -> bool:
-        return len(self.owners) > 1
 
 
 class RegisteredQuery:
@@ -292,6 +259,9 @@ class QuerySession:
             obs.set_trace_sample(trace_sample)
         self.engine = StreamEngine(batch_size=batch_size)
         self._planner = planner or Planner()
+        #: The box table of the engine-hosted queries, each attached
+        #: under its query name.
+        self._host = PlanHost(self.engine, self._planner.cost_model)
         self._batch_size = batch_size
         self._optimize = optimize
         self._functions: Dict[str, Callable] = dict(functions or {})
@@ -301,9 +271,6 @@ class QuerySession:
         self._shard_remote_shards = tuple(shard_remote_shards)
         self._replay_capacity = replay_capacity
         self._streams: Dict[str, SourceNode] = {}  # locked source declarations
-        self._declared: set = set()  # names declared via create_stream
-        self._entries: Dict[str, Operator] = {}  # engine entry ops
-        self._boxes: Dict[Hashable, _SharedBox] = {}
         self._queries: Dict[str, _Registered] = {}
         #: source name -> sharded queries reading it (push-path index;
         #: push runs per tuple, so no per-push scan over all queries).
@@ -347,7 +314,7 @@ class QuerySession:
             name, values=values, uncertain=uncertain, family=family, rate_hint=rate_hint
         )
         self._streams[name] = handle.node  # type: ignore[assignment]
-        self._declared.add(name)
+        self._host.declared.add(name)
         return handle
 
     def create_function(self, name: str, fn: Callable) -> None:
@@ -445,7 +412,7 @@ class QuerySession:
         else:
             optimized, traces = plan, []
 
-        self._adopt_sources(optimized)
+        adopted = self._adopt_sources(optimized)
 
         if self._workers:
             decision = split_for_sharding(optimized, self._planner.cost_model)
@@ -454,33 +421,23 @@ class QuerySession:
                     name, text, plan, optimized, traces, decision, on_result
                 )
 
-        overrides = {src: ("session-source", src) for src in self._streams}
-        fingerprints = plan_fingerprints(optimized.outputs, source_overrides=overrides)
-
-        nodes = topological_nodes(optimized.outputs)
-        lowering = NodeLowering(self._planner.cost_model, nodes)
-        created: List[Hashable] = []
         try:
-            for node in nodes:
-                self._attach_node(node, fingerprints, lowering, name, created)
-            sink = self._make_sink(name, on_result)
-            root = optimized.outputs[0]
-            self._boxes[fingerprints[id(root)]].op.connect(sink)
-            self.engine.register(sink)
-            self.engine.validate()
+            (root,), lowering = self._host.attach(name, optimized.outputs)
         except Exception:
-            self._rollback(name, created)
+            for source in adopted:
+                del self._streams[source]
             raise
-
+        sink = self._make_sink(name, on_result)
+        root.connect(sink)
+        self.engine.register(sink)
         self._queries[name] = _Registered(
             name=name,
             text=text,
             plan=plan,
             optimized=optimized,
             rewrites=list(traces),
-            fingerprints=[fingerprints[id(n)] for n in nodes],
             sink=sink,
-            root_fingerprint=fingerprints[id(root)],
+            root=root,
             strategy_decisions=list(lowering.strategy_decisions),
         )
         return RegisteredQuery(self, name)
@@ -520,9 +477,8 @@ class QuerySession:
             plan=plan,
             optimized=optimized,
             rewrites=list(traces),
-            fingerprints=[],
             sink=sink,
-            root_fingerprint=None,
+            root=None,
             strategy_decisions=[],
             sharded=sharded,
         )
@@ -531,12 +487,17 @@ class QuerySession:
             self._sharded_by_source.setdefault(source, []).append(registered)
         return RegisteredQuery(self, name)
 
-    def _adopt_sources(self, plan: LogicalPlan) -> None:
-        """Lock in (or check against) the session's source declarations."""
+    def _adopt_sources(self, plan: LogicalPlan) -> List[str]:
+        """Lock in (or check against) the session's source declarations.
+
+        Returns the names of the sources this plan declared first.
+        """
+        adopted: List[str] = []
         for source in plan.sources:
             locked = self._streams.get(source.name)
             if locked is None:
                 self._streams[source.name] = source
+                adopted.append(source.name)
                 continue
             if locked is source:
                 continue
@@ -557,66 +518,7 @@ class QuerySession:
                     "different schema; reuse the session's declaration "
                     "(see QuerySession.create_stream)"
                 )
-
-    def _attach_node(
-        self,
-        node: LogicalNode,
-        fingerprints: Dict[int, Hashable],
-        lowering: NodeLowering,
-        owner: str,
-        created: List[Hashable],
-    ) -> None:
-        fingerprint = fingerprints[id(node)]
-        box = self._boxes.get(fingerprint)
-        if box is not None:
-            box.add_owner(owner)
-            return
-        if isinstance(node, SourceNode):
-            entry = self._entries.get(node.name)
-            if entry is None:
-                entry = lowering.source_operator(node)
-                self.engine.add_source(node.name, entry)
-                self._entries[node.name] = entry
-            self._boxes[fingerprint] = _SharedBox(entry, node, [owner], [])
-            created.append(fingerprint)
-            return
-        op = lowering.lower(node)
-        inbound: List[Tuple[Operator, Operator]] = []
-        if isinstance(node, JoinNode):
-            left_op = self._boxes[fingerprints[id(node.left)]].op
-            right_op = self._boxes[fingerprints[id(node.right)]].op
-            left_port, right_port = op.left_port(), op.right_port()
-            left_op.connect(left_port)
-            right_op.connect(right_port)
-            inbound = [(left_op, left_port), (right_op, right_port)]
-        else:
-            for child in node.inputs:
-                child_op = self._boxes[fingerprints[id(child)]].op
-                child_op.connect(op)
-                inbound.append((child_op, op))
-        self.engine.register(op)
-        self._boxes[fingerprint] = _SharedBox(op, node, [owner], inbound)
-        created.append(fingerprint)
-
-    def _rollback(self, owner: str, created: List[Hashable]) -> None:
-        """Undo a failed registration: detach everything it created."""
-        for fingerprint in reversed(created):
-            box = self._boxes.get(fingerprint)
-            if box is None:
-                continue
-            if box.owners == [owner] or not box.owners:
-                if isinstance(box.node, SourceNode) and box.node.name in self._declared:
-                    # Streams declared via create_stream keep their entry
-                    # box and schema declaration, exactly as in drop().
-                    box.owners = []
-                else:
-                    self._detach_box(fingerprint, box)
-            else:
-                box.owners = [o for o in box.owners if o != owner]
-        # Boxes that pre-existed may have gained this owner before the
-        # failure; scrub it.
-        for box in self._boxes.values():
-            box.owners = [o for o in box.owners if o != owner]
+        return adopted
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -646,30 +548,11 @@ class QuerySession:
                 if query in readers:
                     readers.remove(query)
             return
-        root_box = self._boxes[query.root_fingerprint]
-        root_box.op.disconnect(query.sink)
+        query.root.disconnect(query.sink)
         self.engine.unregister(query.sink)
-        for fingerprint in reversed(query.fingerprints):
-            box = self._boxes.get(fingerprint)
-            if box is None:
-                continue
-            box.owners = [o for o in box.owners if o != name]
-            if not box.owners:
-                if isinstance(box.node, SourceNode) and box.node.name in self._declared:
-                    continue  # declared streams persist unowned
-                self._detach_box(fingerprint, box)
+        for source in self._host.detach(name):
+            self._streams.pop(source, None)
         del self._queries[name]
-
-    def _detach_box(self, fingerprint: Hashable, box: _SharedBox) -> None:
-        for parent, target in box.inbound:
-            parent.disconnect(target)
-        if isinstance(box.node, SourceNode):
-            self.engine.remove_source(box.node.name)
-            self._entries.pop(box.node.name, None)
-            self._streams.pop(box.node.name, None)
-        else:
-            self.engine.unregister(box.op)
-        self._boxes.pop(fingerprint, None)
 
     def pause(self, name: str) -> None:
         """Stop collecting this query's results (discarded while paused)."""
@@ -689,18 +572,15 @@ class QuerySession:
     # ------------------------------------------------------------------
     # Data flow
     # ------------------------------------------------------------------
-    def _sharded_readers(self, source: str) -> List[_Registered]:
-        return self._sharded_by_source.get(source, [])
-
     def _known_sources(self) -> set:
-        known = set(self._entries)
+        known = set(self._host.entries)
         for source, readers in self._sharded_by_source.items():
             if readers:
                 known.add(source)
         return known
 
     def _check_source(self, source: str) -> None:
-        if source in self._entries or self._sharded_by_source.get(source):
+        if source in self._host.entries or self._sharded_by_source.get(source):
             return
         known = ", ".join(sorted(self._known_sources())) or "none"
         raise ServiceError(
@@ -711,7 +591,7 @@ class QuerySession:
     def push(self, source: str, item: StreamTuple) -> None:
         """Push one tuple into a named source (a batch of one)."""
         self._check_source(source)
-        if source in self._entries:
+        if source in self._host.entries:
             self.engine.push(source, item)
         for query in self._sharded_by_source.get(source, ()):
             query.sharded.push(source, item)
@@ -732,7 +612,7 @@ class QuerySession:
         sharded runtime stamps outbound chunk batches with it.
         """
         self._check_source(source)
-        readers = self._sharded_readers(source)
+        readers = self._sharded_by_source.get(source, [])
         if readers and not isinstance(items, (list, tuple)):
             items = list(items)  # several consumers each need the full stream
         ctx = trace if trace is not None else obs.new_trace()
@@ -745,7 +625,7 @@ class QuerySession:
         previous_parent = obs.activate_parent(root_id) if traced else None
         t0 = obs.trace_clock() if traced else 0.0
         try:
-            if source in self._entries:
+            if source in self._host.entries:
                 self.engine.push_many(source, items, batch_size=batch_size)
             for query in readers:
                 query.sharded.push_many(source, items)
@@ -890,7 +770,7 @@ class QuerySession:
         UDFs likewise must be re-supplied to :meth:`restore`.
         """
         streams = []
-        for stream_name in sorted(self._declared):
+        for stream_name in sorted(self._host.declared):
             node = self._streams.get(stream_name)
             if node is None:  # pragma: no cover - declared streams persist
                 continue
@@ -1051,11 +931,7 @@ class QuerySession:
             # merged results into the sink, which must be captured below.
             state = {"kind": "sharded", "sharded": query.sharded.state_snapshot()}
         else:
-            ops = []
-            for fingerprint in query.fingerprints:
-                box = self._boxes[fingerprint]
-                ops.append({"name": box.op.name, "state": box.op.state_snapshot()})
-            state = {"kind": "engine", "ops": ops}
+            state = {"kind": "engine", "ops": self._host.snapshot(query.name)}
         state["sink"] = {
             "results": list(query.sink.results),
             "dropped": query.sink.dropped,
@@ -1159,7 +1035,6 @@ class QuerySession:
             shard_remote_shards=shard_remote_shards,
             replay_capacity=int(meta.get("replay_capacity", 4096)),
         )
-        restored_boxes: set = set()
         for name, query in session._queries.items():
             payload = blobs.get(f"query/{name}")
             if payload is None:  # pragma: no cover - defensive
@@ -1184,24 +1059,9 @@ class QuerySession:
                     "recovered sharded; recover with the checkpoint's worker "
                     "configuration"
                 )
-            entries = state["ops"]
-            if len(entries) != len(query.fingerprints):
-                raise ServiceError(
-                    f"query {name!r} recompiled to {len(query.fingerprints)} "
-                    f"boxes but its checkpoint recorded {len(entries)}; the "
-                    "checkpoint belongs to a different build of this query"
-                )
-            for fingerprint, entry in zip(query.fingerprints, entries):
-                box = session._boxes[fingerprint]
-                if id(box) in restored_boxes:
-                    continue  # shared box already restored by an earlier query
-                restored_boxes.add(id(box))
-                if box.op.name != entry["name"]:
-                    raise ServiceError(
-                        f"query {name!r} box {box.op.name!r} does not match "
-                        f"checkpointed box {entry['name']!r}"
-                    )
-                box.op.state_restore(entry["state"])
+            # A box shared by several queries restores once per query,
+            # from the same checkpointed state.
+            session._host.restore(state["ops"], name)
         #: Metrics-registry snapshot taken when the checkpoint was
         #: written (``None`` for checkpoints predating the sidecar):
         #: what the lost process had observed up to the restored state.
@@ -1233,24 +1093,7 @@ class QuerySession:
             query = self._query(name)
             if query.sharded is not None:
                 return self._sharded_reports(query)
-            boxes = [
-                self._boxes[fp] for fp in query.fingerprints if fp in self._boxes
-            ]
-        else:
-            boxes = list(self._boxes.values())
-        reports = [
-            BoxReport(
-                stats=OperatorStats(
-                    name=box.op.name,
-                    tuples_in=box.op.tuples_in,
-                    tuples_out=box.op.tuples_out,
-                    batches_in=box.op.batches_in,
-                    seconds=box.op.processing_seconds,
-                ),
-                owners=tuple(box.owners),
-            )
-            for box in boxes
-        ]
+        reports = self._host.statistics(name)
         if name is None:
             for query in self._queries.values():
                 if query.sharded is not None:
@@ -1263,13 +1106,7 @@ class QuerySession:
         reports: List[BoxReport] = []
         for shard in sorted(stats.shards):
             for row in stats.shards[shard]:
-                renamed = OperatorStats(
-                    name=f"shard{shard}/{row.name}",
-                    tuples_in=row.tuples_in,
-                    tuples_out=row.tuples_out,
-                    batches_in=row.batches_in,
-                    seconds=row.seconds,
-                )
+                renamed = replace(row, name=f"shard{shard}/{row.name}")
                 reports.append(BoxReport(stats=renamed, owners=(query.name,)))
         for row in stats.coordinator:
             reports.append(BoxReport(stats=row, owners=(query.name,)))
@@ -1293,11 +1130,7 @@ class QuerySession:
             stats = report.stats
             operators.append(
                 {
-                    "name": stats.name,
-                    "tuples_in": stats.tuples_in,
-                    "tuples_out": stats.tuples_out,
-                    "batches_in": stats.batches_in,
-                    "seconds": stats.seconds,
+                    **asdict(stats),  # name, tuples in/out, batches in, seconds
                     "seconds_per_batch": (
                         stats.seconds / stats.batches_in if stats.batches_in else None
                     ),
@@ -1351,8 +1184,9 @@ class QuerySession:
             else:
                 described.append(query_name)
         lines.append(f"queries: {', '.join(described) or '(none)'}")
-        shared = [box for box in self._boxes.values() if len(box.owners) > 1]
-        lines.append(f"physical boxes: {len(self._boxes)} ({len(shared)} shared)")
+        boxes = self._host.boxes()
+        shared = [box for box in boxes if len(box.owners) > 1]
+        lines.append(f"physical boxes: {len(boxes)} ({len(shared)} shared)")
         for box in shared:
             lines.append(f"- {box.op.name} shared by {', '.join(sorted(box.owners))}")
         return "\n".join(lines)
@@ -1371,19 +1205,12 @@ class QuerySession:
         lines.append("")
         lines.append("Rewrites")
         lines.append("--------")
-        if query.rewrites:
-            lines.extend(f"- {t.rule}: {t.description}" for t in query.rewrites)
-        else:
-            lines.append("(none applied)")
+        lines.extend([f"- {t.rule}: {t.description}" for t in query.rewrites] or ["(none applied)"])
         if query.strategy_decisions:
             lines.append("")
             lines.append("Cost model")
             lines.append("----------")
-            for decision in query.strategy_decisions:
-                lines.append(
-                    f"- strategy for {decision.node_label}: "
-                    f"{decision.choice.strategy.name} ({decision.choice.reason})"
-                )
+            lines.extend(decision.explain() for decision in query.strategy_decisions)
         if query.sharded is not None:
             lines.append("")
             lines.append(query.sharded.explain())
@@ -1391,10 +1218,7 @@ class QuerySession:
         lines.append("")
         lines.append("Physical boxes")
         lines.append("--------------")
-        for fingerprint in query.fingerprints:
-            box = self._boxes.get(fingerprint)
-            if box is None:  # pragma: no cover - defensive
-                continue
+        for box in self._host.boxes(query.name):
             others = sorted(o for o in box.owners if o != query.name)
             tag = f"shared with {', '.join(others)}" if others else "exclusive"
             lines.append(f"- {box.op.name} <- {box.node.label()}  [{tag}]")

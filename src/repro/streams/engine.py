@@ -44,7 +44,7 @@ class EngineError(Exception):
 
 @dataclass(frozen=True)
 class OperatorStats:
-    """Detailed per-box statistics surfaced by :meth:`StreamEngine.statistics`."""
+    """Per-box statistics surfaced by :meth:`StreamEngine.statistics`."""
 
     name: str
     tuples_in: int
@@ -346,38 +346,22 @@ class StreamEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def statistics(self, detailed: bool = False):
-        """Return per-box statistics.
+    def statistics(self) -> List[OperatorStats]:
+        """Return one :class:`OperatorStats` record per box.
 
-        By default returns ``(operator name, tuples in, tuples out)``
-        triples (the historical interface).  With ``detailed=True``
-        returns :class:`OperatorStats` records that additionally carry
-        the number of batches processed, the cumulative processing time
-        and the derived throughput.
-
-        Both shapes are views over :class:`repro.obs.OperatorView`
+        Each record carries the tuples in and out, the batches processed,
+        the cumulative processing time and the derived throughput.  The
+        records are views over :class:`repro.obs.OperatorView`
         instruments (get-or-created in the default registry under this
         engine's ``obs_scope``), so the METRICS verb and this method
         read the same cells.  The per-tuple hot path is untouched: views
         sample the operators' plain counters at call time.
         """
         registry = obs.get_registry()
-        rows = [
-            registry.operator_view(self.obs_scope, op).stats()
+        return [
+            OperatorStats(*registry.operator_view(self.obs_scope, op).stats())
             for op in self._discover()
         ]
-        if detailed:
-            return [
-                OperatorStats(
-                    name=name,
-                    tuples_in=tuples_in,
-                    tuples_out=tuples_out,
-                    batches_in=batches_in,
-                    seconds=seconds,
-                )
-                for name, tuples_in, tuples_out, batches_in, seconds in rows
-            ]
-        return [(name, tuples_in, tuples_out) for name, tuples_in, tuples_out, _, _ in rows]
 
     def reset(self) -> None:
         """Reset per-operator counters (does not clear operator state)."""

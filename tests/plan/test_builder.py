@@ -169,9 +169,7 @@ class TestCompiledQuery:
         )
         query = compile_streams({"sums": q_all, "counts": q_count})
         # The shared filter lowers to ONE physical box feeding both outputs.
-        shared_filters = [
-            op for op, node in query._operator_tags if node is shared.node
-        ]
+        shared_filters = [box.op for box in query.host.boxes() if box.node is shared.node]
         assert len(shared_filters) == 1
         assert len(shared_filters[0].downstream) == 2
 
@@ -216,8 +214,7 @@ class TestCompiledQuery:
         )
         query.push_many("in", [weight_tuple(i, 1.0) for i in range(4)])
         query.finish()
-        detailed = query.statistics(detailed=True)
-        assert any(s.tuples_in == 4 for s in detailed)
+        assert any(s.tuples_in == 4 for s in query.statistics())
 
     def test_no_execution_mode_option(self):
         # One execution path: compile() takes a batch size, not a mode.

@@ -35,7 +35,7 @@ def piped_query(batch_size, middle=None):
 class TestPipeChains:
     def test_every_piped_box_is_its_own_engine_box(self):
         query = piped_query(8, middle=Map(lambda t: t, name="ident"))
-        names = [stats.name for stats in query.statistics(detailed=True)]
+        names = [stats.name for stats in query.statistics()]
         assert {"real", "ident", "lucky"} <= set(names)
 
     def test_piped_results_match_across_batch_sizes(self):

@@ -220,9 +220,7 @@ class TestFuseAdjacentFilters:
         stream = self.build()
         assert "fuse_adjacent_filters" in applied_rules(stream)
         query = stream.compile(batch_size=1)
-        filters = [
-            op for op, node in query._operator_tags if isinstance(node, FilterNode)
-        ]
+        filters = [box for box in query.host.boxes() if isinstance(box.node, FilterNode)]
         assert len(filters) == 1
 
     def test_equivalence(self):
@@ -287,12 +285,13 @@ class TestDropUnreadAnnotation:
         assert root.input.annotate is None
         # Lowered as the two ordinary boxes: a selection without
         # annotation feeding the aggregate.
-        (select,) = [op for op, node in query._operator_tags if isinstance(node, ProbFilterNode)]
+        boxes = query.host.boxes()
+        (select,) = [box.op for box in boxes if isinstance(box.node, ProbFilterNode)]
         assert select.probability_attribute is None
         assert select.downstream and all(
-            isinstance(node, AggregateNode)
-            for op, node in query._operator_tags
-            if op in select.downstream
+            isinstance(box.node, AggregateNode)
+            for box in boxes
+            if box.op in select.downstream
         )
 
     @pytest.mark.parametrize("function", ["sum", "avg", "count", "max"])

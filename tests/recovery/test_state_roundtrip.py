@@ -7,13 +7,7 @@ import pytest
 from repro.core import Comparison
 from repro.distributions import Gaussian
 from repro.plan import Stream
-from repro.recovery import (
-    StateError,
-    decode_state,
-    encode_state,
-    restore_engine_ops,
-    snapshot_engine_ops,
-)
+from repro.recovery import StateError, decode_state, encode_state
 from repro.runtime import ShardedEngine
 from repro.streams import StreamTuple, TumblingTimeWindow
 
@@ -95,8 +89,8 @@ def join_engine():
     ).compile()
 
 
-class TestEngineSnapshot:
-    """snapshot_engine_ops/restore_engine_ops over real operator chains."""
+class TestHostSnapshot:
+    """A compiled query's PlanHost.snapshot/restore over real operator chains."""
 
     def test_open_windows_survive_the_round_trip(self, assert_tuples_equivalent):
         tuples = make_tuples(23)
@@ -105,15 +99,20 @@ class TestEngineSnapshot:
 
         first = aggregate_engine()
         first.push_many("s", tuples[:9])  # mid-window: state is live
-        entries = snapshot_engine_ops(first.engine)
+        entries = first.host.snapshot()
         # A lossless wire trip, exactly as the checkpoint file stores it.
         entries = decode_state(encode_state({"ops": entries}))["ops"]
 
         second = aggregate_engine()
-        restore_engine_ops(second.engine, entries)
+        second.host.restore(entries)
         second.push_many("s", tuples[9:])
 
-        assert_tuples_equivalent(uninterrupted.finish(), second.finish())
+        # The host snapshots the plan's boxes; results already collected
+        # stay with the query that collected them.
+        assert first.results
+        assert_tuples_equivalent(
+            uninterrupted.finish(), first.results + second.finish()
+        )
 
     def test_join_build_side_survives_the_round_trip(self, assert_tuples_equivalent):
         lefts = [
@@ -132,25 +131,35 @@ class TestEngineSnapshot:
 
         first = join_engine()
         first.push_many("l", lefts)  # build side populated, probe pending
-        entries = decode_state(
-            encode_state({"ops": snapshot_engine_ops(first.engine)})
-        )["ops"]
+        entries = decode_state(encode_state({"ops": first.host.snapshot()}))["ops"]
         second = join_engine()
-        restore_engine_ops(second.engine, entries)
+        second.host.restore(entries)
         second.push_many("r", rights)
 
         assert uninterrupted.finish()
         assert_tuples_equivalent(uninterrupted.results, second.finish())
 
-    def test_restore_rejects_a_different_plan(self):
-        entries = snapshot_engine_ops(aggregate_engine().engine)
+    def test_restore_rejects_a_different_box_count(self):
+        entries = aggregate_engine().host.snapshot()
+        other = (
+            Stream.source("s", uncertain=("v",))
+            .where_probably("v", Comparison.GREATER, 0.0, min_probability=0.5)
+            .window(TumblingTimeWindow(5.0))
+            .aggregate("v")
+            .compile()
+        )
+        with pytest.raises(StateError, match="3 boxes, the checkpoint recorded 2"):
+            other.host.restore(entries)
+
+    def test_restore_rejects_a_different_box_name(self):
+        entries = aggregate_engine().host.snapshot()
         other = (
             Stream.source("s", uncertain=("v",))
             .where_probably("v", Comparison.GREATER, 0.0, min_probability=0.5)
             .compile()
         )
-        with pytest.raises(StateError):
-            restore_engine_ops(other.engine, entries)
+        with pytest.raises(StateError, match="box order mismatch"):
+            other.host.restore(entries)
 
 
 def sharded_aggregate():

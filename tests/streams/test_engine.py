@@ -77,7 +77,7 @@ class TestStreamEngine:
         engine.add_source("in", source)
         source.connect(drop_all).connect(sink)
         engine.push_many("in", make_tuples(4))
-        stats = dict((name, (tin, tout)) for name, tin, tout in engine.statistics())
+        stats = {s.name: (s.tuples_in, s.tuples_out) for s in engine.statistics()}
         assert stats["src"] == (4, 4)
         assert stats["drop"] == (4, 0)
         assert stats["sink"] == (0, 0)

@@ -137,7 +137,7 @@ class TestMultiSourcePlans:
         b = PassThroughOperator(name="b")
         engine.add_source("a", a)
         engine.add_source("b", b)
-        names = {name for name, _, _ in engine.statistics()}
+        names = {s.name for s in engine.statistics()}
         assert names == {"a", "b"}
 
 
